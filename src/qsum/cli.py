@@ -526,22 +526,53 @@ def cmd_verify(args) -> int:
 # sum
 
 
+POINT_COLUMNS = ("t_r", "t_theta", "z_re", "z_im")
+
+
 def _read_points(path: Path):
+    """Rows ``t_r,t_theta,z_re,z_im``, each checked before any work starts.
+
+    Blank lines and ``#`` comments are skipped, and so is a header: the
+    first other line, if none of its cells is a number.  Any other bad row
+    raises `UsageError` naming its line and cell.
+    """
     pts = []
+    header_allowed = True
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].lstrip().startswith("#"):
+        reader = csv.reader(fh)
+        for row in reader:
+            if not any(c.strip() for c in row) or row[0].lstrip().startswith("#"):
                 continue
-            try:
-                vals = [float(c) for c in row[:4]]
-            except ValueError:
-                continue  # header line
-            if len(vals) < 4:
-                raise ValidationError(f"points row needs 4 columns, got {row}")
+            if header_allowed:
+                header_allowed = False
+                if not any(_is_number(c) for c in row):
+                    continue
+            where = f"{path}, line {reader.line_num}"
+            if len(row) < len(POINT_COLUMNS):
+                raise UsageError(f"{where}: a point needs 4 columns "
+                                 f"{','.join(POINT_COLUMNS)}, got {len(row)}")
+            vals = []
+            for name, cell in zip(POINT_COLUMNS, row):
+                if not _is_number(cell):
+                    raise UsageError(f"{where}: {name} = {cell!r} is not a number")
+                v = float(cell)
+                if not math.isfinite(v):
+                    raise UsageError(f"{where}: {name} = {cell!r} is not finite")
+                vals.append(v)
+            if vals[0] < 0.0:
+                raise UsageError(f"{where}: t_r = {row[0]!r} is negative")
             pts.append(tuple(vals))
     if not pts:
         raise ValidationError(f"no usable points in {path}")
     return pts
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def cmd_sum(args) -> int:
@@ -551,11 +582,11 @@ def cmd_sum(args) -> int:
         for c in report.failures():
             print(f"FAIL  {c.name}: {c.detail}", file=sys.stderr)
         return EXIT_SPEC
+    pts = _read_points(resolve_input(args.points))
     cfg = select_sector(spec, args.direction)
     sol = solve_fixed_point(spec, cfg, args.order, tol=args.tol)
     om = ContinuedOmega(sol, spec, cfg)
     beta_prime = args.beta_prime if args.beta_prime is not None else 0.5 * spec.space.beta
-    pts = _read_points(resolve_input(args.points))
 
     rows = []
     for t_r, t_theta, z_re, z_im in pts:
@@ -583,7 +614,7 @@ def cmd_sum(args) -> int:
         "sum", digest, args, config=cfg,
         outcome={"points": len(rows), "flagged": sum(1 for r in rows if r[-1] != "ok")},
     )
-    header = ["t_r", "t_theta", "z_re", "z_im", "value_re", "value_im", "budget", "flag"]
+    header = [*POINT_COLUMNS, "value_re", "value_im", "budget", "flag"]
     out = args.out or Path(".")
     _emit_rows(args, out, manifest, header, rows, "u_values")
     for row in rows:

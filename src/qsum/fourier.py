@@ -198,18 +198,6 @@ def inverse_fourier_table(f_rows: np.ndarray, space: FourierSpace, z_points, bet
     return (f_rows * space.weights()) @ phases / SQRT2PI
 
 
-@dataclass(frozen=True)
-class SeriesNormReport:
-    """Norms certifying a grid-valued series: the weighted-sup geometric
-    norm at radius ``R`` and, when sector samples were supplied, the
-    kernel-weighted sector norm with its growth exponent ``alpha``."""
-
-    norm_1R: float
-    R: float
-    alpha: float | None = None
-    norm_sector: float | None = None
-
-
 def series_norm_1R(W: TruncatedSeries, R: float) -> float:
     """Sum of per-order certificate norms scaled by ``R^p``.
 

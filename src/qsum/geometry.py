@@ -22,6 +22,7 @@ from .errors import (
     BadDirection,
     BoundViolation,
     DivergentInversion,
+    EnvelopeViolation,
     SmallDelta,
     ValidationError,
 )
@@ -320,6 +321,7 @@ def select_sector(
     Raises:
         BadDirection: no opening around ``requested_d`` clears the zero cone.
         SmallDelta: measured separation below ``delta_floor``.
+        ValidationError: ``theta_excl`` or the opening is out of range.
     """
     at = alpha_tilde(spec)
     q = spec.params.q
@@ -333,7 +335,7 @@ def select_sector(
                 spec.d_D * requested_d, spec.d_D * ho, spec.params, theta_excl
             )
             break
-        except Exception:
+        except EnvelopeViolation:
             ho *= 0.5
     if env is None:
         raise BadDirection(

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, EnvelopeViolation, OverflowFailure, ValidationError
 
@@ -162,6 +161,10 @@ def exp_q_zero(m: int, params: QParams) -> float:
     refines the closed form by bracketed root finding on the real line and
     is used as a cross-check rather than trusting the formula.
     """
+    # scipy is imported here, not at module level: only this cross-check
+    # needs it, and importing it would more than double every command's start-up
+    from scipy.optimize import brentq
+
     if m < 0:
         raise ValidationError("zero index must be >= 0")
     q = params.q

@@ -36,6 +36,7 @@ evaluator floor is the series truncation estimate of the continuation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -371,36 +372,6 @@ def deceleration_integral(
 # Borel-plane evaluators
 
 
-class SeriesOmega:
-    """Truncated series on its certified disc; errors outside it.
-
-    The cheapest evaluator: valid only where the series itself is, which is
-    enough for oracles and for feeding contour brackets whose arguments stay
-    tiny.
-    """
-
-    def __init__(self, series: TruncatedSeries, space, params: QParams, radius: float):
-        self.series = series
-        self.space = space
-        self.params = params
-        self.radius = radius
-        self.s_lattice = None
-
-    def values(self, u: CoveringPoint) -> np.ndarray:
-        if u.r > self.radius:
-            raise DomainViolation(f"|u| = {u.r:.3g} beyond series radius {self.radius:.3g}")
-        return _series_at(self.series, np.array([u.to_complex()]))[0]
-
-    def values_batch(self, pts: np.ndarray) -> np.ndarray:
-        if np.any(np.abs(pts) > self.radius):
-            raise DomainViolation("a point lies beyond the series radius")
-        return _series_at(self.series, np.asarray(pts, dtype=complex))
-
-    def floor_estimate(self) -> float:
-        top = float(np.max(np.abs(self.series.coeffs[-1]))) if self.series.order else 0.0
-        return top * self.radius ** self.series.order
-
-
 class SeparableOmega:
     """Closed-form ``omega(u, m) = radial(u) * profile(m)``; valid everywhere.
 
@@ -442,12 +413,8 @@ class PolynomialOmega:
             out += uc**p * row
         return out
 
-    def values_batch(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.asarray(pts, dtype=complex)
-        out = np.zeros((pts.size, self.rows[0].size), dtype=complex)
-        for p, row in zip(self.powers, self.rows):
-            out += pts[:, None] ** p * row[None, :]
-        return out
+    def polynomial(self):
+        return self.powers, np.array(self.rows)
 
     def floor_estimate(self) -> float:
         return 0.0
@@ -462,6 +429,55 @@ def _series_at(series: TruncatedSeries, pts: np.ndarray) -> np.ndarray:
     for row in coeffs[::-1]:
         acc = acc * pts[:, None] + row[None, :]
     return acc * pts[:, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _decel_logmag(powers: tuple, l0: int, l1: int, l2: int, params: QParams):
+    """Exponents ``n = p + l0`` and log magnitudes of the decelerated bracket.
+
+    Monomial ``u^p`` of the evaluator carries
+    ``q**(e(n) - e(l2*n) - e(l0)) * c**p`` with ``c = q**(l1 - l0/k)``: the
+    bracket's twist and shift, times the exact deceleration factor.
+    """
+    k = params.k
+    p = np.asarray(powers)
+    exps = p + l0
+    drop = np.array([
+        float(borel_exponent(int(n), k) - borel_exponent(int(l2 * n), k))
+        for n in exps
+    ])
+    logmag = (drop - float(borel_exponent(l0, k))) * params.log_q \
+        + p * math.log(params.q ** (l1 - l0 / k))
+    exps = exps.astype(float)
+    exps.setflags(write=False)
+    logmag.setflags(write=False)
+    return exps, logmag
+
+
+def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarray:
+    """Mahler bracket of the polynomial ``sum_j rows[j] u^{powers[j]}`` at ``h``.
+
+    The bracket ``y^{l0} q^{-e(l0)} omega(c y)`` decelerated at order ``l2``
+    is what the deceleration contour computes; on a polynomial it is the
+    finite sum of `_decel_logmag` monomials, so no quadrature is needed.
+    Summed in log magnitude so deep evaluations neither overflow nor round
+    through the kernel peak.  A scalar ``log_h = log h`` gives one ``(G,)``
+    row; an ``(S,)`` array (``l2 (s + i theta_d)`` along a ray) gives all
+    ``(S, G)`` rows in one ``(S, N) @ (N, G)`` product.
+
+    Raises:
+        DomainTooLarge: a monomial's log magnitude exceeds 700.
+    """
+    exps, logmag = _decel_logmag(
+        tuple(int(p) for p in powers), term.l0, term.l1, term.l2, params
+    )
+    log_h = np.asarray(log_h)[..., None]
+    if float(np.max(logmag + exps * log_h.real)) > 700.0:
+        raise DomainTooLarge(
+            "decelerated bracket overflows at this depth; "
+            "the point is outside any certified range"
+        )
+    return np.exp(logmag + exps * log_h) @ rows
 
 
 class ContinuedOmega:
@@ -522,7 +538,6 @@ class ContinuedOmega:
                 rc = 0.7 * self.r0 * q**k_dd / max(1.0, c)
                 self._contour[i] = rc
         self._rvals = [poly_eval_im(t.R, self.space.m) for t in spec.terms]
-        self._decel: dict = {}
         self._memo: dict = {}
         self._rungs = 0
 
@@ -582,32 +597,22 @@ class ContinuedOmega:
             acc += fc.F.values * uc**fc.j
         return acc / eval_Pm(uc, space.m, spec)
 
-    def _decel_poly(self, i: int):
-        """Coefficient data for the decelerated truncated bracket.
+    def polynomial(self):
+        """The truncated series as ``(powers, rows)``.
 
-        Row ``M`` carries ``q**(e(M) - e(l2*M) - e(l0)) * shift**p`` against the
-        series coefficients, which is what the contour in `_mahler_row`
-        computes in exact arithmetic.  Kept in log magnitude so deep
-        evaluations neither overflow nor round through the kernel peak.
+        This is the evaluator the Mahler bracket sees: every bracket
+        argument stays inside ``r0``, where the series is used as is.
         """
-        hit = self._decel.get(i)
-        if hit is not None:
-            return hit
+        return np.arange(1, self.series.coeffs.shape[0] + 1), self.series.coeffs
+
+    def _decel_poly(self, i: int):
+        """Exponents, log magnitudes and rows of term ``i``'s decelerated bracket."""
         term = self.spec.terms[i]
-        k = self.params.k
-        l0, l2 = term.l0, term.l2
-        w = self.series.coeffs
-        p = np.arange(1, w.shape[0] + 1)
-        powers = p + l0
-        drop = np.array([
-            float(borel_exponent(int(m), k) - borel_exponent(int(l2 * m), k))
-            for m in powers
-        ])
-        logmag = (drop - float(borel_exponent(l0, k))) * self.params.log_q \
-            + p * math.log(self._shift[i])
-        out = (powers.astype(float), logmag, w)
-        self._decel[i] = out
-        return out
+        powers, w = self.polynomial()
+        exps, logmag = _decel_logmag(
+            tuple(int(p) for p in powers), term.l0, term.l1, term.l2, self.params
+        )
+        return exps, logmag, w
 
     def _mahler_row(self, u: CoveringPoint, i: int, contour_scale: float, node_bump: int) -> np.ndarray:
         term = self.spec.terms[i]
@@ -622,15 +627,9 @@ class ContinuedOmega:
             # cap pinned far below the kernel saddle: the contour would pass
             # through values exp(kappa' * gap^2) above its result, so sum the
             # decelerated bracket termwise instead (same object, no peak)
-            powers, logmag, w = self._decel_poly(i)
+            powers, w = self.polynomial()
             log_h = l2 * (math.log(u.r) + 1j * u.theta)
-            le = logmag + powers * log_h.real
-            if float(np.max(le)) > 700.0:
-                raise DomainTooLarge(
-                    "decelerated bracket overflows at this depth; "
-                    "the point is outside any certified range"
-                )
-            return np.exp(logmag + powers * log_h) @ w
+            return decelerated_bracket(powers, w, term, log_h, self.params)
         rc = min(self._contour[i], ideal) * contour_scale
         ct = contour_window(
             l2 * u.theta, rc, self.params, k_order=k_prime,
@@ -722,7 +721,13 @@ class _ProfileAux:
 
 
 def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=None) -> np.ndarray:
-    """Integrand rows (S, G) for a plain or coupling-twisted evaluator."""
+    """Integrand rows (S, G) for a plain or coupling-twisted evaluator.
+
+    A Mahler coupling of an evaluator that exposes its polynomial
+    (``polynomial() -> (powers, rows)``) is the closed-form
+    `decelerated_bracket` at ``h = u^{l2}``.  Only evaluators without one
+    (callables such as `SeparableOmega`) take the deceleration contour.
+    """
     params = spec.params
     q, k = params.q, params.k
     radii = np.exp(s)
@@ -736,9 +741,14 @@ def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=N
         )
         phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0, k))
         return (radii**l0 * phase)[:, None] * rows
-    # Mahler coupling: the t-window is shared (kernel centre depends only on
-    # theta_d) but the contour radius follows |u^{l2}| so the kernel stays
-    # O(1); a fixed radius would cost exp(kappa' log^2(radius/|h|)) digits
+    poly = getattr(omega_ev, "polynomial", None)
+    if poly is not None:
+        powers, coeffs = poly()
+        return decelerated_bracket(powers, coeffs, ell, l2 * (s + 1j * theta_d), params)
+    # Mahler coupling of a callable: the t-window is shared (kernel centre
+    # depends only on theta_d) but the contour radius follows |u^{l2}| so the
+    # kernel stays O(1); a fixed radius would cost exp(kappa' log^2(radius/|h|))
+    # digits
     k_prime = k / (l2 * l2 - 1.0)
     k_dd = (l2 * l2 - l2) / (2.0 * k)
     r0 = getattr(omega_ev, "r0", None)
@@ -953,7 +963,10 @@ def theorem2_residual(
     refine-and-compare difference plus the window edge mass plus the
     evaluator's truncation floor; the residual itself is computed from the
     refined values.  ``node_factor`` doubles (or more) every node count for
-    the convergence probe in the acceptance suite.
+    the convergence probe in the acceptance suite.  The Mahler coupling rows
+    of a polynomial evaluator (the continuation's truncated series, which is
+    all its bracket sees) are the closed-form `decelerated_bracket`, so that
+    term carries only the ray quadrature's error.
     """
     if omega is None:
         omega = ContinuedOmega(sol, spec, config)

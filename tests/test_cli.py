@@ -248,6 +248,28 @@ def test_sum_empty_points_rejected(tmp_path):
     assert run("sum", "basic.json", "--points", str(pts)) == EXIT_SPEC
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("O.2,0.0,0.3,0.1", "t_r = 'O.2' is not a number"),
+        ("0.1,0.0,0.3,nan", "z_im = 'nan' is not finite"),
+        ("-0.1,0.0,0.3,0.1", "t_r = '-0.1' is negative"),
+        ("0.1,0.0", "a point needs 4 columns"),
+    ],
+    ids=["typo", "nan_z", "negative_t_r", "short_row"],
+)
+def test_sum_bad_row_is_a_usage_error(tmp_path, capsys, row, message):
+    # every row is checked before the solve: the bad one is named by line
+    # and cell, and nothing is written
+    pts = tmp_path / "pts.csv"
+    pts.write_text("t_r,t_theta,z_re,z_im\n# comment\n0.1,0.0,0.3,0.1\n" + row + "\n")
+    out = tmp_path / "sum"
+    code = run("sum", "forcing_only.json", "--points", str(pts), "--out", str(out))
+    assert code == EXIT_USAGE
+    assert f"line 4: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # transform
 
@@ -291,6 +313,19 @@ def test_bound_violation_carries_witness():
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy serves only the exp_q_zero cross-check, and importing it would
+    # dominate the start-up of every command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsum.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -147,6 +147,12 @@ class TestSectorSelection:
         with pytest.raises(BadDirection):
             select_sector(basic_spec, math.pi)
 
+    def test_bad_exclusion_angle_is_not_a_bad_direction(self, basic_spec):
+        # only envelope failures halve the opening; an invalid argument
+        # surfaces as itself instead of as a failed direction search
+        with pytest.raises(ValidationError, match="theta_excl"):
+            select_sector(basic_spec, 0.0, theta_excl=2.0)
+
     def test_small_delta_raises(self):
         # ratio pinned on the real q-exponential image; the measured gap is
         # set by sampling resolution, so demand a margin well above it

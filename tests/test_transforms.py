@@ -20,8 +20,12 @@ from qsum.solver import solve_fixed_point
 from qsum.transforms import (
     CircleContour,
     ContinuedOmega,
+    PolynomialOmega,
     RayQuadrature,
     SeparableOmega,
+    _auto_quad,
+    _expq_row,
+    _term_rows,
     deceleration_integral,
     eaux2_sector_residual,
     expq_inverse_op,
@@ -490,6 +494,23 @@ def test_g_ellk_monomial_oracle(fx_full):
         assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_g_ellk_polynomial_matches_callable(fx_full, n):
+    # the polynomial evaluator takes the closed-form bracket, the callable
+    # the deceleration contour
+    spec, cfg, _ = fx_full
+    P, space = spec.params, spec.space
+    ell = spec.terms[1]
+    g = gaussian_profile(space, 1.0).values
+    t = CoveringPoint(0.08, 0.1)
+    z = 0.15 + 0.05j
+    closed = g_ellk_op(PolynomialOmega([n], [g], space, P), ell, t, z, cfg, spec, beta_prime=0.5)
+    contour = g_ellk_op(
+        SeparableOmega(lambda u: u**n, g, space, P), ell, t, z, cfg, spec, beta_prime=0.5
+    )
+    assert abs(closed - contour) <= 1e-10 * abs(contour)
+
+
 def test_g_ellk_linearity(fx_full):
     spec, cfg, _ = fx_full
     P, space = spec.params, spec.space
@@ -540,6 +561,41 @@ def test_continued_formal_and_contour_brackets_agree(fx_full):
         formal = np.exp(logmag + powers * log_h) @ w
         scale = float(np.max(np.abs(formal)))
         assert np.max(np.abs(via_contour - formal)) <= 1e-12 * scale
+
+
+class _ContourOnly:
+    """A continuation seen through ``values_batch`` alone: it exposes no
+    polynomial, so `_term_rows` runs the deceleration contour on it."""
+
+    def __init__(self, om):
+        self.values_batch = om.values_batch
+        self.space = om.space
+        self.r0 = om.r0
+
+
+@pytest.mark.parametrize("t_frac, theta", [(1 / 8, 0.1), (1 / 4, -0.2), (0.4, 0.25)])
+def test_mahler_rows_closed_form_match_contour(fx_full, t_frac, theta):
+    # the rows theorem2_residual integrates for the Mahler coupling, closed
+    # form against the contour, over the window it probes.  Errors are
+    # weighted as the ray integral weights them: at the deep end of the
+    # window the contour radius is pinned below the kernel saddle and the
+    # contour itself loses digits (1e-10 per row) where the weight is
+    # negligible
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg)
+    ell = spec.terms[1]
+    t = CoveringPoint(t_frac * cfg.R, theta)
+    quad = _auto_quad(om, t, spec, cfg, ell=ell, inv_expq=True, tail=1e-10)
+    s = quad.s_grid()
+    closed = _term_rows(om, s, quad.theta_d, spec, ell)
+    contour = _term_rows(_ContourOnly(om), s, quad.theta_d, spec, ell)
+    u = np.exp(s + 1j * quad.theta_d)
+    weight = np.abs(
+        theta_kernel_log((math.log(t.r) - s) + 1j * (t.theta - quad.theta_d), spec.params)
+        / _expq_row(u, spec, cfg)
+    )[:, None]
+    err = np.max(weight * np.abs(closed - contour))
+    assert err <= 1e-12 * np.max(weight * np.abs(contour))
 
 
 def test_continued_memoises_on_lattice(fx_full):
