@@ -80,7 +80,15 @@ class QuadratureStall(QsumError):
 
 
 class DomainTooLarge(QsumError):
-    """Requested evaluation point lies beyond the certified radius."""
+    """Requested evaluation point lies beyond the certified radius.
+
+    Where the limit hit is a depth measure, ``witness`` is a dict naming
+    the point and the measure that exceeded it.
+    """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class DomainViolation(QsumError):

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fourier import FourierFn, FourierSpace, enorm
-from .qcore import GrowthEnvelope, QParams, envelope_check, exp_q, mu_growth, q_factorial
+from .qcore import GrowthEnvelope, QParams, envelope_check, exp_q, mu_growth, q_number
 
 
 def poly_eval_im(coeffs: np.ndarray, m) -> np.ndarray:
@@ -484,9 +484,13 @@ def inv_pm_taylor(m, spec: ProblemSpec, config: SectorConfig, N: int):
     qv = poly_eval_im(spec.Q, m)
     rv = poly_eval_im(spec.R_D, m)
 
+    # at^n / [n]_q! by recurrence: the quotient only underflows, while the
+    # factorial alone overflows at moderate n
     c = np.zeros(N + 1)
-    for n in range(0, N // spec.d_D + 1):
-        c[n * spec.d_D] = at ** n / q_factorial(n, q)
+    c[0] = coeff = 1.0
+    for n in range(1, N // spec.d_D + 1):
+        coeff *= at / q_number(n, q)
+        c[n * spec.d_D] = coeff
 
     p0 = qv - rv  # c[0] = 1
     if np.min(np.abs(p0)) < 1e-300:

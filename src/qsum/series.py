@@ -13,13 +13,14 @@ the exponent identities therefore compare rationals, not floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 import numpy as np
 
-from .errors import OrderOverflow, ValidationError
+from .errors import OrderOverflow, OverflowFailure, ValidationError
 from .qcore import QParams
 
 RationalLike = Union[int, Fraction]
@@ -108,10 +109,33 @@ class TruncatedSeries:
 
 
 def _scale_by_exponents(U: TruncatedSeries, exps, q: float) -> TruncatedSeries:
-    factors = np.array([q ** float(e) for e in exps])
-    if U.coeffs.ndim == 2:
-        factors = factors[:, None]
-    return TruncatedSeries(U.coeffs * factors, U.space)
+    """Multiply the order-``n`` coefficient by ``q**exps[n-1]``.
+
+    A factor beyond the double range is applied in pieces ``q**step``: the
+    partial products move monotonically toward the result, so a coefficient
+    that fits once scaled is never lost to its factor overflowing first.
+
+    Raises:
+        OverflowFailure: a scaled coefficient leaves the double range.
+    """
+    step = max(1, int(690.0 / math.log(q)))  # q**step stays inside the range
+    out = np.array(U.coeffs)
+    for n, e in enumerate(exps, start=1):
+        rest = Fraction(e)
+        with np.errstate(over="ignore"):
+            while abs(rest) > step:
+                piece = step if rest > 0 else -step
+                out[n - 1] *= q ** float(piece)
+                rest -= piece
+            out[n - 1] *= q ** float(rest)
+        if not np.all(np.isfinite(out[n - 1])):
+            peak = float(np.max(np.abs(U.coeffs[n - 1])))
+            raise OverflowFailure(
+                f"order {n} leaves the double range: q^{float(e):.6g} times a "
+                f"coefficient of size {peak:.3g} (log magnitude "
+                f"{math.log(peak) + float(e) * math.log(q):.1f})"
+            )
+    return TruncatedSeries(out, U.space)
 
 
 def formal_q_borel(U: TruncatedSeries, params: QParams) -> TruncatedSeries:

@@ -466,16 +466,23 @@ def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarra
     ``(S, G)`` rows in one ``(S, N) @ (N, G)`` product.
 
     Raises:
-        DomainTooLarge: a monomial's log magnitude exceeds 700.
+        DomainTooLarge: a monomial's log magnitude exceeds 700; the witness
+            holds ``log_h`` of the worst node and that peak log magnitude.
     """
     exps, logmag = _decel_logmag(
         tuple(int(p) for p in powers), term.l0, term.l1, term.l2, params
     )
     log_h = np.asarray(log_h)[..., None]
-    if float(np.max(logmag + exps * log_h.real)) > 700.0:
+    peaks = np.max(logmag + exps * log_h.real, axis=-1)
+    if float(np.max(peaks)) > 700.0:
+        worst = np.unravel_index(np.argmax(peaks), peaks.shape)
         raise DomainTooLarge(
             "decelerated bracket overflows at this depth; "
-            "the point is outside any certified range"
+            "the point is outside any certified range",
+            witness={
+                "log_h": complex(log_h[worst][0]),
+                "peak_log_magnitude": float(peaks[worst]),
+            },
         )
     return np.exp(logmag + exps * log_h) @ rows
 
@@ -486,11 +493,12 @@ class ContinuedOmega:
     Inside ``r0`` the truncated series is machine accurate and is used
     directly.  Outside, the value is the right-hand side of the continued
     fixed-point equation: shifted-argument terms walk back toward the disc
-    by factors ``q^{l1 - l0/k} < 1``, Mahler terms are deceleration contours
-    whose brackets only ever see tiny arguments, and the forcing over the
-    denominator symbol is closed form.  Values are memoised; keeping ray
-    nodes on ``s_lattice`` multiples makes the recursion ladders collide
-    and turns a nodes-times-depth cost into nodes-plus-depth.
+    by factors ``q^{l1 - l0/k} < 1``, Mahler terms are the closed-form
+    `decelerated_bracket` of the truncated series (their brackets only ever
+    see arguments inside ``r0``, so no contour is needed), and the forcing
+    over the denominator symbol is closed form.  Values are memoised;
+    keeping ray nodes on ``s_lattice`` multiples makes the recursion ladders
+    collide and turns a nodes-times-depth cost into nodes-plus-depth.
     """
 
     def __init__(
@@ -500,8 +508,6 @@ class ContinuedOmega:
         config: SectorConfig,
         *,
         trunc_target: float = 1e-13,
-        contour_tail: float = 1e-13,
-        contour_step: float = 0.3,
         max_rungs: int = 20000,
         step_target: float = 0.25,
     ):
@@ -510,8 +516,6 @@ class ContinuedOmega:
         self.config = config
         self.params = spec.params
         self.space = spec.space
-        self.contour_tail = contour_tail
-        self.contour_step = contour_step
         self.max_rungs = max_rungs
         q, k = self.params.q, self.params.k
 
@@ -528,15 +532,7 @@ class ContinuedOmega:
         mstep = max(1, int(round(self.params.log_q / (k * step_target))))
         self.s_lattice = self.params.log_q / (k * mstep)
 
-        self._shift = {}
-        self._contour = {}
-        for i, term in enumerate(spec.terms):
-            c = q ** (term.l1 - term.l0 / k)
-            self._shift[i] = c
-            if term.l2 >= 2:
-                k_dd = (term.l2**2 - term.l2) / (2.0 * k)
-                rc = 0.7 * self.r0 * q**k_dd / max(1.0, c)
-                self._contour[i] = rc
+        self._shift = [q ** (term.l1 - term.l0 / k) for term in spec.terms]
         self._rvals = [poly_eval_im(t.R, self.space.m) for t in spec.terms]
         self._memo: dict = {}
         self._rungs = 0
@@ -560,7 +556,8 @@ class ContinuedOmega:
         if self._rungs > self.max_rungs:
             raise DomainTooLarge(
                 f"continuation ladder exceeded {self.max_rungs} rungs; "
-                "the requested points are too deep in the sector for this budget"
+                "the requested points are too deep in the sector for this budget",
+                witness={"point": (u.r, u.theta), "rungs": self._rungs},
             )
         out = self.rhs_at(u)
         out.setflags(write=False)
@@ -575,12 +572,12 @@ class ContinuedOmega:
             return _series_at(self.series, pts)
         raise DomainViolation("batch evaluation is restricted to the series disc")
 
-    def rhs_at(self, u: CoveringPoint, *, contour_scale: float = 1.0, node_bump: int = 0) -> np.ndarray:
-        """One application of the continued equation's right-hand side.
+    def rhs_at(self, u: CoveringPoint) -> np.ndarray:
+        """One application of the continued equation's right-hand side."""
+        return self._rhs(u, self._mahler_row)
 
-        ``contour_scale``/``node_bump`` perturb the Mahler contours; the
-        sector residual driver uses them to get an independent realisation.
-        """
+    def _rhs(self, u: CoveringPoint, mahler_row) -> np.ndarray:
+        """`rhs_at` with the Mahler rows taken from ``mahler_row(u, term)``."""
         spec, space = self.spec, self.space
         q, k = self.params.q, self.params.k
         uc = u.to_complex()
@@ -591,7 +588,7 @@ class ContinuedOmega:
                 pre = uc**term.l0 / q ** float(borel_exponent(term.l0, k))
                 row = pre * inner
             else:
-                row = self._mahler_row(u, i, contour_scale, node_bump)
+                row = mahler_row(u, term)
             acc += INV_SQRT_2PI * convolve_values(space, term.A.values, self._rvals[i] * row)
         for fc in spec.forcing:
             acc += fc.F.values * uc**fc.j
@@ -605,48 +602,9 @@ class ContinuedOmega:
         """
         return np.arange(1, self.series.coeffs.shape[0] + 1), self.series.coeffs
 
-    def _decel_poly(self, i: int):
-        """Exponents, log magnitudes and rows of term ``i``'s decelerated bracket."""
-        term = self.spec.terms[i]
-        powers, w = self.polynomial()
-        exps, logmag = _decel_logmag(
-            tuple(int(p) for p in powers), term.l0, term.l1, term.l2, self.params
-        )
-        return exps, logmag, w
-
-    def _mahler_row(self, u: CoveringPoint, i: int, contour_scale: float, node_bump: int) -> np.ndarray:
-        term = self.spec.terms[i]
-        q, k = self.params.q, self.params.k
-        l0, l2 = term.l0, term.l2
-        k_prime = k / (l2 * l2 - 1.0)
-        k_dd = (l2 * l2 - l2) / (2.0 * k)
-        # radius tracks |u^{l2}| (kernel conditioning) under the disc cap
-        a_star = -min(3.0, (l0 + 0.5) / (2.0 * _kappa(self.params, k_prime)))
-        ideal = u.r**l2 * math.exp(a_star)
-        if ideal > self._contour[i] * math.e:
-            # cap pinned far below the kernel saddle: the contour would pass
-            # through values exp(kappa' * gap^2) above its result, so sum the
-            # decelerated bracket termwise instead (same object, no peak)
-            powers, w = self.polynomial()
-            log_h = l2 * (math.log(u.r) + 1j * u.theta)
-            return decelerated_bracket(powers, w, term, log_h, self.params)
-        rc = min(self._contour[i], ideal) * contour_scale
-        ct = contour_window(
-            l2 * u.theta, rc, self.params, k_order=k_prime,
-            tail=self.contour_tail, step=self.contour_step,
-        )
-        if node_bump:
-            ct = CircleContour(ct.radius, ct.theta_min, ct.theta_max, ct.nodes + node_bump)
-        tg = ct.t_grid()
-        # bracket argument x q^{-k''} then the twist shift keeps |.| <= 0.7 r0
-        y = rc * np.exp(1j * tg) * q ** (-k_dd)
-        brack = (y ** l0 / q ** float(borel_exponent(l0, k)))[:, None] * _series_at(
-            self.series, y * self._shift[i]
-        )
-        logy = (math.log(rc) - l2 * math.log(u.r)) + 1j * (tg - l2 * u.theta)
-        kern = recip_kernel_log(logy, self.params, k_order=k_prime)
-        pref = _borel_prefactor(self.params, k_prime)
-        return pref * ((ct.weights() * kern) @ brack) * 1j
+    def _mahler_row(self, u: CoveringPoint, term) -> np.ndarray:
+        log_h = term.l2 * (math.log(u.r) + 1j * u.theta)
+        return decelerated_bracket(*self.polynomial(), term, log_h, self.params)
 
     def floor_estimate(self) -> float:
         return self._floor
@@ -713,11 +671,26 @@ def _expq_row(u_plane: np.ndarray, spec: ProblemSpec, config: SectorConfig) -> n
     return vals
 
 
-@dataclass
-class _ProfileAux:
-    quad: RayQuadrature
-    edge_level: float
-    kernel_mass: float
+class _ExpqNodes:
+    """`_expq_row` memoised per ray node ``(s, theta_d)``.
+
+    `theorem2_residual` shares one across the jobs of a call, so each
+    distinct node costs one ``exp_q`` evaluation however many terms,
+    probes and refinement levels visit it.
+    """
+
+    def __init__(self, spec: ProblemSpec, config: SectorConfig):
+        self.spec = spec
+        self.config = config
+        self._memo: dict = {}
+
+    def __call__(self, s: np.ndarray, theta_d: float) -> np.ndarray:
+        keys = [(x, theta_d) for x in s.tolist()]
+        new = [k for k in dict.fromkeys(keys) if k not in self._memo]
+        if new:
+            u = np.exp(np.array([k[0] for k in new]) + 1j * theta_d)
+            self._memo.update(zip(new, _expq_row(u, self.spec, self.config)))
+        return np.array([self._memo[k] for k in keys])
 
 
 def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=None) -> np.ndarray:
@@ -741,14 +714,24 @@ def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=N
         )
         phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0, k))
         return (radii**l0 * phase)[:, None] * rows
-    poly = getattr(omega_ev, "polynomial", None)
-    if poly is not None:
-        powers, coeffs = poly()
-        return decelerated_bracket(powers, coeffs, ell, l2 * (s + 1j * theta_d), params)
-    # Mahler coupling of a callable: the t-window is shared (kernel centre
-    # depends only on theta_d) but the contour radius follows |u^{l2}| so the
-    # kernel stays O(1); a fixed radius would cost exp(kappa' log^2(radius/|h|))
-    # digits
+    if hasattr(omega_ev, "polynomial"):
+        return decelerated_bracket(*omega_ev.polynomial(), ell, l2 * (s + 1j * theta_d), params)
+    return _deceleration_rows(omega_ev, s, theta_d, ell, params)
+
+
+def _deceleration_rows(omega_ev, s: np.ndarray, theta_d: float, ell, params: QParams) -> np.ndarray:
+    """Mahler rows (S, G) of ``omega_ev.values_batch`` by the deceleration contour.
+
+    The quadrature realisation of `decelerated_bracket`: the only one for
+    callables, and the independent one `eaux2_sector_residual` checks the
+    continuation's closed-form rows against.
+    """
+    q, k = params.q, params.k
+    l0, l1, l2 = ell.l0, ell.l1, ell.l2
+    c = q ** (l1 - l0 / k)
+    # the t-window is shared (kernel centre depends only on theta_d) but the
+    # contour radius follows |u^{l2}| so the kernel stays O(1); a fixed
+    # radius would cost exp(kappa' log^2(radius/|h|)) digits
     k_prime = k / (l2 * l2 - 1.0)
     k_dd = (l2 * l2 - l2) / (2.0 * k)
     r0 = getattr(omega_ev, "r0", None)
@@ -777,10 +760,15 @@ def _profile(
     quad: RayQuadrature,
     *,
     ell=None,
-    inv_expq: bool = False,
+    inv_expq: bool | _ExpqNodes = False,
     m_mult: np.ndarray | None = None,
-) -> tuple[np.ndarray, _ProfileAux]:
-    """Ray integral at fixed ``m``: ``pi int Theta(t/u) rows(u, m) du/u``."""
+) -> tuple[np.ndarray, float]:
+    """Ray integral at fixed ``m``: ``pi int Theta(t/u) rows(u, m) du/u``,
+    and the integrand's level at the window edges.
+
+    ``inv_expq`` divides the rows by ``exp_q``; an `_ExpqNodes` memo in
+    place of ``True`` supplies those values.
+    """
     params = spec.params
     s = quad.s_grid()
     w = quad.weights()
@@ -788,14 +776,13 @@ def _profile(
     kern = theta_kernel_log(log_ratio, params)
     rows = _term_rows(omega_ev, s, quad.theta_d, spec, ell)
     if inv_expq:
-        rows = rows / _expq_row(np.exp(s + 1j * quad.theta_d), spec, config)[:, None]
+        expq = inv_expq if callable(inv_expq) else _ExpqNodes(spec, config)
+        rows = rows / expq(s, quad.theta_d)[:, None]
     if m_mult is not None:
         rows = rows * m_mult[None, :]
     prof = pi_qk(params) * ((w * kern) @ rows)
     lev = np.max(np.abs(kern[:, None] * rows), axis=1)
-    edge = float(max(lev[0], lev[-1]))
-    mass = float(pi_qk(params) * np.sum(w * np.abs(kern)))
-    return prof, _ProfileAux(quad, edge, mass)
+    return prof, float(max(lev[0], lev[-1]))
 
 
 def _auto_quad(
@@ -805,20 +792,22 @@ def _auto_quad(
     config: SectorConfig,
     *,
     ell=None,
-    inv_expq: bool = False,
+    inv_expq: bool | _ExpqNodes = False,
     tail: float = 1e-11,
     step: float = 0.12,
 ) -> RayQuadrature:
-    """Probe the actual integrand to size the ray window for this term."""
+    """Probe the actual integrand to size the ray window for this term
+    (``inv_expq`` as in `_profile`)."""
     params = spec.params
     lattice = getattr(omega_ev, "s_lattice", None)
+    expq = inv_expq if callable(inv_expq) else _ExpqNodes(spec, config)
 
     def level(sv: float) -> float:
         sg = np.array([sv])
         kern = theta_kernel_log((math.log(t.r) - sg) + 1j * (t.theta - t.theta), params)
         rows = _term_rows(omega_ev, sg, t.theta, spec, ell)
         if inv_expq:
-            rows = rows / _expq_row(np.exp(sg + 1j * t.theta), spec, config)[:, None]
+            rows = rows / expq(sg, t.theta)[:, None]
         return float(np.max(np.abs(kern[:, None] * rows)))
 
     lo, hi = _probe_ray(level, math.log(t.r), tail=tail, lattice=lattice)
@@ -975,21 +964,22 @@ def theorem2_residual(
     rdsym = poly_eval_im(spec.R_D, space.m)
     forcing_ev = _forcing_evaluator(spec) if spec.forcing else None
     lattice = getattr(omega, "s_lattice", None)
+    expq = _ExpqNodes(spec, config)
     rows = []
     for t, z in sample_points:
         # profiles: (name, evaluator, ell, inv_expq, m multiplier)
-        jobs = [("lhs", omega, None, True, qsym), ("dominant", omega, None, False, rdsym)]
+        jobs = [("lhs", omega, None, expq, qsym), ("dominant", omega, None, False, rdsym)]
         for i, term in enumerate(spec.terms):
-            jobs.append((f"coupling{i}", omega, term, True, None))
+            jobs.append((f"coupling{i}", omega, term, expq, None))
         if forcing_ev is not None:
-            jobs.append(("forcing", forcing_ev, None, True, None))
+            jobs.append(("forcing", forcing_ev, None, expq, None))
         values: dict = {}
         budget = omega.floor_estimate()
         for name, ev, ell, inv, mult in jobs:
             quad = _auto_quad(ev, t, spec, config, ell=ell, inv_expq=inv, tail=tail)
             for _ in range(max(0, node_factor - 1)):
                 quad = quad.refined(lattice=getattr(ev, "s_lattice", None))
-            p1, aux1 = _profile(ev, t, spec, config, quad, ell=ell, inv_expq=inv, m_mult=mult)
+            p1, edge1 = _profile(ev, t, spec, config, quad, ell=ell, inv_expq=inv, m_mult=mult)
             quad2 = quad.refined(lattice=getattr(ev, "s_lattice", None))
             p2, _ = _profile(ev, t, spec, config, quad2, ell=ell, inv_expq=inv, m_mult=mult)
             if ell is not None:
@@ -1003,7 +993,7 @@ def theorem2_residual(
             v1 = inverse_fourier_eval(FourierFn(space, p1), z, beta_prime)
             v2 = inverse_fourier_eval(FourierFn(space, p2), z, beta_prime)
             values[name] = v2
-            budget += abs(v2 - v1) + aux1.edge_level * math.sqrt(
+            budget += abs(v2 - v1) + edge1 * math.sqrt(
                 math.pi / _kappa(params)
             ) + (abs(p2[0]) + abs(p2[-1])) / space.beta
         rhs = values["dominant"] + sum(
@@ -1059,12 +1049,12 @@ def eaux2_sector_residual(
     default where its own tail estimate is still a few percent of the
     coefficient scale), the series branch is compared against one
     right-hand-side application: this is the genuine overlap check.  Deeper
-    in the sector the right-hand side is recomputed with perturbed contour
-    settings, which measures quadrature stability of the continuation;
-    Mahler terms past their conditioning wall take the termwise decelerated
-    branch on both realisations and then contribute no spread.  The growth
-    certificate fits the log-quadratic sector envelope and reports the
-    worst constant.
+    in the sector the continued value, whose Mahler rows are the closed-form
+    decelerated bracket, is compared against a right-hand side whose Mahler
+    rows come from the deceleration contour instead: two independent
+    realisations of the same bracket, so the spread measures the
+    continuation's stability.  The growth certificate fits the
+    log-quadratic sector envelope and reports the worst constant.
     """
     if omega is None:
         omega = ContinuedOmega(sol, spec, config)
@@ -1080,6 +1070,10 @@ def eaux2_sector_residual(
     kap = _kappa(params)
     idx = np.arange(space.size) if m_subgrid is None else np.asarray(m_subgrid, dtype=int)
     wgt = space.decay_weight()[idx]
+
+    def contour_row(u: CoveringPoint, term) -> np.ndarray:
+        return _deceleration_rows(omega, np.array([math.log(u.r)]), u.theta, term, params)[0]
+
     rows = []
     lognum, logtau = [], []
     for tau in tau_samples:
@@ -1093,7 +1087,7 @@ def eaux2_sector_residual(
         else:
             lhs = val
             mode = "stability"
-            rhs = omega.rhs_at(tau, contour_scale=0.73, node_bump=17)
+            rhs = omega._rhs(tau, contour_row)
         diff = float(np.max(np.abs((lhs - rhs)[idx])))
         scale = float(np.max(np.abs(rhs[idx]))) or 1.0
         num = float(np.max(np.abs(val[idx]) * wgt))

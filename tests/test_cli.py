@@ -26,7 +26,10 @@ from qsum.cli import (
     resolve_input,
 )
 from qsum.errors import BoundViolation, ValidationError
-from qsum.geometry import pm_lower_bound_report, select_sector
+from qsum.fourier import enorm_values
+from qsum.geometry import pm_lower_bound_report, poly_eval_im, select_sector
+from qsum.series import TruncatedSeries
+from qsum.solver import main_equation_residual
 
 
 def run(*argv):
@@ -159,6 +162,26 @@ def test_solve_divergent_forced_triangular(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["mode"] == "triangular"
     assert report["residual_1R"] == 0.0
+
+
+def test_solve_high_order(tmp_path, capsys):
+    # order 45 used to hit a q-factorial overflow; it now solves and the
+    # assembled series meets the c07 rule, while order 64 stops at the first
+    # order whose U_n leaves the double range
+    out = tmp_path / "o45"
+    assert run("solve", "basic.json", "--order", "45", "--out", str(out)) == EXIT_OK
+    _, spec, _ = load_problem("basic.json")
+    cfg = select_sector(spec, 0.0)
+    coeffs = json.loads((out / "U_hat.json").read_text())["coeffs"]
+    U = TruncatedSeries(np.array(coeffs["re"]) + 1j * np.array(coeffs["im"]), spec.space)
+    norms = main_equation_residual(U, spec, cfg, 45)
+    qv = poly_eval_im(spec.Q, spec.space.m)
+    scale = np.array([enorm_values(spec.space, qv * row) for row in U.coeffs])
+    top = 45 - max(t.l0 for t in spec.terms)
+    assert np.max(norms[:top] / scale[:top]) <= 1e-10
+    capsys.readouterr()
+    assert run("solve", "basic.json", "--order", "64", "--out", str(tmp_path / "o64")) == EXIT_REGIME
+    assert "OverflowFailure: order 47 " in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

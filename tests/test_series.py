@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsum.errors import OrderOverflow, ValidationError
+from qsum.errors import OrderOverflow, OverflowFailure, ValidationError
 from qsum.qcore import QParams
 from qsum.series import (
     TruncatedSeries,
@@ -86,6 +87,16 @@ class TestOperators:
         # k=1, p=2: order-n factor is q^(n(n-1)/2 - n(2n-1))
         got = formal_deceleration(S(1.0, 1.0), 2, p2)
         np.testing.assert_allclose(got.coeffs, [2.0 ** -1, 2.0 ** -5], rtol=1e-15)
+
+    def test_laplace_factor_beyond_double_range(self, p2):
+        # q^e(47) = 2^1081 overflows on its own, the scaled coefficient does not
+        c = np.zeros(47, dtype=complex)
+        c[46] = 1e-200
+        got = formal_q_laplace(TruncatedSeries(c), p2)
+        assert got.coeffs[46] == math.ldexp(1e-200, 1081)
+        c[46] = 1e-10
+        with pytest.raises(OverflowFailure, match="order 47 "):
+            formal_q_laplace(TruncatedSeries(c), p2)
 
     @given(st.integers(0, 40), st.integers(0, 40), st.sampled_from([1, 2, 3]))
     @settings(deadline=None, max_examples=120)

@@ -1,13 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import build_spec, gaussian_profile
-from qsum.errors import GridMismatch, NoContraction, OrderOverflow, StripViolation
+from qsum.errors import GridMismatch, NoContraction, OrderOverflow, OverflowFailure, StripViolation
 from qsum.fourier import FourierSpace, enorm_values, make_space, series_norm_1R
 from qsum.geometry import poly_eval_im, select_sector
-from qsum.series import TruncatedSeries, formal_q_borel, formal_q_laplace
+from qsum.series import TruncatedSeries, borel_exponent, formal_q_borel, formal_q_laplace
 from qsum.solver import (
     apply_H1,
     assemble_U_hat,
@@ -220,6 +221,24 @@ class TestFixedPoint:
         assert all(n <= bound for n in norms)
         changes = [abs(b - a) for a, b in zip(norms, norms[1:])]
         assert changes[-1] <= 1e-2 * changes[0]
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_high_order_solve_is_finite(self, q):
+        # no order cap from the q-factorial: N=64 solves at every q, and
+        # assembling names the first order whose U_n leaves the double range
+        spec = build_spec(terms="full", q=q)
+        cfg = select_sector(spec, 0.0)
+        sol = solve_fixed_point(spec, cfg, N=64)
+        assert np.all(np.isfinite(sol.omega.coeffs))
+        assert sol.residual_1R <= 1e-10 * series_norm_1R(sol.omega, cfg.R)
+        log_u = [
+            math.log(np.max(np.abs(sol.omega.coeffs[n - 1])))
+            + float(borel_exponent(n, spec.params.k)) * math.log(q)
+            for n in range(1, 65)
+        ]
+        first = next(n for n, v in enumerate(log_u, start=1) if v > math.log(sys.float_info.max))
+        with pytest.raises(OverflowFailure, match=f"order {first} "):
+            assemble_U_hat(sol, spec.params)
 
 
 class TestAssembly:

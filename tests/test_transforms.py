@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import build_spec, gaussian_profile
+from qsum import transforms
 from qsum.errors import (
     DomainTooLarge,
     DomainViolation,
@@ -26,6 +27,7 @@ from qsum.transforms import (
     _auto_quad,
     _expq_row,
     _term_rows,
+    decelerated_bracket,
     deceleration_integral,
     eaux2_sector_residual,
     expq_inverse_op,
@@ -547,22 +549,6 @@ def test_continued_matches_series_inside(fx_full):
     assert np.max(np.abs(direct - acc)) <= 1e-13 * max(np.max(np.abs(acc)), 1e-300)
 
 
-def test_continued_formal_and_contour_brackets_agree(fx_full):
-    # both realisations of the decelerated bracket are the same polynomial;
-    # inside the conditioned window they must agree to near machine precision
-    spec, cfg, sol = fx_full
-    om = ContinuedOmega(sol, spec, cfg)
-    i = 1
-    for r in (0.9, 1.5, 2.0, 2.5):
-        u = CoveringPoint(r, 0.17)
-        via_contour = om._mahler_row(u, i, 1.0, 0)
-        powers, logmag, w = om._decel_poly(i)
-        log_h = spec.terms[i].l2 * (math.log(u.r) + 1j * u.theta)
-        formal = np.exp(logmag + powers * log_h) @ w
-        scale = float(np.max(np.abs(formal)))
-        assert np.max(np.abs(via_contour - formal)) <= 1e-12 * scale
-
-
 class _ContourOnly:
     """A continuation seen through ``values_batch`` alone: it exposes no
     polynomial, so `_term_rows` runs the deceleration contour on it."""
@@ -571,6 +557,36 @@ class _ContourOnly:
         self.values_batch = om.values_batch
         self.space = om.space
         self.r0 = om.r0
+
+
+def test_continued_formal_and_contour_brackets_agree(fx_full):
+    # both realisations of the decelerated bracket are the same polynomial;
+    # inside the conditioned window they must agree to near machine precision
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg)
+    ell = spec.terms[1]
+    for r in (0.9, 1.5, 2.0, 2.5):
+        u = CoveringPoint(r, 0.17)
+        s = np.array([math.log(u.r)])
+        via_contour = _term_rows(_ContourOnly(om), s, u.theta, spec, ell)[0]
+        formal = om._mahler_row(u, ell)
+        scale = float(np.max(np.abs(formal)))
+        assert np.max(np.abs(via_contour - formal)) <= 1e-12 * scale
+
+
+def test_ladder_runs_no_contour(fx_full, monkeypatch):
+    # every ladder Mahler row is the closed-form bracket: with the contour
+    # kernel disabled the sum is unchanged
+    spec, cfg, sol = fx_full
+    t = CoveringPoint(cfg.R / 4.0, 0.1)
+    want = gq_sum(ContinuedOmega(sol, spec, cfg), t, 0.2 + 0.1j, cfg, spec, beta_prime=0.5)
+
+    def no_contour(*args, **kwargs):
+        raise AssertionError("the deceleration contour ran")
+
+    monkeypatch.setattr(transforms, "recip_kernel_log", no_contour)
+    got = gq_sum(ContinuedOmega(sol, spec, cfg), t, 0.2 + 0.1j, cfg, spec, beta_prime=0.5)
+    assert got == want
 
 
 @pytest.mark.parametrize("t_frac, theta", [(1 / 8, 0.1), (1 / 4, -0.2), (0.4, 0.25)])
@@ -596,6 +612,27 @@ def test_mahler_rows_closed_form_match_contour(fx_full, t_frac, theta):
     )[:, None]
     err = np.max(weight * np.abs(closed - contour))
     assert err <= 1e-12 * np.max(weight * np.abs(contour))
+
+
+def test_bracket_overflow_carries_witness(fx_full):
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg)
+    ell = spec.terms[1]
+    log_h = ell.l2 * (np.array([0.0, 40.0, 20.0]) + 0.1j)
+    with pytest.raises(DomainTooLarge) as exc:
+        decelerated_bracket(*om.polynomial(), ell, log_h, spec.params)
+    assert exc.value.witness["log_h"] == log_h[1]
+    assert exc.value.witness["peak_log_magnitude"] > 700.0
+
+
+def test_ladder_rung_cap_carries_witness(fx_full):
+    # 4R walks down by the shift factor 1/2: rungs at 4R, 2R, then R
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg, max_rungs=2)
+    with pytest.raises(DomainTooLarge) as exc:
+        om.values(CoveringPoint(4.0 * cfg.R, 0.1))
+    assert exc.value.witness["rungs"] == 3
+    assert exc.value.witness["point"] == pytest.approx((cfg.R, 0.1))
 
 
 def test_continued_memoises_on_lattice(fx_full):
