@@ -135,18 +135,152 @@ def enorm_values(space: FourierSpace, values: np.ndarray) -> float:
     return float(np.max(space.decay_weight() * np.abs(values)))
 
 
-def convolve_values(space: FourierSpace, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+# The exact convolution is a Toeplitz-band product in BLAS.  The grid is cut
+# into blocks of _BLOCK points, and each output block is the sum, over the
+# band's block diagonals in a fixed order, of one input block times one
+# _BLOCK-square band block.  OpenBLAS 0.3.31 gave bits that depend on the
+# thread count for some dgemm reductions longer than 256 (400, 500, 601 and
+# 2001 points) and for none of 256 or fewer; _BLOCK stays below that.  At 64
+# rather than 128 a single G=601 row (a ladder rung) costs less and the band
+# is half the size, (G + 3 _BLOCK) _BLOCK doubles; a batched G=2001 solve
+# is about 5% slower.
+_BLOCK = 64
+# Operands are lifted by powers of two so that n * max|X| * max|E| stays below
+# 2**_LIFT_BITS: far from overflow, and high enough that no nonzero operand
+# of a double-range kernel or row is subnormal when BLAS sees it.
+_LIFT_BITS = 1000
+
+
+def _lift_tops(n: int) -> tuple[int, int]:
+    """Exponent bounds ``(band, rows)``: lifted peaks stay below ``2**top``."""
+    room = _LIFT_BITS - n.bit_length()
+    return room // 2, room - room // 2
+
+
+def _recombine(y: np.ndarray):
+    """``(re, im)`` of a product from the products of its real parts.
+
+    ``y[a, :, b]`` is part ``a`` of the left factor times part ``b`` of the
+    right factor, where a factor's parts are its real part and, if it has
+    one, its imaginary part; ``im`` is None when both factors are real.
+    """
+    re = y[0, :, 0]
+    if y.shape[0] == 2 and y.shape[2] == 2:
+        return re - y[1, :, 1], y[0, :, 1] + y[1, :, 0]
+    if y.shape[0] == 2:
+        return re, y[1, :, 0]
+    if y.shape[2] == 2:
+        return re, y[0, :, 1]
+    return re, None
+
+
+@dataclass(frozen=True, eq=False)
+class KernelBand:
+    """A convolution kernel as the band blocks `convolve_values` multiplies by.
+
+    With ``c = (n - 1) // 2``, ``B = _BLOCK`` and ``d_min = -(len(band) // 2)``,
+    ``band[d, t, p B + b]`` is part ``p`` (real, then imaginary if any) of
+    ``h[c + (d + d_min) B + b - t] * 2**shift``, zero off the grid: block
+    ``d`` carries input block ``J`` to output block ``J + d + d_min``.
+    ``len`` is the kernel's number of grid points.
+    """
+
+    size: int
+    band: np.ndarray
+    shift: int
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def kernel_band(space: FourierSpace, h) -> KernelBand:
+    """Build the lifted band of kernel values ``h`` once, for reuse in every
+    `convolve_values` call with that kernel.
+
+    Raises:
+        GridMismatch: ``h`` is not sampled on the grid of ``space``.
+    """
+    h = np.asarray(h)
+    n = space.size
+    if h.shape != (n,):
+        raise GridMismatch("kernel values must match the grid shape")
+    B, c = _BLOCK, (n - 1) // 2
+    # diagonals that hold kernel values and that some block pair reaches
+    half = min((c + B - 1) // B, -(-n // B) - 1)
+    n_diag = 2 * half + 1
+    parts = [h.real, h.imag] if np.iscomplexobj(h) and np.any(h.imag) else [h.real]
+    peak = max(float(np.max(np.abs(p))) for p in parts)
+    shift = _lift_tops(n)[0] - int(np.frexp(peak)[1])
+    # v[k] = h[c - half B - (B - 1) + k]: row t, column d B + b of its
+    # reversed sliding window is the band entry above
+    idx = c - half * B - (B - 1) + np.arange(n_diag * B + B - 1)
+    inside = (idx >= 0) & (idx < n)
+    cols = []
+    for p in parts:
+        v = np.zeros(idx.size)
+        v[inside] = np.ldexp(p[idx[inside]], shift)
+        win = np.lib.stride_tricks.sliding_window_view(v, n_diag * B)[::-1]
+        cols.append(win.reshape(B, n_diag, B))
+    band = np.stack(cols, axis=2).transpose(1, 0, 2, 3).reshape(n_diag, B, len(parts) * B)
+    band.setflags(write=False)
+    return KernelBand(n, band, shift)
+
+
+def convolve_values(space: FourierSpace, h, g: np.ndarray) -> np.ndarray:
     """Trapezoid discretisation of ``(h * g)(m) = int h(m - m1) g(m1) dm1``.
 
     Grid differences land exactly on the step lattice, so the quadrature is
     a discrete correlation with zero extension past the ends; no
-    interpolation is involved.
+    interpolation is involved.  The sum runs over every product, as a
+    Toeplitz-band matrix product.  ``h`` is the kernel's values or, when one
+    kernel meets many rows, its `kernel_band`; ``g`` may carry leading axes,
+    and every row along them is convolved alike.
+
+    The band and every row of ``g`` are scaled by powers of two so that no
+    nonzero operand is subnormal and no sum can overflow, and the result is
+    scaled back once: exact, and faster than summing subnormal tails.
+
+    Raises:
+        GridMismatch: ``h`` or the last axis of ``g`` is not on the grid.
     """
+    band = h if isinstance(h, KernelBand) else kernel_band(space, h)
     n = space.size
-    c = (n - 1) // 2
-    wg = space.weights() * g
-    full = np.convolve(h, wg)
-    return full[c : c + n]
+    g = np.asarray(g)
+    if band.size != n or g.shape[-1:] != (n,):
+        raise GridMismatch("convolution operands must match the grid shape")
+    rows = g.reshape(-1, n)
+    parts = [rows.real, rows.imag] if np.iscomplexobj(rows) else [rows]
+    shift = _lift_tops(n)[1] - np.frexp(np.max(np.abs(rows), axis=1))[1] \
+        - int(np.frexp(space.step)[1])
+
+    B, width = _BLOCK, band.band.shape[2]
+    n_blocks = -(-n // B)
+    n_rows = len(parts) * len(rows)
+    x = np.zeros((n_rows, n_blocks * B))
+    for i, part in enumerate(parts):
+        np.ldexp(part, shift[:, None], out=x[i * len(rows) : (i + 1) * len(rows), :n])
+    # trapezoid weights: the step, halved at both ends (exact once lifted)
+    x *= space.step
+    x[:, [0, n - 1]] *= 0.5
+    # block J of every row at x[J]: each band diagonal is then one product
+    x = np.ascontiguousarray(x.reshape(n_rows, n_blocks, B).transpose(1, 0, 2))
+    out = np.zeros((n_blocks, n_rows, width))
+    d_min = -(len(band.band) // 2)
+    for d, block in enumerate(band.band):
+        off = d + d_min
+        lo, hi = max(0, -off), min(n_blocks, n_blocks - off)
+        prod = x[lo:hi].reshape(-1, B) @ block
+        out[lo + off : hi + off] += prod.reshape(hi - lo, n_rows, width)
+    y = out.reshape(n_blocks, n_rows, width // B, B).transpose(1, 2, 0, 3)
+    y = y.reshape(len(parts), len(rows), width // B, n_blocks * B)[..., :n]
+    re, im = _recombine(y)
+    back = -(shift + band.shift)[:, None]
+    if im is None:
+        return np.ldexp(re, back).reshape(g.shape)
+    res = np.empty(re.shape, dtype=complex)
+    np.ldexp(re, back, out=res.real)
+    np.ldexp(im, back, out=res.imag)
+    return res.reshape(g.shape)
 
 
 def convolve(h: FourierFn, g: FourierFn) -> FourierFn:
@@ -195,7 +329,17 @@ def inverse_fourier_table(f_rows: np.ndarray, space: FourierSpace, z_points, bet
     if np.any(np.abs(zs.imag) > beta_prime):
         raise StripViolation("a requested point escapes the declared strip")
     phases = np.exp(1j * np.outer(space.m, zs))  # (G, Z)
-    return (f_rows * space.weights()) @ phases / SQRT2PI
+    fw = np.asarray(f_rows) * space.weights()
+    rows = fw.reshape(-1, space.size)
+    x = np.concatenate([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
+    e = np.concatenate([phases.real, phases.imag], axis=1)
+    # the grid sum in fixed _BLOCK-point pieces, added in order, as in
+    # `convolve_values`: its bits do not depend on the BLAS thread count
+    acc = x[:, :_BLOCK] @ e[:_BLOCK]
+    for j in range(_BLOCK, space.size, _BLOCK):
+        acc += x[:, j : j + _BLOCK] @ e[j : j + _BLOCK]
+    re, im = _recombine(acc.reshape(-1, rows.shape[0], 2, zs.size))
+    return ((re + 1j * im) / SQRT2PI).reshape(fw.shape[:-1] + (zs.size,))
 
 
 def series_norm_1R(W: TruncatedSeries, R: float) -> float:

@@ -26,7 +26,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GridMismatch, NoContraction, OrderOverflow, ValidationError
-from .fourier import FourierSpace, convolve_values, enorm_values, inverse_fourier_table, series_norm_1R
+from .fourier import (
+    FourierSpace,
+    convolve_values,
+    enorm_values,
+    inverse_fourier_table,
+    kernel_band,
+    series_norm_1R,
+)
 from .geometry import ProblemSpec, SectorConfig, alpha_tilde, inv_pm_taylor, poly_eval_im
 from .qcore import QParams, q_number
 from .series import (
@@ -55,7 +62,7 @@ class H1Context:
     N: int
     inv_p: np.ndarray          # (N+1, G) Taylor rows of the inverted symbol
     term_r: tuple              # R_l(i m) per coupling term, each (G,)
-    term_a: tuple              # coupling kernel values, each (G,)
+    term_band: tuple           # coupling kernel bands (`kernel_band`)
     forcing_rows: np.ndarray   # (N, G) forcing already placed by order
 
 
@@ -75,12 +82,12 @@ def make_h1_context(
     space = spec.space
     inv_p = inv_pm_taylor(space.m, spec, config, N)
     term_r = tuple(poly_eval_im(t.R, space.m) for t in spec.terms)
-    term_a = tuple(np.asarray(t.A.values) for t in spec.terms)
+    term_band = tuple(kernel_band(space, t.A.values) for t in spec.terms)
     forcing = np.zeros((N, space.size), dtype=complex)
     for f in spec.forcing:
         if f.j <= N:
             forcing[f.j - 1] += f.F.values
-    return H1Context(spec, config, N, inv_p, term_r, term_a, forcing)
+    return H1Context(spec, config, N, inv_p, term_r, term_band, forcing)
 
 
 def _coupling_image(omega: TruncatedSeries, ctx: H1Context, diagnostics=None) -> np.ndarray:
@@ -89,7 +96,7 @@ def _coupling_image(omega: TruncatedSeries, ctx: H1Context, diagnostics=None) ->
     params = spec.params
     N = ctx.N
     out = np.zeros((N, spec.space.size), dtype=complex)
-    for term, r_vals, a_vals in zip(spec.terms, ctx.term_r, ctx.term_a):
+    for term, r_vals, band in zip(spec.terms, ctx.term_r, ctx.term_band):
         j_exp = Fraction(term.l1) - Fraction(term.l0, params.k)
         shifted = apply_t_sigma(omega, term.l0, j_exp, params, out_order=N)
         if term.l2 >= 2:
@@ -104,9 +111,9 @@ def _coupling_image(omega: TruncatedSeries, ctx: H1Context, diagnostics=None) ->
             shifted = mahler(dec, term.l2, out_order=N)
         pre = params.q ** float(-borel_exponent(term.l0, params.k))
         rows = shifted.coeffs * r_vals[None, :]
-        for p in range(N):
-            if np.any(rows[p]):
-                out[p] += (pre * INV_SQRT_2PI) * convolve_values(spec.space, a_vals, rows[p])
+        live = np.flatnonzero(np.any(rows, axis=1))
+        if live.size:
+            out[live] += (pre * INV_SQRT_2PI) * convolve_values(spec.space, band, rows[live])
     return out
 
 
@@ -134,11 +141,11 @@ def apply_H1(
     omega = omega.truncated(N) if omega.order > N else omega.pad_to(N)
     numer = _coupling_image(omega, ctx, diagnostics) + ctx.forcing_rows
     out = np.zeros_like(numer)
-    for p in range(1, N + 1):
-        # Cauchy product with the inverted symbol; its row a multiplies
-        # numerator order p - a
-        for b in range(1, p + 1):
-            out[p - 1] += ctx.inv_p[p - b] * numer[b - 1]
+    # Cauchy product with the inverted symbol: its row a multiplies numerator
+    # order p - a.  Descending a adds each order's products in the order of
+    # ascending numerator order.
+    for a in range(N - 1, -1, -1):
+        out[a:] += ctx.inv_p[a] * numer[: N - a]
     return TruncatedSeries(out, spec.space)
 
 
@@ -286,23 +293,21 @@ def main_equation_residual(
     lhs = q_vals[None, :] * U.coeffs
     rhs = rd_vals[None, :] * _expq_operator_rows(U, spec, N)
     for term in spec.terms:
+        # orders p with l2 (p + l0) <= N, each landing on its own order
+        ps = np.arange(1, N // term.l2 - term.l0 + 1)
         r_vals = poly_eval_im(term.R, space.m)
-        a_vals = np.asarray(term.A.values)
-        for p in range(1, N + 1):
-            order = term.l2 * (p + term.l0)
-            if order > N:
-                break
-            g = U.coeffs[p - 1] * r_vals * params.q ** (term.l1 * p)
-            rhs[order - 1] += INV_SQRT_2PI * convolve_values(space, a_vals, g)
+        twist = np.array([params.q ** (term.l1 * int(p)) for p in ps])
+        g = U.coeffs[ps - 1] * r_vals * twist[:, None]
+        rhs[term.l2 * (ps + term.l0) - 1] += INV_SQRT_2PI * convolve_values(
+            space, term.A.values, g
+        )
     for f in spec.forcing:
         if f.j <= N:
             w = params.q ** float(borel_exponent(f.j, params.k))
             rhs[f.j - 1] += w * np.asarray(f.F.values)
 
     defect = TruncatedSeries(lhs - rhs, space)
-    norms = np.array(
-        [enorm_values(space, defect.coeffs[p]) for p in range(N)]
-    )
+    norms = np.max(space.decay_weight() * np.abs(defect.coeffs), axis=1)
     if return_series:
         return norms, defect
     return norms

@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
     ZeroDivision,
 )
-from .fourier import FourierFn, SQRT2PI, convolve_values, inverse_fourier_eval
+from .fourier import FourierFn, SQRT2PI, convolve_values, inverse_fourier_eval, kernel_band
 from .geometry import ProblemSpec, SectorConfig, eval_Pm, poly_eval_im
 from .qcore import CoveringPoint, QParams, exp_q, pi_qk, recip_kernel_log, theta_kernel_log
 from .series import TruncatedSeries, borel_exponent
@@ -534,6 +534,7 @@ class ContinuedOmega:
 
         self._shift = [q ** (term.l1 - term.l0 / k) for term in spec.terms]
         self._rvals = [poly_eval_im(t.R, self.space.m) for t in spec.terms]
+        self._bands = [kernel_band(self.space, t.A.values) for t in spec.terms]
         self._memo: dict = {}
         self._rungs = 0
 
@@ -589,7 +590,7 @@ class ContinuedOmega:
                 row = pre * inner
             else:
                 row = mahler_row(u, term)
-            acc += INV_SQRT_2PI * convolve_values(space, term.A.values, self._rvals[i] * row)
+            acc += INV_SQRT_2PI * convolve_values(space, self._bands[i], self._rvals[i] * row)
         for fc in spec.forcing:
             acc += fc.F.values * uc**fc.j
         return acc / eval_Pm(uc, space.m, spec)
@@ -984,11 +985,8 @@ def theorem2_residual(
             p2, _ = _profile(ev, t, spec, config, quad2, ell=ell, inv_expq=inv, m_mult=mult)
             if ell is not None:
                 # symbol under the convolution, then the profile product rule
-                p1 = INV_SQRT_2PI * convolve_values(
-                    space, ell.A.values, poly_eval_im(ell.R, space.m) * p1
-                )
-                p2 = INV_SQRT_2PI * convolve_values(
-                    space, ell.A.values, poly_eval_im(ell.R, space.m) * p2
+                p1, p2 = INV_SQRT_2PI * convolve_values(
+                    space, ell.A.values, poly_eval_im(ell.R, space.m) * np.stack([p1, p2])
                 )
             v1 = inverse_fourier_eval(FourierFn(space, p1), z, beta_prime)
             v2 = inverse_fourier_eval(FourierFn(space, p2), z, beta_prime)

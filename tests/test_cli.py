@@ -7,6 +7,7 @@ the installed entry point.
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -349,6 +350,26 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_solve_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # every grid reduction runs in fixed chunks short enough that OpenBLAS
+    # sums them the same way on one thread or on two
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsum.cli", "solve", "basic.json",
+             "--order", "32", "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("omega.json", "U_hat.json", "u_hat.csv", "report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_module_entry_point():

@@ -9,9 +9,11 @@ from qsum.fourier import (
     FourierSpace,
     SQRT2PI,
     convolve,
+    convolve_values,
     enorm,
     inverse_fourier_eval,
     inverse_fourier_table,
+    kernel_band,
     make_space,
     series_norm_1R,
     series_norm_sector,
@@ -101,6 +103,110 @@ class TestConvolution:
         b = gaussian_fn(gaussian_space(step=0.25))
         with pytest.raises(GridMismatch):
             convolve(a, b)
+
+
+def direct_convolution(space, h, g):
+    """The direct sum over every product, row by row: the oracle for
+    `convolve_values`."""
+    n = space.size
+    c = (n - 1) // 2
+    g = np.asarray(g)
+    rows = [np.convolve(h, space.weights() * row)[c : c + n] for row in g.reshape(-1, n)]
+    return np.array(rows).reshape(g.shape)
+
+
+def assert_same_sum(space, h, g, got):
+    # both sides sum the same products in different orders: each is within
+    # gamma_n of the exact sum, measured on the sum of absolute products
+    want = direct_convolution(space, h, g)
+    bound = direct_convolution(space, np.abs(h), np.abs(g))
+    tol = 4.0 * space.size * np.finfo(float).eps * bound
+    assert np.all(np.abs(got.real - want.real) <= tol)
+    assert np.all(np.abs(got.imag - want.imag) <= tol)
+
+
+class TestBandConvolution:
+    @pytest.mark.parametrize("n", [3, 21, 601])
+    @pytest.mark.parametrize("kernel", ["gaussian", "re-im"])
+    def test_matches_direct_sum(self, rng, n, kernel):
+        sp = make_space(1.0, 2.0, half_width=6.0, n_points=n)
+        h = 0.3 * np.exp(-sp.m ** 2 / 2.0) + 0j
+        if kernel == "re-im":
+            # a `re`/`im` profile: an arbitrary complex kernel
+            h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        g = rng.standard_normal((2, 3, n)) + 1j * rng.standard_normal((2, 3, n))
+        got = convolve_values(sp, h, g)
+        assert got.shape == (2, 3, n)
+        assert_same_sum(sp, h, g, got)
+        # a prebuilt band gives the same bits, and a single row its own row
+        band = kernel_band(sp, h)
+        assert len(band) == n
+        assert np.array_equal(convolve_values(sp, band, g), got)
+        assert_same_sum(sp, h, g[1, 2], convolve_values(sp, band, g[1, 2]))
+
+    def test_real_operands_stay_real(self, rng):
+        sp = make_space(1.0, 2.0, half_width=6.0, n_points=21)
+        h = np.exp(-sp.m ** 2 / 2.0)
+        g = rng.standard_normal((4, 21))
+        got = convolve_values(sp, h, g)
+        assert not np.iscomplexobj(got)
+        assert_same_sum(sp, h, g, got)
+
+    def test_zero_rows(self, rng):
+        sp = make_space(1.0, 2.0, half_width=6.0, n_points=601)
+        h = np.exp(-sp.m ** 2 / 2.0) + 0j
+        g = np.zeros((3, 601), dtype=complex)
+        g[1] = rng.standard_normal(601) + 1j * rng.standard_normal(601)
+        got = convolve_values(sp, h, g)
+        assert np.all(got[0] == 0) and np.all(got[2] == 0)
+        assert_same_sum(sp, h, g, got)
+        assert np.all(convolve_values(sp, h, np.zeros(601)) == 0)
+
+    def test_huge_rows_stay_finite(self, rng):
+        # the direct sum of rows near 1e250 is finite, so the lifted product
+        # must not overflow either
+        sp = make_space(1.0, 2.0, half_width=12.0, n_points=601)
+        h = 0.02 * np.exp(-sp.m ** 2 / 2.0) + 0j
+        g = 1e250 * np.stack([
+            np.exp(-sp.m ** 2 / 2.0) * (1.0 + 1.0j),
+            rng.standard_normal(601) + 1j * rng.standard_normal(601),
+        ])
+        got = convolve_values(sp, h, g)
+        assert np.all(np.isfinite(got))
+        assert_same_sum(sp, h, g, got)
+
+    def test_subnormal_tails(self):
+        # the library default grid (M = 40): the Gaussian tails run through
+        # the subnormal range, where the direct sum loses bits to gradual
+        # underflow and the lifted product does not
+        sp = make_space(1.0, 3.0)
+        assert sp.size == 2001 and sp.half_width == 40.0
+        h = 0.02 * np.exp(-sp.m ** 2 / 2.0) + 0j
+        g = np.stack([
+            np.exp(-sp.m ** 2) * (1.0 + 0.5j),
+            np.exp(-((sp.m - 1.0) ** 2) / 2.0) * (0.3 - 1.0j),
+            np.where(np.abs(sp.m) < 1.0, 2.0 * np.exp(-4.0 * sp.m ** 2), 0.0) + 0j,
+        ])
+        assert np.any((g != 0) & (np.abs(g) < np.finfo(float).tiny))
+        got = convolve_values(sp, h, g)
+        want = direct_convolution(sp, h, g)
+        for part in ("real", "imag"):
+            a, b = getattr(got, part), getattr(want, part)
+            normal = np.abs(b) >= np.finfo(float).tiny
+            np.testing.assert_allclose(a[normal], b[normal], rtol=1e-12, atol=0)
+            assert np.any(b == 0)
+            assert np.all(a[b == 0] == 0)
+
+    def test_grid_mismatch(self):
+        sp = make_space(1.0, 2.0, half_width=6.0, n_points=21)
+        h = np.exp(-sp.m ** 2 / 2.0)
+        with pytest.raises(GridMismatch):
+            kernel_band(sp, h[:-2])
+        with pytest.raises(GridMismatch):
+            convolve_values(sp, h, np.ones(19))
+        other = make_space(1.0, 2.0, half_width=6.0, n_points=23)
+        with pytest.raises(GridMismatch):
+            convolve_values(other, kernel_band(sp, h), np.ones(23))
 
 
 class TestInverseFourier:

@@ -10,6 +10,7 @@ from qsum.fourier import FourierSpace, enorm_values, make_space, series_norm_1R
 from qsum.geometry import poly_eval_im, select_sector
 from qsum.series import TruncatedSeries, borel_exponent, formal_q_borel, formal_q_laplace
 from qsum.solver import (
+    _coupling_image,
     apply_H1,
     assemble_U_hat,
     assemble_u_hat,
@@ -132,6 +133,21 @@ class TestApplyH1:
         np.testing.assert_allclose(mahler_part.coeffs[5], expected6, rtol=1e-9)
         for p in (1, 2, 3, 4, 5):
             assert np.all(mahler_part.coeffs[p - 1] == 0)
+
+    def test_cauchy_product_matches_double_loop(self, basic_spec, rng):
+        # the offset updates add each order's products in the order of the
+        # double loop they replaced, so the bits are the same
+        cfg = select_sector(basic_spec, 0.0)
+        N = 9
+        ctx = make_h1_context(basic_spec, cfg, N)
+        omega = random_series(basic_spec, N, rng, scale=0.1)
+        numer = _coupling_image(omega, ctx) + ctx.forcing_rows
+        want = np.zeros_like(numer)
+        for p in range(1, N + 1):
+            for b in range(1, p + 1):
+                want[p - 1] += ctx.inv_p[p - b] * numer[b - 1]
+        got = apply_H1(omega, basic_spec, cfg, N, ctx=ctx)
+        assert np.array_equal(got.coeffs, want)
 
     def test_affine_in_omega(self, basic_spec, rng):
         cfg = select_sector(basic_spec, 0.0)

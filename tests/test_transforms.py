@@ -550,13 +550,13 @@ def test_continued_matches_series_inside(fx_full):
 
 
 class _ContourOnly:
-    """A continuation seen through ``values_batch`` alone: it exposes no
-    polynomial, so `_term_rows` runs the deceleration contour on it."""
+    """A continuation that hides its polynomial, so `_term_rows` runs the
+    deceleration contour on it for every Mahler coupling."""
 
     def __init__(self, om):
-        self.values_batch = om.values_batch
-        self.space = om.space
-        self.r0 = om.r0
+        self.values, self.values_batch = om.values, om.values_batch
+        self.floor_estimate, self.s_lattice = om.floor_estimate, om.s_lattice
+        self.space, self.r0 = om.space, om.r0
 
 
 def test_continued_formal_and_contour_brackets_agree(fx_full):
@@ -682,6 +682,25 @@ def test_theorem2_full_problem(fx_smallq):
     for row in rep.rows:
         assert row["residual"] <= 100.0 * row["budget"]
         assert abs(row["lhs"]) > 1e-9  # the check is not vacuous
+
+
+def test_theorem2_sees_mahler_coupling_error(fx_full):
+    # at |t| = 0.8 R the Mahler coupling is material, so the residual is
+    # gated against that term's own size rather than the budget.  With the
+    # closed-form bracket on both sides an error in it cancels (the ladder
+    # solves the equation it defines); the contour realisation of the
+    # coupling is independent of it, so there an error of 1e-6 in the
+    # bracket leaves a residual of 1e-6 |coupling1|
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg)
+    pts = [
+        (CoveringPoint(0.8 * cfg.R, 0.1), 0.3 + 0.1j),
+        (CoveringPoint(0.8 * cfg.R, -0.2), -0.2 + 0.05j),
+    ]
+    for omega in (om, _ContourOnly(om)):
+        rep = theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5, omega=omega)
+        for row in rep.rows:
+            assert row["residual"] <= 1e-9 * abs(row["terms"]["coupling1"])
 
 
 def test_theorem2_node_doubling_converges(fx_smallq):
