@@ -293,8 +293,6 @@ def cmd_validate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.order < 1:
-        raise UsageError("--order must be a positive integer")
     _, spec, digest = load_problem(args.spec_file)
     report = validate_spec(spec)
     if not report.ok:
@@ -707,17 +705,47 @@ def _apply_threads(args):
     if args.threads is not None:
         try:
             import threadpoolctl
-
+        except ImportError:  # missing controller: record, do not fail the run
+            info["applied"] = False
+        else:
             threadpoolctl.threadpool_limits(args.threads)
             info["applied"] = True
-        except Exception:  # missing controller: record, do not fail the run
-            info["applied"] = False
     args._thread_info = info
+
+
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {value}")
+        return value
+
+    return parse
+
+
+def _float_between(lo: float, hi: float):
+    """argparse type: a number strictly between ``lo`` and ``hi``."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not lo < value < hi:
+            raise argparse.ArgumentTypeError(f"must lie in ({lo:g}, {hi:g}), got {text}")
+        return value
+
+    return parse
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsum", description=__doc__.splitlines()[0])
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_int_at_least(1), default=None,
                         help="cap BLAS thread pools (recorded in the manifest)")
     parser.add_argument("--seed", type=int, default=20260822,
                         help="seed for randomized verification samples")
@@ -732,7 +760,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("solve", help="run the fixed point and write solution artifacts")
     p.add_argument("spec_file")
-    p.add_argument("--order", type=int, default=16)
+    p.add_argument("--order", type=_int_at_least(1), default=16)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--direction", type=float, default=0.0)
     p.add_argument("--beta-prime", type=float, default=None)
@@ -746,7 +774,7 @@ def build_parser() -> _Parser:
     p.add_argument("spec_file")
     p.add_argument("--suite", required=True,
                    choices=("identities", "geometry", "theorem2", "asymptotics"))
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", type=_int_at_least(1), default=12)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--direction", type=float, default=0.0)
     p.add_argument("--out", type=Path, default=None)
@@ -756,12 +784,12 @@ def build_parser() -> _Parser:
     p.add_argument("spec_file")
     p.add_argument("--points", required=True,
                    help="CSV of t_r,t_theta,z_re,z_im rows")
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", type=_int_at_least(1), default=12)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--direction", type=float, default=0.0)
     p.add_argument("--beta-prime", type=float, default=None)
-    p.add_argument("--tail", type=float, default=1e-11)
-    p.add_argument("--eps-rel", type=float, default=1e-8)
+    p.add_argument("--tail", type=_float_between(0.0, 1.0), default=1e-11)
+    p.add_argument("--eps-rel", type=_float_between(0.0, math.inf), default=1e-8)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_sum)
 
@@ -771,7 +799,7 @@ def build_parser() -> _Parser:
     p.add_argument("--coeffs", required=True,
                    help="comma list c1,c2,... of series coefficients from power 1")
     p.add_argument("--at", required=True, help="evaluation point r,theta on the covering")
-    p.add_argument("--p", type=int, default=2, help="deceleration order")
+    p.add_argument("--p", type=_int_at_least(2), default=2, help="deceleration order")
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_transform)
     return parser

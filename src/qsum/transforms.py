@@ -74,36 +74,23 @@ def _borel_prefactor(params: QParams, k_order: float | None = None) -> complex:
 
 @dataclass(frozen=True)
 class RayQuadrature:
-    """Ray ``u = e^{s + i theta_d}``, ``s in [s_min, s_max]``, uniform nodes.
-
-    ``rule`` selects trapezoid (default) or Gauss-Legendre nodes on the same
-    window; both integrate ``... ds``.
-    """
+    """Ray ``u = e^{s + i theta_d}``, ``s in [s_min, s_max]``, trapezoid nodes."""
 
     theta_d: float
     s_min: float
     s_max: float
     nodes: int
-    rule: str = "trapezoid"
 
     def __post_init__(self):
         if not self.s_min < self.s_max:
             raise ValidationError("need s_min < s_max")
         if self.nodes < 8:
             raise ValidationError("need at least 8 nodes")
-        if self.rule not in ("trapezoid", "gauss"):
-            raise ValidationError("rule must be 'trapezoid' or 'gauss'")
 
     def s_grid(self) -> np.ndarray:
-        if self.rule == "gauss":
-            x, _ = np.polynomial.legendre.leggauss(self.nodes)
-            return 0.5 * (self.s_max - self.s_min) * x + 0.5 * (self.s_max + self.s_min)
         return np.linspace(self.s_min, self.s_max, self.nodes)
 
     def weights(self) -> np.ndarray:
-        if self.rule == "gauss":
-            _, w = np.polynomial.legendre.leggauss(self.nodes)
-            return 0.5 * (self.s_max - self.s_min) * w
         h = (self.s_max - self.s_min) / (self.nodes - 1)
         w = np.full(self.nodes, h)
         w[0] *= 0.5
@@ -125,13 +112,13 @@ class RayQuadrature:
         half = 0.5 * (self.s_max - self.s_min)
         if lattice is None:
             half *= math.sqrt(2.0)
-            return RayQuadrature(self.theta_d, c - half, c + half, 2 * self.nodes, self.rule)
+            return RayQuadrature(self.theta_d, c - half, c + half, 2 * self.nodes)
         step = self.step / 2.0
         pad = 0.25 * half
         lo = math.floor((self.s_min - pad) / step) * step
         hi = math.ceil((self.s_max + pad) / step) * step
         n = int(round((hi - lo) / step)) + 1
-        return RayQuadrature(self.theta_d, lo, hi, n, self.rule)
+        return RayQuadrature(self.theta_d, lo, hi, n)
 
 
 @dataclass(frozen=True)
@@ -431,6 +418,18 @@ def _series_at(series: TruncatedSeries, pts: np.ndarray) -> np.ndarray:
     return acc * pts[:, None]
 
 
+def _series_radius(series: TruncatedSeries, target: float, cap: float) -> float:
+    """Radius where the top order of ``series`` falls to ``target`` times its
+    coefficient scale, at most ``cap``."""
+    if not series.order:
+        return cap
+    scale = float(np.max(np.abs(series.coeffs)))
+    top = float(np.max(np.abs(series.coeffs[-1])))
+    if top > 0 and scale > 0:
+        return min(cap, (target * scale / top) ** (1.0 / series.order))
+    return cap
+
+
 @functools.lru_cache(maxsize=64)
 def _decel_logmag(powers: tuple, l0: int, l1: int, l2: int, params: QParams):
     """Exponents ``n = p + l0`` and log magnitudes of the decelerated bracket.
@@ -519,13 +518,9 @@ class ContinuedOmega:
         self.max_rungs = max_rungs
         q, k = self.params.q, self.params.k
 
-        scale = float(np.max(np.abs(self.series.coeffs))) if self.series.order else 0.0
+        self.r0 = _series_radius(self.series, trunc_target, 0.9 * config.R)
         top = float(np.max(np.abs(self.series.coeffs[-1]))) if self.series.order else 0.0
-        r0 = 0.9 * config.R
-        if top > 0 and scale > 0:
-            r0 = min(r0, (trunc_target * scale / top) ** (1.0 / self.series.order))
-        self.r0 = r0
-        self._floor = top * r0**self.series.order if self.series.order else 0.0
+        self._floor = top * self.r0**self.series.order
 
         # shifts c = l1 - l0/k are integer multiples of 1/k, so a lattice of
         # log(q)/(k*mstep) keeps every ladder argument on ray nodes
@@ -675,9 +670,10 @@ def _expq_row(u_plane: np.ndarray, spec: ProblemSpec, config: SectorConfig) -> n
 class _ExpqNodes:
     """`_expq_row` memoised per ray node ``(s, theta_d)``.
 
-    `theorem2_residual` shares one across the jobs of a call, so each
-    distinct node costs one ``exp_q`` evaluation however many terms,
-    probes and refinement levels visit it.
+    `gq_sum` shares one between its probe and its refinement levels, and
+    `theorem2_residual` one across the jobs of a call, so each distinct
+    node costs one ``exp_q`` evaluation however many terms, probes and
+    refinement levels visit it.
     """
 
     def __init__(self, spec: ProblemSpec, config: SectorConfig):
@@ -753,35 +749,42 @@ def _deceleration_rows(omega_ev, s: np.ndarray, theta_d: float, ell, params: QPa
     return out
 
 
+def _integrand(
+    omega_ev,
+    t: CoveringPoint,
+    s: np.ndarray,
+    theta_d: float,
+    spec: ProblemSpec,
+    ell,
+    expq: _ExpqNodes | None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ray integrand at nodes ``s``: the kernel ``Theta(t/u)`` (S,) and the
+    rows (S, G) that `_term_rows` selects, divided by ``exp_q`` when an
+    ``expq`` memo is given."""
+    kern = theta_kernel_log((math.log(t.r) - s) + 1j * (t.theta - theta_d), spec.params)
+    rows = _term_rows(omega_ev, s, theta_d, spec, ell)
+    if expq is not None:
+        rows = rows / expq(s, theta_d)[:, None]
+    return kern, rows
+
+
 def _profile(
     omega_ev,
     t: CoveringPoint,
     spec: ProblemSpec,
-    config: SectorConfig,
     quad: RayQuadrature,
     *,
     ell=None,
-    inv_expq: bool | _ExpqNodes = False,
+    expq: _ExpqNodes | None = None,
     m_mult: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Ray integral at fixed ``m``: ``pi int Theta(t/u) rows(u, m) du/u``,
-    and the integrand's level at the window edges.
-
-    ``inv_expq`` divides the rows by ``exp_q``; an `_ExpqNodes` memo in
-    place of ``True`` supplies those values.
-    """
-    params = spec.params
-    s = quad.s_grid()
-    w = quad.weights()
-    log_ratio = (math.log(t.r) - s) + 1j * (t.theta - quad.theta_d)
-    kern = theta_kernel_log(log_ratio, params)
-    rows = _term_rows(omega_ev, s, quad.theta_d, spec, ell)
-    if inv_expq:
-        expq = inv_expq if callable(inv_expq) else _ExpqNodes(spec, config)
-        rows = rows / expq(s, quad.theta_d)[:, None]
+    and the integrand's level at the window edges (``ell`` and ``expq``
+    as in `_integrand`)."""
+    kern, rows = _integrand(omega_ev, t, quad.s_grid(), quad.theta_d, spec, ell, expq)
     if m_mult is not None:
         rows = rows * m_mult[None, :]
-    prof = pi_qk(params) * ((w * kern) @ rows)
+    prof = pi_qk(spec.params) * ((quad.weights() * kern) @ rows)
     lev = np.max(np.abs(kern[:, None] * rows), axis=1)
     return prof, float(max(lev[0], lev[-1]))
 
@@ -790,25 +793,18 @@ def _auto_quad(
     omega_ev,
     t: CoveringPoint,
     spec: ProblemSpec,
-    config: SectorConfig,
     *,
     ell=None,
-    inv_expq: bool | _ExpqNodes = False,
+    expq: _ExpqNodes | None = None,
     tail: float = 1e-11,
     step: float = 0.12,
 ) -> RayQuadrature:
     """Probe the actual integrand to size the ray window for this term
-    (``inv_expq`` as in `_profile`)."""
-    params = spec.params
+    (``ell`` and ``expq`` as in `_integrand`)."""
     lattice = getattr(omega_ev, "s_lattice", None)
-    expq = inv_expq if callable(inv_expq) else _ExpqNodes(spec, config)
 
     def level(sv: float) -> float:
-        sg = np.array([sv])
-        kern = theta_kernel_log((math.log(t.r) - sg) + 1j * (t.theta - t.theta), params)
-        rows = _term_rows(omega_ev, sg, t.theta, spec, ell)
-        if inv_expq:
-            rows = rows / expq(sg, t.theta)[:, None]
+        kern, rows = _integrand(omega_ev, t, np.array([sv]), t.theta, spec, ell, expq)
         return float(np.max(np.abs(kern[:, None] * rows)))
 
     lo, hi = _probe_ray(level, math.log(t.r), tail=tail, lattice=lattice)
@@ -830,85 +826,34 @@ def gq_sum(
     spec: ProblemSpec,
     *,
     beta_prime: float,
+    ell=None,
+    inv_expq: bool = False,
     quad: RayQuadrature | None = None,
     tail: float = 1e-11,
     eps_rel: float = 1e-8,
     check: bool = True,
 ) -> complex:
-    """The solution sum ``(pi/sqrt(2 pi)) iint Theta(t/u) omega(u, m) e^{imz}``."""
+    """The ray sum ``(pi/sqrt(2 pi)) iint Theta(t/u) rows(u, m) e^{imz}``.
+
+    By default the rows are ``omega(u, m)``: the solution sum.  With ``ell``
+    (a `MahlerTerm`) they are that coupling's bracket of ``omega``, the
+    shift ``u^{l0} q^{-e(l0)} omega(c u)`` for ``l2 = 1`` and its
+    deceleration for ``l2 >= 2``; the term's profile and symbol are not
+    applied here (`theorem2_residual` applies them after the ray integral).
+    ``inv_expq`` inserts ``1/exp_q(alpha~ u^{d_D})`` under the integral.
+    """
+    expq = _ExpqNodes(spec, config) if inv_expq else None
     if quad is None:
-        quad = _auto_quad(omega_ev, t, spec, config, tail=tail)
+        quad = _auto_quad(omega_ev, t, spec, ell=ell, expq=expq, tail=tail)
     lattice = getattr(omega_ev, "s_lattice", None)
 
     def value_at(qd: RayQuadrature) -> complex:
-        prof, _ = _profile(omega_ev, t, spec, config, qd)
+        prof, _ = _profile(omega_ev, t, spec, qd, ell=ell, expq=expq)
         return inverse_fourier_eval(FourierFn(spec.space, prof), z, beta_prime)
 
     if not check:
         return value_at(quad)
     return _stabilise(value_at, quad, eps_rel, "gq_sum", refine_kw={"lattice": lattice})
-
-
-def expq_inverse_op(
-    omega_ev,
-    t: CoveringPoint,
-    z: complex,
-    config: SectorConfig,
-    spec: ProblemSpec,
-    *,
-    beta_prime: float,
-    quad: RayQuadrature | None = None,
-    tail: float = 1e-11,
-    eps_rel: float = 1e-8,
-    check: bool = True,
-) -> complex:
-    """`gq_sum` with ``1/exp_q(alpha~ u^{d_D})`` inserted under the integral."""
-    if quad is None:
-        quad = _auto_quad(omega_ev, t, spec, config, inv_expq=True, tail=tail)
-    lattice = getattr(omega_ev, "s_lattice", None)
-
-    def value_at(qd: RayQuadrature) -> complex:
-        prof, _ = _profile(omega_ev, t, spec, config, qd, inv_expq=True)
-        return inverse_fourier_eval(FourierFn(spec.space, prof), z, beta_prime)
-
-    if not check:
-        return value_at(quad)
-    return _stabilise(value_at, quad, eps_rel, "expq_inverse_op", refine_kw={"lattice": lattice})
-
-
-def g_ellk_op(
-    omega_ev,
-    ell,
-    t: CoveringPoint,
-    z: complex,
-    config: SectorConfig,
-    spec: ProblemSpec,
-    *,
-    beta_prime: float,
-    quad: RayQuadrature | None = None,
-    tail: float = 1e-11,
-    eps_rel: float = 1e-8,
-    check: bool = True,
-) -> complex:
-    """Triple integral for a Mahler coupling: deceleration bracket inside the
-    inverse-insertion Laplace sum.
-
-    ``ell`` is a `MahlerTerm` (its profile and symbol are not used here; the
-    surrounding equation applies those) with ``l2 >= 2``.
-    """
-    if ell.l2 < 2:
-        raise ValidationError("g_ellk_op needs a Mahler power l2 >= 2")
-    if quad is None:
-        quad = _auto_quad(omega_ev, t, spec, config, ell=ell, inv_expq=True, tail=tail)
-    lattice = getattr(omega_ev, "s_lattice", None)
-
-    def value_at(qd: RayQuadrature) -> complex:
-        prof, _ = _profile(omega_ev, t, spec, config, qd, ell=ell, inv_expq=True)
-        return inverse_fourier_eval(FourierFn(spec.space, prof), z, beta_prime)
-
-    if not check:
-        return value_at(quad)
-    return _stabilise(value_at, quad, eps_rel, "g_ellk_op", refine_kw={"lattice": lattice})
 
 
 # ---------------------------------------------------------------------------
@@ -968,21 +913,21 @@ def theorem2_residual(
     expq = _ExpqNodes(spec, config)
     rows = []
     for t, z in sample_points:
-        # profiles: (name, evaluator, ell, inv_expq, m multiplier)
-        jobs = [("lhs", omega, None, expq, qsym), ("dominant", omega, None, False, rdsym)]
+        # profiles: (name, evaluator, ell, exp_q memo, m multiplier)
+        jobs = [("lhs", omega, None, expq, qsym), ("dominant", omega, None, None, rdsym)]
         for i, term in enumerate(spec.terms):
             jobs.append((f"coupling{i}", omega, term, expq, None))
         if forcing_ev is not None:
             jobs.append(("forcing", forcing_ev, None, expq, None))
         values: dict = {}
         budget = omega.floor_estimate()
-        for name, ev, ell, inv, mult in jobs:
-            quad = _auto_quad(ev, t, spec, config, ell=ell, inv_expq=inv, tail=tail)
+        for name, ev, ell, ex, mult in jobs:
+            quad = _auto_quad(ev, t, spec, ell=ell, expq=ex, tail=tail)
             for _ in range(max(0, node_factor - 1)):
                 quad = quad.refined(lattice=getattr(ev, "s_lattice", None))
-            p1, edge1 = _profile(ev, t, spec, config, quad, ell=ell, inv_expq=inv, m_mult=mult)
+            p1, edge1 = _profile(ev, t, spec, quad, ell=ell, expq=ex, m_mult=mult)
             quad2 = quad.refined(lattice=getattr(ev, "s_lattice", None))
-            p2, _ = _profile(ev, t, spec, config, quad2, ell=ell, inv_expq=inv, m_mult=mult)
+            p2, _ = _profile(ev, t, spec, quad2, ell=ell, expq=ex, m_mult=mult)
             if ell is not None:
                 # symbol under the convolution, then the profile product rule
                 p1, p2 = INV_SQRT_2PI * convolve_values(
@@ -1057,13 +1002,7 @@ def eaux2_sector_residual(
     if omega is None:
         omega = ContinuedOmega(sol, spec, config)
     if series_radius is None:
-        series_radius = 0.97 * config.rho
-        scale = float(np.max(np.abs(omega.series.coeffs))) if omega.series.order else 0.0
-        top = float(np.max(np.abs(omega.series.coeffs[-1]))) if omega.series.order else 0.0
-        if top > 0 and scale > 0:
-            series_radius = min(
-                series_radius, (0.05 * scale / top) ** (1.0 / omega.series.order)
-            )
+        series_radius = _series_radius(omega.series, 0.05, 0.97 * config.rho)
     space, params = spec.space, spec.params
     kap = _kappa(params)
     idx = np.arange(space.size) if m_subgrid is None else np.asarray(m_subgrid, dtype=int)

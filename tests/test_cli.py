@@ -89,10 +89,27 @@ def test_values_profile_roundtrip(tmp_path):
     assert run("validate", str(p)) == EXIT_OK
 
 
-def test_usage_errors():
+def test_usage_errors(capsys, tmp_path):
     assert run("frobnicate") == EXIT_USAGE
     assert run("verify", "basic.json", "--suite", "bogus") == EXIT_USAGE
-    assert run("solve", "basic.json", "--order", "0", "--out", "/tmp/unused") == EXIT_USAGE
+    # out-of-range options are refused at parse time, before any solve,
+    # with a message naming the option
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.01,0.0,0.1,0.0\n")
+    for option, argv in (
+        ("--order", ["solve", "basic.json", "--order", "0", "--out", str(tmp_path)]),
+        ("--order", ["verify", "basic.json", "--suite", "theorem2", "--order", "0"]),
+        ("--order", ["sum", "basic.json", "--points", str(pts), "--order", "0"]),
+        ("--p", ["transform", "basic.json", "--op", "decelerate",
+                 "--coeffs", "1,2", "--at", "0.3,0.1", "--p", "1"]),
+        ("--tail", ["sum", "basic.json", "--points", str(pts), "--tail", "0"]),
+        ("--eps-rel", ["sum", "basic.json", "--points", str(pts), "--eps-rel", "-1"]),
+        ("--threads", ["--threads", "0", "validate", "basic.json"]),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_USAGE
+        assert f"argument {option}:" in capsys.readouterr().err
+    assert run("solve", "forcing_only.json", "--order", "1", "--out", str(tmp_path)) == EXIT_OK
     assert run("transform", "basic.json", "--op", "laplace",
                "--coeffs", "nope", "--at", "0.1,0") == EXIT_USAGE
     assert run("transform", "basic.json", "--op", "laplace",

@@ -25,14 +25,13 @@ from qsum.transforms import (
     RayQuadrature,
     SeparableOmega,
     _auto_quad,
+    _ExpqNodes,
     _expq_row,
     _term_rows,
     decelerated_bracket,
     deceleration_integral,
     eaux2_sector_residual,
-    expq_inverse_op,
     fit_log_quadratic,
-    g_ellk_op,
     gq_sum,
     q_borel_analytic,
     q_laplace,
@@ -112,8 +111,6 @@ def test_quadrature_validation():
         RayQuadrature(0.0, 1.0, -1.0, 32)
     with pytest.raises(ValidationError):
         RayQuadrature(0.0, -1.0, 1.0, 4)
-    with pytest.raises(ValidationError):
-        RayQuadrature(0.0, -1.0, 1.0, 32, rule="simpson")
     with pytest.raises(ValidationError):
         CircleContour(-0.5, -1.0, 1.0, 32)
 
@@ -407,7 +404,7 @@ def test_expq_inverse_cancellation(fx_forcing):
     ev = SeparableOmega(radial, g, space, P)
     t = CoveringPoint(0.1, 0.15)
     z = 0.25 - 0.1j
-    got = expq_inverse_op(ev, t, z, cfg, spec, beta_prime=0.5)
+    got = gq_sum(ev, t, z, cfg, spec, beta_prime=0.5, inv_expq=True)
     want = t.r * np.exp(1j * t.theta) * inverse_fourier_eval(FourierFn(space, g), z, 0.5)
     assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -415,7 +412,7 @@ def test_expq_inverse_cancellation(fx_forcing):
 def test_expq_inverse_zero(fx_forcing):
     spec, cfg = fx_forcing
     ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size), spec.space, spec.params)
-    got = expq_inverse_op(ev, CoveringPoint(0.1, 0.0), 0.1, cfg, spec, beta_prime=0.5)
+    got = gq_sum(ev, CoveringPoint(0.1, 0.0), 0.1, cfg, spec, beta_prime=0.5, inv_expq=True)
     assert abs(got) <= 1e-14
 
 
@@ -430,7 +427,7 @@ def test_expq_inverse_consistency(fx_forcing):
     )
     t = CoveringPoint(0.08, -0.2)
     z = 0.1 + 0.05j
-    a = expq_inverse_op(ev, t, z, cfg, spec, beta_prime=0.5)
+    a = gq_sum(ev, t, z, cfg, spec, beta_prime=0.5, inv_expq=True)
     b = gq_sum(ev_div, t, z, cfg, spec, beta_prime=0.5)
     assert abs(a - b) <= 1e-8 * abs(a)
 
@@ -446,9 +443,9 @@ def test_expq_zero_node_raises(fx_forcing):
     g = gaussian_profile(spec.space, 1.0).values
     ev = SeparableOmega(lambda u: u, g, spec.space, P)
     with pytest.raises(ZeroDivision):
-        expq_inverse_op(
+        gq_sum(
             ev, CoveringPoint(0.05, math.pi), 0.1, cfg, spec,
-            beta_prime=0.5, quad=qd, check=False,
+            beta_prime=0.5, inv_expq=True, quad=qd, check=False,
         )
 
 
@@ -456,24 +453,20 @@ def test_g_ellk_zero(fx_full):
     spec, cfg, _ = fx_full
     ell = spec.terms[1]
     ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size), spec.space, spec.params)
-    got = g_ellk_op(ev, ell, CoveringPoint(0.08, 0.1), 0.1, cfg, spec, beta_prime=0.5)
+    got = gq_sum(
+        ev, CoveringPoint(0.08, 0.1), 0.1, cfg, spec, beta_prime=0.5, ell=ell, inv_expq=True
+    )
     assert abs(got) <= 1e-14
 
 
-def test_g_ellk_needs_mahler_power(fx_full):
-    spec, cfg, _ = fx_full
-    ev = SeparableOmega(lambda u: u, np.ones(spec.space.size), spec.space, spec.params)
-    with pytest.raises(ValidationError):
-        g_ellk_op(ev, spec.terms[0], CoveringPoint(0.08, 0.0), 0.1, cfg, spec, beta_prime=0.5)
-
-
-def test_g_ellk_monomial_oracle(fx_full):
+@pytest.mark.parametrize("index", [0, 1], ids=["shift", "mahler"])
+def test_g_ellk_monomial_oracle(fx_full, index):
     # on u^n the inner contour is exactly the formal deceleration factor, so
     # the triple integral collapses to the inverse-insertion sum of a single
-    # higher monomial
+    # higher monomial; for the shift coupling (l2 = 1) that factor is 1
     spec, cfg, _ = fx_full
     P, space = spec.params, spec.space
-    ell = spec.terms[1]
+    ell = spec.terms[index]
     g = gaussian_profile(space, 1.0).values
     t = CoveringPoint(0.08, 0.1)
     z = 0.15 + 0.05j
@@ -485,13 +478,13 @@ def test_g_ellk_monomial_oracle(fx_full):
             / P.q ** be(ell.l0, P.k)
             * P.q ** (be(M, P.k) - be(ell.l2 * M, P.k))
         )
-        lhs = g_ellk_op(
+        lhs = gq_sum(
             SeparableOmega(lambda u, n=n: u**n, g, space, P),
-            ell, t, z, cfg, spec, beta_prime=0.5,
+            t, z, cfg, spec, beta_prime=0.5, ell=ell, inv_expq=True,
         )
-        rhs = expq_inverse_op(
+        rhs = gq_sum(
             SeparableOmega(lambda u, f=fac, m=M: f * u ** (ell.l2 * m), g, space, P),
-            t, z, cfg, spec, beta_prime=0.5,
+            t, z, cfg, spec, beta_prime=0.5, inv_expq=True,
         )
         assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
@@ -506,9 +499,13 @@ def test_g_ellk_polynomial_matches_callable(fx_full, n):
     g = gaussian_profile(space, 1.0).values
     t = CoveringPoint(0.08, 0.1)
     z = 0.15 + 0.05j
-    closed = g_ellk_op(PolynomialOmega([n], [g], space, P), ell, t, z, cfg, spec, beta_prime=0.5)
-    contour = g_ellk_op(
-        SeparableOmega(lambda u: u**n, g, space, P), ell, t, z, cfg, spec, beta_prime=0.5
+    closed = gq_sum(
+        PolynomialOmega([n], [g], space, P), t, z, cfg, spec,
+        beta_prime=0.5, ell=ell, inv_expq=True,
+    )
+    contour = gq_sum(
+        SeparableOmega(lambda u: u**n, g, space, P), t, z, cfg, spec,
+        beta_prime=0.5, ell=ell, inv_expq=True,
     )
     assert abs(closed - contour) <= 1e-10 * abs(contour)
 
@@ -524,9 +521,10 @@ def test_g_ellk_linearity(fx_full):
     ev1 = SeparableOmega(lambda u: u, g, space, P)
     ev2 = SeparableOmega(lambda u: u**2, g, space, P)
     ev12 = SeparableOmega(lambda u: a * u + b * u**2, g, space, P)
-    v1 = g_ellk_op(ev1, ell, t, z, cfg, spec, beta_prime=0.5)
-    v2 = g_ellk_op(ev2, ell, t, z, cfg, spec, beta_prime=0.5)
-    v12 = g_ellk_op(ev12, ell, t, z, cfg, spec, beta_prime=0.5)
+    v1, v2, v12 = (
+        gq_sum(ev, t, z, cfg, spec, beta_prime=0.5, ell=ell, inv_expq=True)
+        for ev in (ev1, ev2, ev12)
+    )
     scale = max(abs(v12), 1e-300)
     assert abs(v12 - (a * v1 + b * v2)) <= 1e-8 * scale
 
@@ -601,7 +599,7 @@ def test_mahler_rows_closed_form_match_contour(fx_full, t_frac, theta):
     om = ContinuedOmega(sol, spec, cfg)
     ell = spec.terms[1]
     t = CoveringPoint(t_frac * cfg.R, theta)
-    quad = _auto_quad(om, t, spec, cfg, ell=ell, inv_expq=True, tail=1e-10)
+    quad = _auto_quad(om, t, spec, ell=ell, expq=_ExpqNodes(spec, cfg), tail=1e-10)
     s = quad.s_grid()
     closed = _term_rows(om, s, quad.theta_d, spec, ell)
     contour = _term_rows(_ContourOnly(om), s, quad.theta_d, spec, ell)

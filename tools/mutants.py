@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Mutation check: how many tier-1 tests each hand-written mutant fails.
+
+Copies ``src/`` to a temporary directory, applies one single-line text
+mutation to that copy (never to the working tree), and runs the tier-1
+suite against the copy through ``PYTHONPATH``.  A mutant that fails no test
+survives: the suite cannot see that error.  The unmutated copy runs first,
+so a broken baseline shows before any mutant does.
+
+    python tools/mutants.py              # baseline, then every mutant
+    python tools/mutants.py NAME ...     # baseline, then the named mutants
+
+Each run is the whole tier-1 suite, about 20 s on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/
+    old: str  # occurs exactly once in that file
+    new: str
+
+
+MUTANTS = [
+    # the decelerated bracket's log magnitudes, off by 1e-6 relative
+    Mutant(
+        "decel-logmag",
+        "qsum/transforms.py",
+        "    logmag = (drop - float(borel_exponent(l0, k))) * params.log_q \\",
+        "    logmag = 1e-6 + (drop - float(borel_exponent(l0, k))) * params.log_q \\",
+    ),
+    # ray-sum selector inv_expq: the coupling jobs lose their exp_q division
+    Mutant(
+        "coupling-no-expq",
+        "qsum/transforms.py",
+        'jobs.append((f"coupling{i}", omega, term, expq, None))',
+        'jobs.append((f"coupling{i}", omega, term, None, None))',
+    ),
+    # the m-multiplier (the lhs and dominant symbols) is ignored in _profile
+    Mutant(
+        "profile-no-m-mult",
+        "qsum/transforms.py",
+        "        rows = rows * m_mult[None, :]",
+        "        rows = rows",
+    ),
+    # ray-sum selector ell: the shift coupling's q^{-e(l0)} at the wrong order
+    Mutant(
+        "shift-borel-exponent",
+        "qsum/transforms.py",
+        "phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0, k))",
+        "phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0 + 1, k))",
+    ),
+    # the continuation's forcing term, off by 1e-6 relative
+    Mutant(
+        "continuation-forcing",
+        "qsum/transforms.py",
+        "            acc += fc.F.values * uc**fc.j",
+        "            acc += fc.F.values * uc**fc.j * (1.0 + 1e-6)",
+    ),
+]
+
+
+def _apply(src: Path, mutant: Mutant) -> None:
+    path = src / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise SystemExit(f"{mutant.name}: {mutant.old!r} is not exactly once in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def _run_suite(src: Path) -> tuple[int, int]:
+    """Run tier-1 on ``src``; returns (failed or errored, passed)."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    counts = dict.fromkeys(("passed", "failed", "error"), 0)
+    for n, kind in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else ""):
+        counts[kind] = int(n)
+    if not any(counts.values()):
+        raise SystemExit(f"could not read the pytest summary:\n{proc.stdout}{proc.stderr}")
+    return counts["failed"] + counts["error"], counts["passed"]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = ap.parse_args(argv)
+    unknown = set(args.names) - {m.name for m in MUTANTS}
+    if unknown:
+        ap.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="qsum-mutants-") as tmp:
+        print(f"{'mutant':24s} {'failed':>6s} {'passed':>6s}", flush=True)
+        for mutant in [None, *chosen]:
+            src = Path(tmp) / (mutant.name if mutant else "baseline") / "src"
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            if mutant:
+                _apply(src, mutant)
+            failed, passed = _run_suite(src)
+            name = mutant.name if mutant else "(baseline)"
+            print(f"{name:24s} {failed:6d} {passed:6d}", flush=True)
+            if mutant and failed == 0:
+                survivors.append(mutant.name)
+    if survivors:
+        print(f"survived: {', '.join(survivors)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
