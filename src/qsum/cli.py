@@ -761,10 +761,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run the fixed point and write solution artifacts")
     p.add_argument("spec_file")
     p.add_argument("--order", type=_int_at_least(1), default=16)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
     p.add_argument("--direction", type=float, default=0.0)
     p.add_argument("--beta-prime", type=float, default=None)
-    p.add_argument("--z-points", type=int, default=21)
+    p.add_argument("--z-points", type=_int_at_least(1), default=21)
     p.add_argument("--force-triangular", action="store_true",
                    help="fall back to the triangular sweep when contraction fails")
     p.add_argument("--out", type=Path, required=True)
@@ -775,7 +775,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True,
                    choices=("identities", "geometry", "theorem2", "asymptotics"))
     p.add_argument("--order", type=_int_at_least(1), default=12)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
     p.add_argument("--direction", type=float, default=0.0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_verify)
@@ -785,7 +785,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True,
                    help="CSV of t_r,t_theta,z_re,z_im rows")
     p.add_argument("--order", type=_int_at_least(1), default=12)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
     p.add_argument("--direction", type=float, default=0.0)
     p.add_argument("--beta-prime", type=float, default=None)
     p.add_argument("--tail", type=_float_between(0.0, 1.0), default=1e-11)

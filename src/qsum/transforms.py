@@ -62,14 +62,17 @@ def _kappa(params: QParams, k_order: float | None = None) -> float:
     return k / (2.0 * params.log_q)
 
 
-def _borel_prefactor(params: QParams, k_order: float | None = None) -> complex:
-    """``-i q^{1/(8k)} sqrt(k) / sqrt(2 pi log q)`` for possibly fractional order."""
-    k = params.k if k_order is None else k_order
-    return -1j * params.q ** (1.0 / (8.0 * k)) * math.sqrt(k) / math.sqrt(2.0 * math.pi * params.log_q)
-
-
 # ---------------------------------------------------------------------------
 # quadrature descriptions
+
+
+def _trapezoid(lo: float, hi: float, nodes: int) -> tuple[float, np.ndarray]:
+    """Step and weights of the trapezoid rule on ``nodes`` points of ``[lo, hi]``."""
+    h = (hi - lo) / (nodes - 1)
+    w = np.full(nodes, h)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return h, w
 
 
 @dataclass(frozen=True)
@@ -91,15 +94,11 @@ class RayQuadrature:
         return np.linspace(self.s_min, self.s_max, self.nodes)
 
     def weights(self) -> np.ndarray:
-        h = (self.s_max - self.s_min) / (self.nodes - 1)
-        w = np.full(self.nodes, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid(self.s_min, self.s_max, self.nodes)[1]
 
     @property
     def step(self) -> float:
-        return (self.s_max - self.s_min) / (self.nodes - 1)
+        return _trapezoid(self.s_min, self.s_max, self.nodes)[0]
 
     def refined(self, lattice: float | None = None) -> "RayQuadrature":
         """Twice the nodes; step/sqrt(2) and window*sqrt(2) about the centre.
@@ -142,11 +141,7 @@ class CircleContour:
         return np.linspace(self.theta_min, self.theta_max, self.nodes)
 
     def weights(self) -> np.ndarray:
-        h = (self.theta_max - self.theta_min) / (self.nodes - 1)
-        w = np.full(self.nodes, h)
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        return w
+        return _trapezoid(self.theta_min, self.theta_max, self.nodes)[1]
 
     def refined(self) -> "CircleContour":
         c = 0.5 * (self.theta_min + self.theta_max)
@@ -256,27 +251,22 @@ def q_laplace(
     return _stabilise(lambda qd: _ray_value(f, T, qd, params), quad, eps_rel, "q_laplace")
 
 
-def _contour_value(
-    phi_vals: np.ndarray,
-    h: CoveringPoint,
-    contour: CircleContour,
-    params: QParams,
-    k_order: float | None,
-) -> complex:
-    logy = (math.log(contour.radius) - math.log(h.r)) + 1j * (contour.t_grid() - h.theta)
-    kern = recip_kernel_log(logy, params, k_order=k_order)
-    pref = _borel_prefactor(params, k_order)
-    return complex(pref * np.sum(contour.weights() * kern * phi_vals * 1j))
+def _contour_value(vals, log_y, weights: np.ndarray, params: QParams, k_order: float | None = None):
+    """Borel-type contour sum ``pref int vals / Theta_k(x/h) dx/x`` at nodes
+    ``log(x/h) = log_y``: a value for (n,) ``vals``, a row for (n, G) ones."""
+    k = params.k if k_order is None else k_order
+    pref = -1j * params.q ** (1.0 / (8.0 * k)) * math.sqrt(k)
+    pref /= math.sqrt(2.0 * math.pi * params.log_q)
+    kern = recip_kernel_log(log_y, params, k_order=k)
+    return pref * ((weights * kern) @ vals) * 1j
 
 
 def q_borel_analytic(
     phi,
     xi: CoveringPoint,
-    contour: CircleContour | None = None,
     params: QParams | None = None,
     *,
     radius: float = 0.5,
-    tail: float = 1e-12,
     step: float = 0.2,
     eps_rel: float = 1e-8,
     check: bool = True,
@@ -284,9 +274,9 @@ def q_borel_analytic(
     """Analytic Borel transform: contour integral against the inverse kernel.
 
     ``phi`` is called once per node with a `CoveringPoint` on the circle (it
-    may be multivalued in the angle).  Without an explicit contour one is
-    built at ``radius`` centred on ``xi``'s angle, where the kernel Gaussian
-    in the covering angle peaks.
+    may be multivalued in the angle).  The contour is built at ``radius``
+    centred on ``xi``'s angle, where the kernel Gaussian in the covering
+    angle peaks.
     """
     if params is None:
         raise ValidationError("params are required")
@@ -294,65 +284,75 @@ def q_borel_analytic(
     def value_at(ct: CircleContour) -> complex:
         pts = [CoveringPoint(ct.radius, float(t)) for t in ct.t_grid()]
         vals = np.array([phi(p) for p in pts], dtype=complex)
-        return _contour_value(vals, xi, ct, params, None)
+        log_y = (math.log(ct.radius) - math.log(xi.r)) + 1j * (ct.t_grid() - xi.theta)
+        return complex(_contour_value(vals, log_y, ct.weights(), params))
 
-    if contour is None:
-        contour = contour_window(xi.theta, radius, params, tail=tail, step=step)
+    contour = contour_window(xi.theta, radius, params, step=step)
     if not check:
         return value_at(contour)
     return _stabilise(value_at, contour, eps_rel, "q_borel_analytic")
+
+
+def _deceleration_window(p: int, params: QParams) -> CircleContour:
+    """The angles of `_deceleration_contour` about ``arg h``."""
+    return contour_window(0.0, 1.0, params, k_order=params.k / (p * p - 1.0), tail=1e-13)
+
+
+def _deceleration_contour(f, p: int, l0: int, log_h, params: QParams, window, disc=None):
+    """Order-``p`` deceleration of ``f`` at each ``h = exp(log_h)``: (S,) or (S, G).
+
+    The Borel-type contour at order ``k' = k/(p^2-1)`` on ``x -> f(x q^{-k''})``,
+    ``k'' = (p^2-p)/(2k)``, gives ``q^{e(n) - e(pn)}`` on monomials.  ``f`` maps
+    (n,) plane points to (n,) values or (n, G) rows and starts at ``x^{l0+1}``.
+    The radius ``min(cap, |h| e^{a*})``, ``a* = -min(3, (l0 + 1/2)/(2 kappa'))``,
+    is that power's kernel saddle (a fixed radius would cost
+    ``exp(kappa' log^2(rc/|h|))`` digits); ``cap = 0.7 disc q^{k''}`` keeps
+    ``f``'s arguments within ``0.7 disc``, and there is no cap without a ``disc``.
+    """
+    k_prime = params.k / (p * p - 1.0)
+    k_dd = (p * p - p) / (2.0 * params.k)
+    shift = params.q ** (-k_dd)
+    cap = math.inf if disc is None else 0.7 * disc * params.q**k_dd
+    a_star = -min(3.0, (l0 + 0.5) / (2.0 * _kappa(params, k_prime)))
+    tg, w = window.t_grid(), window.weights()
+    out = []
+    for lh in log_h:
+        rc = min(cap, math.exp(lh.real + a_star))
+        x = rc * np.exp(1j * (tg + lh.imag))
+        log_y = (math.log(rc) - lh.real) + 1j * tg
+        out.append(_contour_value(f(x * shift), log_y, w, params, k_prime))
+    return np.array(out)
 
 
 def deceleration_integral(
     f,
     p: int,
     h: CoveringPoint,
-    contour: CircleContour | None = None,
     params: QParams | None = None,
     *,
     f_disc_radius: float | None = None,
-    radius: float | None = None,
-    tail: float = 1e-12,
-    step: float = 0.3,
     eps_rel: float = 1e-8,
     check: bool = True,
 ) -> complex:
     """Contour form of the order-``p`` deceleration of ``f``, evaluated at ``h``.
 
-    Runs the Borel-type contour at the fractional order ``k' = k/(p^2-1)``
-    on the argument-shifted function ``x -> f(x q^{-k''})`` with
-    ``k'' = (p^2-p)/(2k)``; on monomials this reproduces the formal factor
-    ``q^{e(n) - e(pn)}``.  ``f`` is called with ndarrays of plane points.
-
-    Raises:
-        DomainViolation: shifted contour points leave ``f``'s certified disc.
+    The one-value case of `_deceleration_contour` (``f`` starting at ``x^1``),
+    checked by node doubling.  ``f`` is called with ndarrays of plane points,
+    all within ``0.7 f_disc_radius`` when that is given.
     """
     if params is None:
         raise ValidationError("params are required")
     if p < 2:
         raise ValidationError("deceleration needs p >= 2")
-    k = params.k
-    k_prime = k / (p * p - 1.0)
-    k_dd = (p * p - p) / (2.0 * k)
-    shift = params.q ** (-k_dd)
-    if contour is None:
-        if radius is None:
-            radius = 0.4 * f_disc_radius * params.q ** k_dd if f_disc_radius else 0.4
-        contour = contour_window(h.theta, radius, params, k_order=k_prime, tail=tail, step=step)
-    if f_disc_radius is not None and contour.radius * shift >= f_disc_radius:
-        raise DomainViolation(
-            f"shifted contour radius {contour.radius * shift:.3g} leaves the "
-            f"certified disc {f_disc_radius:.3g}"
-        )
+    log_h = [complex(math.log(h.r), h.theta)]
 
     def value_at(ct: CircleContour) -> complex:
-        x = ct.radius * np.exp(1j * ct.t_grid())
-        vals = f(x * shift)
-        return _contour_value(vals, h, ct, params, k_prime)
+        return complex(_deceleration_contour(f, p, 0, log_h, params, ct, f_disc_radius)[0])
 
+    window = _deceleration_window(p, params)
     if not check:
-        return value_at(contour)
-    return _stabilise(value_at, contour, eps_rel, "deceleration_integral")
+        return value_at(window)
+    return _stabilise(value_at, window, eps_rel, "deceleration_integral")
 
 
 # ---------------------------------------------------------------------------
@@ -631,18 +631,17 @@ def _probe_ray(
         s_seed = lattice * round(s_seed / lattice)
     peak = level(s_seed)
     lo = hi = s_seed
-    lo_lev = hi_lev = peak
+    nxt = peak
     # climb first: the peak can sit away from the seed
     for _ in range(int(max_span / coarse)):
         nxt = level(hi + coarse)
         hi += coarse
-        hi_lev = nxt
         peak = max(peak, nxt)
         if nxt < tail * max(peak, 1e-300):
             break
     else:
         raise DomainTooLarge(
-            f"ray integrand still at {hi_lev:.3g} (peak {peak:.3g}) after "
+            f"ray integrand still at {nxt:.3g} (peak {peak:.3g}) after "
             f"{max_span:.0f} units; point outside the certified domain"
         )
     for _ in range(int(max_span / coarse)):
@@ -711,42 +710,32 @@ def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=N
         )
         phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0, k))
         return (radii**l0 * phase)[:, None] * rows
+    log_h = l2 * (s + 1j * theta_d)
     if hasattr(omega_ev, "polynomial"):
-        return decelerated_bracket(*omega_ev.polynomial(), ell, l2 * (s + 1j * theta_d), params)
-    return _deceleration_rows(omega_ev, s, theta_d, ell, params)
+        return decelerated_bracket(*omega_ev.polynomial(), ell, log_h, params)
+    return _deceleration_rows(omega_ev, ell, log_h, params)
 
 
-def _deceleration_rows(omega_ev, s: np.ndarray, theta_d: float, ell, params: QParams) -> np.ndarray:
+def _deceleration_rows(omega_ev, term, log_h, params: QParams) -> np.ndarray:
     """Mahler rows (S, G) of ``omega_ev.values_batch`` by the deceleration contour.
 
     The quadrature realisation of `decelerated_bracket`: the only one for
     callables, and the independent one `eaux2_sector_residual` checks the
-    continuation's closed-form rows against.
+    continuation's closed-form rows against.  The bracket's disc is
+    ``r0 / max(1, c)`` for an evaluator with a series radius ``r0``.
     """
     q, k = params.q, params.k
-    l0, l1, l2 = ell.l0, ell.l1, ell.l2
-    c = q ** (l1 - l0 / k)
-    # the t-window is shared (kernel centre depends only on theta_d) but the
-    # contour radius follows |u^{l2}| so the kernel stays O(1); a fixed
-    # radius would cost exp(kappa' log^2(radius/|h|)) digits
-    k_prime = k / (l2 * l2 - 1.0)
-    k_dd = (l2 * l2 - l2) / (2.0 * k)
-    r0 = getattr(omega_ev, "r0", None)
-    cap = 0.7 * (r0 if r0 is not None else 0.5) * q**k_dd / max(1.0, c)
-    a_star = -min(3.0, (l0 + 0.5) / (2.0 * _kappa(params, k_prime)))
-    ct = contour_window(0.0, cap, params, k_order=k_prime, tail=1e-13)
-    tg_rel = ct.t_grid()
-    w_t = ct.weights()
-    pref = _borel_prefactor(params, k_prime)
+    l0, l2 = term.l0, term.l2
+    c = q ** (term.l1 - l0 / k)
     e_l0 = q ** float(borel_exponent(l0, k))
-    out = np.empty((s.size, omega_ev.space.size), dtype=complex)
-    for i, s_i in enumerate(s):
-        rc = min(cap, math.exp(l2 * s_i + a_star))
-        y = rc * np.exp(1j * (tg_rel + l2 * theta_d)) * q ** (-k_dd)
-        brack = (y**l0 / e_l0)[:, None] * omega_ev.values_batch(y * c)
-        kern = recip_kernel_log((math.log(rc) - l2 * s_i) + 1j * tg_rel, params, k_order=k_prime)
-        out[i] = pref * ((w_t * kern) @ brack) * 1j
-    return out
+    r0 = getattr(omega_ev, "r0", None)
+
+    def bracket(y: np.ndarray) -> np.ndarray:
+        return (y**l0 / e_l0)[:, None] * omega_ev.values_batch(y * c)
+
+    disc = None if r0 is None else r0 / max(1.0, c)
+    window = _deceleration_window(l2, params)
+    return _deceleration_contour(bracket, l2, l0, log_h, params, window, disc)
 
 
 def _integrand(
@@ -867,18 +856,6 @@ class Theorem2Report:
     rows: list
     settings: dict
 
-    def max_residual(self) -> float:
-        return max(r["residual"] for r in self.rows)
-
-
-def _forcing_evaluator(spec: ProblemSpec) -> PolynomialOmega:
-    return PolynomialOmega(
-        [f.j for f in spec.forcing],
-        [f.F.values for f in spec.forcing],
-        spec.space,
-        spec.params,
-    )
-
 
 def theorem2_residual(
     sol,
@@ -908,7 +885,11 @@ def theorem2_residual(
     space, params = spec.space, spec.params
     qsym = poly_eval_im(spec.Q, space.m)
     rdsym = poly_eval_im(spec.R_D, space.m)
-    forcing_ev = _forcing_evaluator(spec) if spec.forcing else None
+    forcing_ev = None
+    if spec.forcing:
+        forcing_ev = PolynomialOmega(
+            [f.j for f in spec.forcing], [f.F.values for f in spec.forcing], space, params
+        )
     lattice = getattr(omega, "s_lattice", None)
     expq = _ExpqNodes(spec, config)
     rows = []
@@ -972,9 +953,6 @@ class SectorResidualReport:
     growth_C: float
     growth_alpha: float
 
-    def max_residual(self) -> float:
-        return max(r["residual"] for r in self.rows)
-
 
 def eaux2_sector_residual(
     sol,
@@ -1009,7 +987,8 @@ def eaux2_sector_residual(
     wgt = space.decay_weight()[idx]
 
     def contour_row(u: CoveringPoint, term) -> np.ndarray:
-        return _deceleration_rows(omega, np.array([math.log(u.r)]), u.theta, term, params)[0]
+        log_h = term.l2 * (math.log(u.r) + 1j * u.theta)
+        return _deceleration_rows(omega, term, [log_h], params)[0]
 
     rows = []
     lognum, logtau = [], []

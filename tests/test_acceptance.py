@@ -167,8 +167,8 @@ def test_c04_deceleration_contour_vs_formula():
                 )
                 got = deceleration_integral(f, p, h, params=P)
                 worst = max(worst, abs(got - want) / abs(want))
-    report(f"deceleration contour vs formula: worst rel {worst:.3e} <= 1e-5",
-           worst <= 1e-5)
+    report(f"deceleration contour vs formula: worst rel {worst:.3e} <= 1e-13",
+           worst <= 1e-13)
 
 
 # 5 -------------------------------------------------------------------------

@@ -105,6 +105,10 @@ def test_usage_errors(capsys, tmp_path):
         ("--tail", ["sum", "basic.json", "--points", str(pts), "--tail", "0"]),
         ("--eps-rel", ["sum", "basic.json", "--points", str(pts), "--eps-rel", "-1"]),
         ("--threads", ["--threads", "0", "validate", "basic.json"]),
+        ("--z-points", ["solve", "basic.json", "--z-points", "0", "--out", str(tmp_path)]),
+        ("--tol", ["solve", "basic.json", "--tol", "-1", "--out", str(tmp_path)]),
+        ("--tol", ["verify", "basic.json", "--suite", "theorem2", "--tol", "0"]),
+        ("--tol", ["sum", "basic.json", "--points", str(pts), "--tol", "-1"]),
     ):
         capsys.readouterr()
         assert run(*argv) == EXIT_USAGE

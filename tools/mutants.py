@@ -71,6 +71,20 @@ MUTANTS = [
         "            acc += fc.F.values * uc**fc.j",
         "            acc += fc.F.values * uc**fc.j * (1.0 + 1e-6)",
     ),
+    # the Borel-type contour prefactor, off by 1e-6 relative
+    Mutant(
+        "decel-prefactor",
+        "qsum/transforms.py",
+        "    pref = -1j * params.q ** (1.0 / (8.0 * k)) * math.sqrt(k)\n",
+        "    pref = -1j * params.q ** (1.0 / (8.0 * k)) * math.sqrt(k) * (1.0 + 1e-6)\n",
+    ),
+    # the deceleration contour's argument shift q^{-k''} at a slightly wrong order
+    Mutant(
+        "decel-shift",
+        "qsum/transforms.py",
+        "    shift = params.q ** (-k_dd)",
+        "    shift = params.q ** (-k_dd * (1 + 1e-6))",
+    ),
 ]
 
 
