@@ -1,0 +1,202 @@
+"""One check per shipped guarantee, shared by the acceptance suite and ``qsum verify``.
+
+Each check runs at points its caller supplies (fixed ones in the acceptance
+suite, seeded ones in ``qsum verify``) and returns rows ``(name, detail,
+measured, threshold)``; the guarantee holds where ``measured <= threshold``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .geometry import pm_lower_bound_report, validate_spec
+from .qcore import theta_kernel_log
+from .series import borel_exponent
+from .transforms import (
+    ContinuedOmega,
+    deceleration_integral,
+    fit_log_quadratic,
+    gq_sum,
+    q_borel_analytic,
+    q_laplace,
+    ray_window,
+    theorem2_residual,
+)
+
+
+def _polynomial(coeffs):
+    """``u -> sum_n coeffs[n-1] u^n`` (from power 1); broadcasts over ``u``."""
+    return lambda u: sum(c * u**n for n, c in enumerate(coeffs, 1))
+
+
+def monomial_image(op: str, coeffs, z: complex, params, p: int = 2) -> complex:
+    """Closed form of `transform` at the plane point ``z``: ``u^n`` goes to
+    ``q^x z^n`` with ``x = e(n)`` (``laplace``), ``-e(n)`` (``borel``) or
+    ``e(n) - e(pn)`` (``decelerate``), where ``e(n) = n(n-1)/(2k)``."""
+    e = lambda n: borel_exponent(n, params.k)
+    x = {"laplace": e, "borel": lambda n: -e(n), "decelerate": lambda n: e(n) - e(p * n)}[op]
+    return sum(c * params.q ** float(x(n)) * z**n for n, c in enumerate(coeffs, 1))
+
+
+def transform(op: str, coeffs, pt, params, p: int = 2) -> complex:
+    """Quadrature q-Laplace, analytic q-Borel or order-``p`` deceleration
+    (``op`` as in `monomial_image`) of ``sum_n coeffs[n-1] u^n`` at ``pt``."""
+    f = _polynomial(coeffs)
+    if op == "laplace":
+        return q_laplace(f, pt, params=params, growth=float(len(coeffs)))
+    if op == "borel":
+        return q_borel_analytic(lambda x: f(x.to_complex()), pt, params=params)
+    return deceleration_integral(f, p, pt, params=params)
+
+
+def _rel(got, want) -> float:
+    return float(abs(got - want) / abs(want))
+
+
+def _identity(name: str, op: str, params, cases, threshold: float, p: int = 2):
+    """`transform` against `monomial_image` at each ``(coeffs, point)``; ``n``
+    in the detail is the degree."""
+    label = {"laplace": "T", "borel": "xi", "decelerate": "h"}[op]
+    return [
+        (name, f"n={len(c)} {label}=({pt.r:.4g},{pt.theta:.4g})",
+         _rel(transform(op, c, pt, params, p), monomial_image(op, c, pt.to_complex(), params, p)),
+         threshold)
+        for c, pt in cases
+    ]
+
+
+def _monomials(cases):
+    return [((0.0,) * (n - 1) + (1.0,), pt) for n, pt in cases]
+
+
+def laplace_monomials(params, cases):
+    """q-Laplace of ``u^n`` against ``q^{e(n)} T^n`` at each ``(n, T)``."""
+    return _identity("laplace-monomial", "laplace", params, _monomials(cases), 1e-7)
+
+
+def borel_monomials(params, cases):
+    """Analytic q-Borel of ``u^n`` against ``q^{-e(n)} xi^n`` at each ``(n, xi)``."""
+    return _identity("borel-monomial", "borel", params, _monomials(cases), 1e-6)
+
+
+def deceleration_polynomials(params, p: int, cases):
+    """Order-``p`` contour deceleration against the coefficient formula at
+    each ``(coeffs, h)``, a polynomial from power 1 and a point."""
+    return _identity("deceleration-monomial", "decelerate", params, cases, 1e-13, p)
+
+
+def borel_roundtrip(params, points):
+    """Analytic q-Borel of the quadrature q-Laplace of ``f = u + u^3/7``
+    against ``f(xi)`` at each ``xi``."""
+    f = lambda u: u + u**3 / 7.0
+    rows = []
+    for xi in points:
+        phi = lambda x: q_laplace(
+            f, x, params=params,
+            quad=ray_window(x, params, growth=3.0, tail=1e-14, step=0.08), check=False,
+        )
+        got = q_borel_analytic(phi, xi, params=params, radius=0.5, step=0.15)
+        rows.append(("borel-inverts-laplace", f"xi=({xi.r:.4g},{xi.theta:.4g})",
+                     _rel(got, f(xi.to_complex())), 1e-5))
+    return rows
+
+
+def kernel_modulus(params, log_ratios):
+    """``|Theta_k|`` against ``exp(-kappa (lr^2 - dth^2) + lr/2)`` at each ``(lr, dth)``."""
+    kap = params.k / (2.0 * params.log_q)
+    return [
+        ("kernel-modulus", f"log_ratio=({lr:.4g},{dth:.4g})",
+         _rel(abs(theta_kernel_log(complex(lr, dth), params)),
+              math.exp(-kap * (lr * lr - dth * dth) + 0.5 * lr)), 1e-12)
+        for lr, dth in log_ratios
+    ]
+
+
+def geometry(spec, cfg):
+    """The structural conditions of ``spec`` and, given a sector ``cfg``, its
+    symbol lower bound, corridor gap and far-field constant (pass 0, fail 1)."""
+    rows = [("condition", c.name + ": " + c.detail, 0.0 if c.ok else 1.0, 0.5)
+            for c in validate_spec(spec).conditions]
+    if cfg is None:
+        return rows
+    bound = pm_lower_bound_report(spec, cfg)
+    return rows + [
+        ("pm-lower-bound", f"min margin {bound.min_margin:.4g}x delta1",
+         0.0 if bound.min_margin >= 1.0 else 1.0, 0.5),
+        ("corridor-gap", bound.gap_detail, 0.0 if bound.gap_ok else 1.0, 0.5),
+        ("far-field", f"constant {bound.far_field_constant:.4g}",
+         0.0 if math.isfinite(bound.far_field_constant) else 1.0, 0.5),
+    ]
+
+
+def summed_equation(sol, spec, cfg, points, *, beta_prime):
+    """`theorem2_residual` at each ``(t, z)`` within 10x its budget (forcing
+    only) or 100x (with couplings)."""
+    factor = 100.0 if spec.terms else 10.0
+    rep = theorem2_residual(sol, spec, cfg, points, beta_prime=beta_prime)
+    return [
+        ("theorem2-residual",
+         f"t=({row['t_r']:.4g},{row['t_theta']:.4g}) residual={row['residual']:.3e} "
+         f"budget={row['budget']:.3e}",
+         row["residual"] / max(factor * row["budget"], 1e-300), 1.0)
+        for row in rep.rows
+    ]
+
+
+class ContourBracket:
+    """A continuation that hides its polynomial, so `transforms._term_rows`
+    takes its Mahler coupling rows from the deceleration contour."""
+
+    def __init__(self, om):
+        self.values, self.values_batch = om.values, om.values_batch
+        self.floor_estimate, self.s_lattice = om.floor_estimate, om.s_lattice
+        self.space, self.r0 = om.space, om.r0
+
+
+def term_gate(sol, spec, cfg, points, *, beta_prime):
+    """Summed-equation residual within 1e-9 of the smallest coupling or
+    forcing term at each ``(t, z)``, on the continuation and, if some
+    coupling has ``l2 >= 2``, on its `ContourBracket`, where an error in the
+    closed-form bracket does not cancel as it does on the ladder."""
+    if not spec.terms and not spec.forcing:
+        return []  # the zero solution: no term to gate
+    om = ContinuedOmega(sol, spec, cfg)
+    paths = [("continuation", om)]
+    if any(term.l2 >= 2 for term in spec.terms):
+        paths.append(("contour", ContourBracket(om)))
+    rows = []
+    for path, omega in paths:
+        rep = theorem2_residual(sol, spec, cfg, points, beta_prime=beta_prime, omega=omega)
+        for row in rep.rows:
+            smallest = min(abs(v) for name, v in row["terms"].items()
+                           if name not in ("lhs", "dominant"))
+            rows.append((
+                "theorem2-term-gate",
+                f"{path} t=({row['t_r']:.4g},{row['t_theta']:.4g}) "
+                f"residual={row['residual']:.3e} smallest term={smallest:.3e}",
+                row["residual"] / max(1e-9 * smallest, 1e-300), 1.0,
+            ))
+    return rows
+
+
+def gevrey_rate(omega_ev, u_n, z, points, cfg, spec, *, beta_prime):
+    """q-Gevrey rate at each ``t``: the log error of the N-term partial sum
+    ``sum_{n<N} u_n[n-1] t^n`` against the summed value at ``z``, fitted as
+    ``c0 + c1 N + c2 N^2`` over N = 2..8, has ``c2`` within 15% of
+    ``log q / 2k``."""
+    target = spec.params.log_q / (2.0 * spec.params.k)
+    ns = np.arange(2.0, 9.0)
+    rows = []
+    for t in points:
+        full = gq_sum(omega_ev, t, z, cfg, spec, beta_prime=beta_prime,
+                      tail=1e-13, eps_rel=1e-10)
+        tc = t.r * np.exp(1j * t.theta)
+        le = [math.log(abs(full - sum(u_n[n - 1] * tc**n for n in range(1, int(N)))))
+              for N in ns]
+        _, _, c2 = fit_log_quadratic(ns, np.array(le))
+        rows.append(("gevrey-rate",
+                     f"|t|={t.r:.4g}: N^2 coefficient {c2:.4f} vs log(q)/(2k)={target:.4f}",
+                     abs(c2 - target) / target, 0.15))
+    return rows

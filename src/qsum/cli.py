@@ -29,7 +29,7 @@ import numpy as np
 from jsonschema import validate as _schema_validate
 from jsonschema.exceptions import ValidationError as SchemaError
 
-from . import __version__
+from . import __version__, checks
 from .errors import (
     BadDirection,
     DivergentInversion,
@@ -40,28 +40,17 @@ from .errors import (
     StripViolation,
     ValidationError,
 )
-from .fourier import FourierFn, inverse_fourier_eval, inverse_fourier_table, make_space
+from .fourier import FourierFn, inverse_fourier_table, make_space
 from .geometry import (
     ForcingTerm,
     MahlerTerm,
     ProblemSpec,
-    pm_lower_bound_report,
     select_sector,
     validate_spec,
 )
-from .qcore import CoveringPoint, QParams, theta_kernel_log
-from .series import borel_exponent
+from .qcore import CoveringPoint, QParams
 from .solver import assemble_U_hat, assemble_u_hat, solve_fixed_point
-from .transforms import (
-    ContinuedOmega,
-    deceleration_integral,
-    fit_log_quadratic,
-    gq_sum,
-    q_borel_analytic,
-    q_laplace,
-    ray_window,
-    theorem2_residual,
-)
+from .transforms import ContinuedOmega, gq_sum
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -292,6 +281,17 @@ def cmd_validate(args) -> int:
 # solve
 
 
+def _beta_prime(args, spec) -> float:
+    """The evaluation strip half-width: ``--beta-prime``, below the problem's
+    ``beta``, or by default half of it."""
+    if args.beta_prime is None:
+        return 0.5 * spec.space.beta
+    if args.beta_prime >= spec.space.beta:
+        raise UsageError(f"argument --beta-prime: must be below the problem's beta "
+                         f"{spec.space.beta:g}, got {args.beta_prime:g}")
+    return args.beta_prime
+
+
 def cmd_solve(args) -> int:
     _, spec, digest = load_problem(args.spec_file)
     report = validate_spec(spec)
@@ -299,6 +299,7 @@ def cmd_solve(args) -> int:
         for c in report.failures():
             print(f"FAIL  {c.name}: {c.detail}", file=sys.stderr)
         return EXIT_SPEC
+    beta_prime = _beta_prime(args, spec)
     cfg = select_sector(spec, args.direction)
     mode = "contraction"
     try:
@@ -312,7 +313,6 @@ def cmd_solve(args) -> int:
 
     U = assemble_U_hat(sol, spec.params)
     z_pts = np.linspace(-1.0, 1.0, args.z_points) + 0.0j
-    beta_prime = args.beta_prime if args.beta_prime is not None else 0.5 * spec.space.beta
     table = assemble_u_hat(U, z_pts, beta_prime)
 
     outcome = {
@@ -360,157 +360,73 @@ def cmd_solve(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify suites: seeded or fixed points for the shared checks
 
 
-def _suite_identities(spec, cfg, rng):
+def _suite_identities(spec, cfg, rng, args):
     P = spec.params
-    rows = []
 
     def pt(r_lo, r_hi):
         return CoveringPoint(float(rng.uniform(r_lo, r_hi)), float(rng.uniform(-1.5, 1.5)))
 
-    for n in range(1, 5):
-        T = pt(0.05, 0.15)
-        want = P.q ** float(borel_exponent(n, P.k)) * (T.r ** n) * np.exp(1j * n * T.theta)
-        got = q_laplace(lambda u, n=n: u**n, T, params=P, growth=float(n))
-        err = abs(got - want) / abs(want)
-        rows.append(("laplace-monomial", f"n={n} T=({T.r:.4g},{T.theta:.4g})", err, 1e-7))
-
-    f = lambda u: u + u**3 / 7.0
-    for _ in range(2):
-        xi = pt(0.6, 2.0)
-        phi = lambda x: q_laplace(
-            f, x, params=P,
-            quad=ray_window(x, P, growth=3.0, tail=1e-14, step=0.08), check=False,
-        )
-        got = q_borel_analytic(phi, xi, params=P, radius=0.5, step=0.15)
-        want = f(xi.r * np.exp(1j * xi.theta))
-        err = abs(got - want) / abs(want)
-        rows.append(("borel-inverts-laplace", f"xi=({xi.r:.4g},{xi.theta:.4g})", err, 1e-5))
-
-    for n in (1, 2):
-        h = pt(0.2, 0.6)
-        want = P.q ** float(borel_exponent(n, P.k) - borel_exponent(2 * n, P.k)) * (
-            h.r * np.exp(1j * h.theta)
-        ) ** n
-        got = deceleration_integral(lambda x, n=n: x**n, 2, h, params=P, f_disc_radius=1.0)
-        err = abs(got - want) / abs(want)
-        rows.append(("deceleration-monomial", f"n={n} h=({h.r:.4g},{h.theta:.4g})", err, 1e-6))
-
-    kap = P.k / (2.0 * P.log_q)
-    for _ in range(5):
-        lr = float(rng.uniform(-2, 2))
-        dth = float(rng.uniform(-5, 5))
-        got = abs(theta_kernel_log(complex(lr, dth), P))
-        want = math.exp(-kap * (lr * lr - dth * dth) + 0.5 * lr)
-        err = abs(got - want) / want
-        rows.append(("kernel-modulus", f"log_ratio=({lr:.4g},{dth:.4g})", err, 1e-12))
-    return rows
+    rows = checks.laplace_monomials(P, [(n, pt(0.05, 0.15)) for n in range(1, 5)])
+    rows += checks.borel_roundtrip(P, [pt(0.6, 2.0) for _ in range(2)])
+    rows += checks.deceleration_polynomials(P, 2, [((1.0,), pt(0.2, 0.6)),
+                                                   ((0.0, 1.0), pt(0.2, 0.6))])
+    return rows + checks.kernel_modulus(
+        P, [(float(rng.uniform(-2, 2)), float(rng.uniform(-5, 5))) for _ in range(5)]
+    )
 
 
-def _suite_geometry(spec, cfg, rng):
-    rows = []
-    report = validate_spec(spec)
-    for c in report.conditions:
-        rows.append(("condition", c.name + ": " + c.detail, 0.0 if c.ok else 1.0, 0.5))
-    bound = pm_lower_bound_report(spec, cfg)
-    rows.append(("pm-lower-bound", f"min margin {bound.min_margin:.4g}x delta1",
-                 0.0 if bound.min_margin >= 1.0 else 1.0, 0.5))
-    rows.append(("corridor-gap", bound.gap_detail, 0.0 if bound.gap_ok else 1.0, 0.5))
-    rows.append(("far-field", f"constant {bound.far_field_constant:.4g}",
-                 0.0 if math.isfinite(bound.far_field_constant) else 1.0, 0.5))
-    return rows
-
-
-def _suite_theorem2(spec, cfg, rng, order, tol):
-    sol = solve_fixed_point(spec, cfg, order, tol=tol)
-    pts = [
-        (CoveringPoint(cfg.R / 8.0, 0.02), 0.3 + 0.1j),
-        (CoveringPoint(cfg.R / 8.0, -0.15), -0.2 + 0.05j),
-        (CoveringPoint(cfg.R / 8.0, 0.3), 0.1 - 0.2j),
-    ]
-    factor = 10.0 if not spec.terms else 100.0
-    rep = theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5 * spec.space.beta)
-    rows = []
-    for row in rep.rows:
-        ratio = row["residual"] / max(factor * row["budget"], 1e-300)
-        rows.append((
-            "theorem2-residual",
-            f"t=({row['t_r']:.4g},{row['t_theta']:.4g}) residual={row['residual']:.3e} "
-            f"budget={row['budget']:.3e}",
-            ratio,
-            1.0,
-        ))
-    return rows
-
-
-def _suite_asymptotics(spec, cfg, rng, order, tol):
-    sol = solve_fixed_point(spec, cfg, max(order, 10), tol=tol)
-    P = spec.params
-    U = assemble_U_hat(sol, P)
+def _suite_theorem2(spec, cfg, rng, args):
+    sol = solve_fixed_point(spec, cfg, args.order, tol=args.tol)
+    zs = (0.3 + 0.1j, -0.2 + 0.05j, 0.1 - 0.2j)
+    pts = [(CoveringPoint(cfg.R / 8.0, th), z) for th, z in zip((0.02, -0.15, 0.3), zs)]
+    # at 0.8 R every term of the equation is material
+    gate = [(CoveringPoint(0.8 * cfg.R, th), z) for th, z in zip((0.1, -0.2), zs)]
     beta_prime = 0.5 * spec.space.beta
-    om = ContinuedOmega(sol, spec, cfg)
-    target = P.log_q / (2.0 * P.k)
-    rows = []
-    for frac in (0.25, 0.125):
-        t = CoveringPoint(frac * cfg.R, 0.03)
-        z = 0.2 + 0.1j
-        full = gq_sum(om, t, z, cfg, spec, beta_prime=beta_prime, tail=1e-13, eps_rel=1e-10)
-        u_n = inverse_fourier_table(U.coeffs, spec.space, [z], beta_prime)[:, 0]
-        tc = t.r * np.exp(1j * t.theta)
-        ns, le = [], []
-        for N in range(2, 9):
-            part = sum(u_n[n - 1] * tc**n for n in range(1, N))
-            ns.append(float(N))
-            le.append(math.log(abs(full - part)))
-        _, _, c2 = fit_log_quadratic(np.array(ns), np.array(le))
-        rows.append((
-            "gevrey-rate",
-            f"|t|={t.r:.4g}: N^2 coefficient {c2:.4f} vs log(q)/(2k)={target:.4f}",
-            abs(c2 - target) / target,
-            0.15,
-        ))
-    return rows
+    return (checks.summed_equation(sol, spec, cfg, pts, beta_prime=beta_prime)
+            + checks.term_gate(sol, spec, cfg, gate, beta_prime=beta_prime))
+
+
+def _suite_asymptotics(spec, cfg, rng, args):
+    sol = solve_fixed_point(spec, cfg, max(args.order, 10), tol=args.tol)
+    z, beta_prime = 0.2 + 0.1j, 0.5 * spec.space.beta
+    U = assemble_U_hat(sol, spec.params)
+    u_n = inverse_fourier_table(U.coeffs, spec.space, [z], beta_prime)[:, 0]
+    pts = [CoveringPoint(frac * cfg.R, 0.03) for frac in (0.25, 0.125)]
+    return checks.gevrey_rate(ContinuedOmega(sol, spec, cfg), u_n, z, pts, cfg, spec,
+                              beta_prime=beta_prime)
+
+
+SUITES = {
+    "identities": _suite_identities,
+    "geometry": lambda spec, cfg, rng, args: checks.geometry(spec, cfg),
+    "theorem2": _suite_theorem2,
+    "asymptotics": _suite_asymptotics,
+}
 
 
 def cmd_verify(args) -> int:
     _, spec, digest = load_problem(args.spec_file)
     rng = np.random.default_rng(args.seed)
-    rows4 = []
-    status_ok = True
-    if args.suite == "geometry":
-        report = validate_spec(spec)
-        if not report.ok:
-            # the problem fails its structural conditions; report those rows
-            # as the witnesses instead of running the geometry pipeline
-            rows4 = [("condition", c.name + ": " + c.detail, 0.0 if c.ok else 1.0, 0.5)
-                     for c in report.conditions]
-            cfg = None
-        else:
-            cfg = select_sector(spec, args.direction)
-    else:
+    # a problem failing its structural conditions gets only those rows from
+    # the geometry suite, as its witnesses; every other suite needs a sector
+    cfg = None
+    if args.suite != "geometry" or validate_spec(spec).ok:
         cfg = select_sector(spec, args.direction)
-    if cfg is not None:
-        try:
-            if args.suite == "identities":
-                rows4 = _suite_identities(spec, cfg, rng)
-            elif args.suite == "geometry":
-                rows4 = _suite_geometry(spec, cfg, rng)
-            elif args.suite == "theorem2":
-                rows4 = _suite_theorem2(spec, cfg, rng, args.order, args.tol)
-            else:
-                rows4 = _suite_asymptotics(spec, cfg, rng, args.order, args.tol)
-        except QsumError as exc:
-            rows4.append((args.suite + "-exception", f"{type(exc).__name__}: {exc}", 1.0, 0.5))
+    try:
+        rows4 = SUITES[args.suite](spec, cfg, rng, args)
+    except QsumError as exc:
+        rows4 = [(args.suite + "-exception", f"{type(exc).__name__}: {exc}", 1.0, 0.5)]
 
     header = ["check", "detail", "error", "tolerance", "status"]
     rows = []
     for check, detail, err, tol in rows4:
         ok = bool(err <= tol)
-        status_ok &= ok
         rows.append((check, detail, float(err), float(tol), "pass" if ok else "FAIL"))
         print(f"{'pass' if ok else 'FAIL':>4}  {check}: {detail} (err {err:.3e} tol {tol:g})")
+    status_ok = all(row[-1] == "pass" for row in rows)
     manifest = make_manifest(
         "verify", digest, args,
         config=cfg,
@@ -581,10 +497,10 @@ def cmd_sum(args) -> int:
             print(f"FAIL  {c.name}: {c.detail}", file=sys.stderr)
         return EXIT_SPEC
     pts = _read_points(resolve_input(args.points))
+    beta_prime = _beta_prime(args, spec)
     cfg = select_sector(spec, args.direction)
     sol = solve_fixed_point(spec, cfg, args.order, tol=args.tol)
     om = ContinuedOmega(sol, spec, cfg)
-    beta_prime = args.beta_prime if args.beta_prime is not None else 0.5 * spec.space.beta
 
     rows = []
     for t_r, t_theta, z_re, z_im in pts:
@@ -628,9 +544,11 @@ def _parse_coeffs(text: str) -> np.ndarray:
     try:
         c = np.array([float(x) for x in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise UsageError(f"bad coefficient list {text!r}") from exc
+        raise UsageError(f"argument --coeffs: bad coefficient list {text!r}") from exc
     if c.size == 0:
-        raise UsageError("need at least one coefficient")
+        raise UsageError("argument --coeffs: need at least one coefficient")
+    if not np.all(np.isfinite(c)):
+        raise UsageError(f"argument --coeffs: coefficients must be finite, got {text!r}")
     return c
 
 
@@ -638,8 +556,11 @@ def _parse_point(text: str) -> CoveringPoint:
     try:
         r, theta = (float(x) for x in text.split(","))
     except ValueError as exc:
-        raise UsageError(f"bad point {text!r}; expected r,theta") from exc
-    return CoveringPoint(r, theta)
+        raise UsageError(f"argument --at: bad point {text!r}; expected r,theta") from exc
+    try:
+        return CoveringPoint(r, theta)
+    except ValidationError as exc:
+        raise UsageError(f"argument --at: {exc}") from exc
 
 
 def cmd_transform(args) -> int:
@@ -647,36 +568,8 @@ def cmd_transform(args) -> int:
     P = spec.params
     c = _parse_coeffs(args.coeffs)
     pt = _parse_point(args.at)
-    zc = pt.r * np.exp(1j * pt.theta)
-
-    def poly(u):
-        acc = np.zeros_like(u, dtype=complex)
-        for cn in c[::-1]:
-            acc = (acc + cn) * u
-        return acc
-
-    if args.op == "laplace":
-        value = q_laplace(poly, pt, params=P, growth=float(c.size))
-        reference = sum(
-            c[n - 1] * P.q ** float(borel_exponent(n, P.k)) * zc**n
-            for n in range(1, c.size + 1)
-        )
-    elif args.op == "borel":
-        value = q_borel_analytic(
-            lambda x: complex(poly(np.array([x.to_complex()]))[0]), pt, params=P
-        )
-        reference = sum(
-            c[n - 1] * zc**n / P.q ** float(borel_exponent(n, P.k))
-            for n in range(1, c.size + 1)
-        )
-    else:
-        value = deceleration_integral(poly, args.p, pt, params=P)
-        reference = sum(
-            c[n - 1]
-            * P.q ** float(borel_exponent(n, P.k) - borel_exponent(args.p * n, P.k))
-            * zc**n
-            for n in range(1, c.size + 1)
-        )
+    value = checks.transform(args.op, c, pt, P, args.p)
+    reference = checks.monomial_image(args.op, c, pt.to_complex(), P, args.p)
 
     manifest = make_manifest(
         "transform", digest, args,
@@ -762,8 +655,8 @@ def build_parser() -> _Parser:
     p.add_argument("spec_file")
     p.add_argument("--order", type=_int_at_least(1), default=16)
     p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
-    p.add_argument("--direction", type=float, default=0.0)
-    p.add_argument("--beta-prime", type=float, default=None)
+    p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
+    p.add_argument("--beta-prime", type=_float_between(0.0, math.inf), default=None)
     p.add_argument("--z-points", type=_int_at_least(1), default=21)
     p.add_argument("--force-triangular", action="store_true",
                    help="fall back to the triangular sweep when contraction fails")
@@ -773,10 +666,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run an invariant suite against a problem file")
     p.add_argument("spec_file")
     p.add_argument("--suite", required=True,
-                   choices=("identities", "geometry", "theorem2", "asymptotics"))
+                   choices=tuple(SUITES))
     p.add_argument("--order", type=_int_at_least(1), default=12)
     p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
-    p.add_argument("--direction", type=float, default=0.0)
+    p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_verify)
 
@@ -786,8 +679,8 @@ def build_parser() -> _Parser:
                    help="CSV of t_r,t_theta,z_re,z_im rows")
     p.add_argument("--order", type=_int_at_least(1), default=12)
     p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
-    p.add_argument("--direction", type=float, default=0.0)
-    p.add_argument("--beta-prime", type=float, default=None)
+    p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
+    p.add_argument("--beta-prime", type=_float_between(0.0, math.inf), default=None)
     p.add_argument("--tail", type=_float_between(0.0, 1.0), default=1e-11)
     p.add_argument("--eps-rel", type=_float_between(0.0, math.inf), default=1e-8)
     p.add_argument("--out", type=Path, default=None)

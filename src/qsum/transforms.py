@@ -722,7 +722,8 @@ def _deceleration_rows(omega_ev, term, log_h, params: QParams) -> np.ndarray:
     The quadrature realisation of `decelerated_bracket`: the only one for
     callables, and the independent one `eaux2_sector_residual` checks the
     continuation's closed-form rows against.  The bracket's disc is
-    ``r0 / max(1, c)`` for an evaluator with a series radius ``r0``.
+    ``r0 / c`` for an evaluator with a series radius ``r0``, so ``omega``
+    is evaluated within ``0.7 r0``.
     """
     q, k = params.q, params.k
     l0, l2 = term.l0, term.l2
@@ -733,7 +734,7 @@ def _deceleration_rows(omega_ev, term, log_h, params: QParams) -> np.ndarray:
     def bracket(y: np.ndarray) -> np.ndarray:
         return (y**l0 / e_l0)[:, None] * omega_ev.values_batch(y * c)
 
-    disc = None if r0 is None else r0 / max(1.0, c)
+    disc = None if r0 is None else r0 / c
     window = _deceleration_window(l2, params)
     return _deceleration_contour(bracket, l2, l0, log_h, params, window, disc)
 

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from jsonschema import validate as schema_validate
 
+from qsum import transforms
 from qsum.cli import (
     EXIT_OK,
     EXIT_REGIME,
@@ -109,6 +110,16 @@ def test_usage_errors(capsys, tmp_path):
         ("--tol", ["solve", "basic.json", "--tol", "-1", "--out", str(tmp_path)]),
         ("--tol", ["verify", "basic.json", "--suite", "theorem2", "--tol", "0"]),
         ("--tol", ["sum", "basic.json", "--points", str(pts), "--tol", "-1"]),
+        ("--direction", ["verify", "basic.json", "--suite", "identities", "--direction", "inf"]),
+        ("--direction", ["solve", "basic.json", "--direction", "nan", "--out", str(tmp_path)]),
+        ("--beta-prime", ["sum", "basic.json", "--points", str(pts), "--beta-prime", "-1"]),
+        ("--beta-prime", ["solve", "basic.json", "--beta-prime", "0", "--out", str(tmp_path)]),
+        # checked by the command itself, still before any solve or transform
+        ("--beta-prime", ["solve", "basic.json", "--beta-prime", "1", "--out", str(tmp_path)]),
+        ("--beta-prime", ["sum", "basic.json", "--points", str(pts), "--beta-prime", "1.5"]),
+        ("--at", ["transform", "basic.json", "--op", "laplace", "--coeffs", "1", "--at", "0,0"]),
+        ("--coeffs", ["transform", "basic.json", "--op", "laplace",
+                      "--coeffs", "nan", "--at", "0.1,0"]),
     ):
         capsys.readouterr()
         assert run(*argv) == EXIT_USAGE
@@ -235,7 +246,20 @@ def test_verify_theorem2(capsys):
     assert run("verify", "basic.json", "--suite", "theorem2",
                "--order", "12") == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("theorem2-residual") == 3
+    assert out.count("pass  theorem2-residual") == 3
+    # two points at 0.8 R, on the continuation and on the contour bracket
+    assert out.count("pass  theorem2-term-gate") == 4
+    assert "FAIL" not in out
+
+
+def test_verify_theorem2_sees_bracket_error(capsys, monkeypatch):
+    # the closed-form Mahler bracket off by 1e-6 in its log magnitudes: the
+    # budget gate at R/8 cannot see it, the term gate on the contour path does
+    exact = transforms._decel_logmag
+    monkeypatch.setattr(transforms, "_decel_logmag",
+                        lambda *args: (exact(*args)[0], exact(*args)[1] + 1e-6))
+    assert run("verify", "basic.json", "--suite", "theorem2") == EXIT_VERIFY
+    assert "FAIL  theorem2-term-gate: contour" in capsys.readouterr().out
 
 
 def test_verify_asymptotics(capsys):

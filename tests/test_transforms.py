@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import build_spec, gaussian_profile
-from qsum import transforms
+from qsum import checks, transforms
 from qsum.errors import (
     DomainTooLarge,
     DomainViolation,
@@ -141,13 +141,10 @@ def test_q_laplace_first_monomials():
 @pytest.mark.parametrize("q", [2.0, 1.5])
 @pytest.mark.parametrize("k", [1, 2])
 def test_q_laplace_monomial_table(q, k):
-    P = QParams(q=q, k=k)
     pts = [CoveringPoint(0.1, 0.0), CoveringPoint(0.08, 1.2), CoveringPoint(0.12, -2.0)]
-    for n in range(1, 7):
-        for T in pts:
-            want = q ** be(n, k) * (T.r ** n) * np.exp(1j * n * T.theta)
-            got = q_laplace(lambda u, n=n: u**n, T, params=P, growth=float(n))
-            assert abs(got - want) <= 1e-7 * abs(want)
+    cases = [(n, T) for n in range(1, 7) for T in pts]
+    for _, detail, err, _ in checks.laplace_monomials(QParams(q=q, k=k), cases):
+        assert err <= 1e-7, detail
 
 
 def test_q_laplace_direction_independence():
@@ -165,13 +162,9 @@ def test_q_laplace_direction_independence():
 def test_kernel_modulus_identity():
     rng = np.random.default_rng(7)
     for P in (QParams(q=2.0, k=1), QParams(q=1.5, k=2)):
-        kap = P.k / (2.0 * P.log_q)
-        for _ in range(20):
-            lr = rng.uniform(-2.0, 2.0)
-            dth = rng.uniform(-6.0, 6.0)
-            got = abs(theta_kernel_log(complex(lr, dth), P))
-            want = math.exp(-kap * (lr * lr - dth * dth) + 0.5 * lr)
-            assert got == pytest.approx(want, rel=1e-12)
+        log_ratios = [(rng.uniform(-2.0, 2.0), rng.uniform(-6.0, 6.0)) for _ in range(20)]
+        for _, detail, err, _ in checks.kernel_modulus(P, log_ratios):
+            assert err <= 1e-12, detail
 
 
 def test_q_laplace_commutes_with_q_difference():
@@ -216,14 +209,11 @@ def test_q_laplace_stall_on_kink():
 
 def test_borel_of_monomial():
     P = QParams(q=2.0, k=1)
-    xi = CoveringPoint(2.0, 0.0)
-    got = q_borel_analytic(lambda x: x.to_complex() ** 2, xi, params=P)
+    got = q_borel_analytic(lambda x: x.to_complex() ** 2, CoveringPoint(2.0, 0.0), params=P)
     assert abs(got - 2.0) <= 1e-6 * 2.0
     xi2 = CoveringPoint(1.3, -0.6)
-    for n in (1, 3):
-        want = (xi2.r * np.exp(1j * xi2.theta)) ** n / P.q ** be(n, P.k)
-        got = q_borel_analytic(lambda x, n=n: x.to_complex() ** n, xi2, params=P)
-        assert abs(got - want) <= 1e-6 * abs(want)
+    for _, detail, err, _ in checks.borel_monomials(P, [(1, xi2), (3, xi2)]):
+        assert err <= 1e-6, detail
 
 
 def test_borel_inverts_laplace_linear():
@@ -240,22 +230,9 @@ def test_borel_inverts_laplace_linear():
 
 def test_borel_inverts_laplace_cubic():
     P = QParams(q=2.0, k=1)
-    f = lambda u: u + u**3 / 7.0
-    pts = [
-        CoveringPoint(0.8, 0.1),
-        CoveringPoint(1.5, -0.4),
-        CoveringPoint(2.5, 0.7),
-        CoveringPoint(1.2, 2.0),
-        CoveringPoint(0.6, -2.2),
-    ]
-    for xi in pts:
-        phi = lambda x: q_laplace(
-            f, x, params=P,
-            quad=ray_window(x, P, growth=3.0, tail=1e-14, step=0.08), check=False,
-        )
-        got = q_borel_analytic(phi, xi, params=P, radius=0.5, step=0.15)
-        want = f(xi.r * np.exp(1j * xi.theta))
-        assert abs(got - want) <= 1e-5 * abs(want)
+    pts = [(0.8, 0.1), (1.5, -0.4), (2.5, 0.7), (1.2, 2.0), (0.6, -2.2)]
+    for _, detail, err, _ in checks.borel_roundtrip(P, [CoveringPoint(r, th) for r, th in pts]):
+        assert err <= 1e-5, detail
 
 
 def test_borel_univalued_input_univalued_output():
@@ -384,20 +361,10 @@ def test_partial_sum_gevrey_rate():
     ev = SeparableOmega(lambda u: u / (1.0 + u), g, space, P)
     z = 0.2 + 0.1j
     ginv = inverse_fourier_eval(FourierFn(space, g), z, 0.5)
-    target = P.log_q / (2.0 * P.k)
-    for tr in (0.0625, 0.03125):
-        t = CoveringPoint(tr, 0.04)
-        full = gq_sum(ev, t, z, cfg, spec, beta_prime=0.5, tail=1e-13, eps_rel=1e-10)
-        tc = tr * np.exp(1j * 0.04)
-        ns, le = [], []
-        for N in range(2, 9):
-            part = sum(
-                (-1.0) ** (n - 1) * P.q ** be(n, P.k) * tc**n for n in range(1, N)
-            ) * ginv
-            ns.append(float(N))
-            le.append(math.log(abs(full - part)))
-        _, _, c2 = fit_log_quadratic(np.array(ns), np.array(le))
-        assert abs(c2 - target) <= 0.15 * target
+    u_n = [(-1.0) ** (n - 1) * P.q ** be(n, P.k) * ginv for n in range(1, 8)]
+    pts = [CoveringPoint(tr, 0.04) for tr in (0.0625, 0.03125)]
+    for _, detail, dev, _ in checks.gevrey_rate(ev, u_n, z, pts, cfg, spec, beta_prime=0.5):
+        assert dev <= 0.15, detail
 
 
 def test_expq_inverse_cancellation(fx_forcing):
@@ -555,16 +522,6 @@ def test_continued_matches_series_inside(fx_full):
     assert np.max(np.abs(direct - acc)) <= 1e-13 * max(np.max(np.abs(acc)), 1e-300)
 
 
-class _ContourOnly:
-    """A continuation that hides its polynomial, so `_term_rows` runs the
-    deceleration contour on it for every Mahler coupling."""
-
-    def __init__(self, om):
-        self.values, self.values_batch = om.values, om.values_batch
-        self.floor_estimate, self.s_lattice = om.floor_estimate, om.s_lattice
-        self.space, self.r0 = om.space, om.r0
-
-
 def test_continued_formal_and_contour_brackets_agree(fx_full):
     # both realisations of the decelerated bracket are the same polynomial;
     # inside the conditioned window they must agree to near machine precision
@@ -574,7 +531,7 @@ def test_continued_formal_and_contour_brackets_agree(fx_full):
     for r in (0.9, 1.5, 2.0, 2.5):
         u = CoveringPoint(r, 0.17)
         s = np.array([math.log(u.r)])
-        via_contour = _term_rows(_ContourOnly(om), s, u.theta, spec, ell)[0]
+        via_contour = _term_rows(checks.ContourBracket(om), s, u.theta, spec, ell)[0]
         formal = om._mahler_row(u, ell)
         scale = float(np.max(np.abs(formal)))
         assert np.max(np.abs(via_contour - formal)) <= 1e-12 * scale
@@ -600,9 +557,10 @@ def test_mahler_rows_closed_form_match_contour(fx_full, t_frac, theta):
     # the rows theorem2_residual integrates for the Mahler coupling, closed
     # form against the contour, over the window it probes.  Errors are
     # weighted as the ray integral weights them: at the deep end of the
-    # window the contour radius is pinned below the kernel saddle and the
-    # contour itself loses digits (up to 1.4e-10 of a row's peak, 2.2e-9 in
-    # single entries, at |t| = 0.4 R) where the weight is negligible
+    # window the contour radius is capped below the kernel saddle and the
+    # contour itself loses digits (per row up to 1.8e-12, 3.2e-12 and 1.8e-11
+    # of the row's peak at |t| = R/8, R/4 and 0.4 R, against 1.1e-14 in the
+    # median row; 2.2e-9 in single entries) where the weight is negligible
     spec, cfg, sol = fx_full
     om = ContinuedOmega(sol, spec, cfg)
     ell = spec.terms[1]
@@ -610,7 +568,7 @@ def test_mahler_rows_closed_form_match_contour(fx_full, t_frac, theta):
     quad = _auto_quad(om, t, spec, ell=ell, expq=_ExpqNodes(spec, cfg), tail=1e-10)
     s = quad.s_grid()
     closed = _term_rows(om, s, quad.theta_d, spec, ell)
-    contour = _term_rows(_ContourOnly(om), s, quad.theta_d, spec, ell)
+    contour = _term_rows(checks.ContourBracket(om), s, quad.theta_d, spec, ell)
     u = np.exp(s + 1j * quad.theta_d)
     weight = np.abs(
         theta_kernel_log((math.log(t.r) - s) + 1j * (t.theta - quad.theta_d), spec.params)
@@ -672,54 +630,27 @@ def test_theorem2_forcing_only(fx_forcing):
         (CoveringPoint(cfg.R / 8.0, 0.5), 0.4 + 0.0j),
         (CoveringPoint(cfg.R / 8.0, -0.5), -0.35 + 0.15j),
     ]
-    rep = theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5)
-    assert len(rep.rows) == 5
-    for row in rep.rows:
-        assert row["residual"] <= 10.0 * row["budget"]
-
-
-def test_theorem2_full_problem(fx_smallq):
-    spec, cfg, sol = fx_smallq
-    pts = [
-        (CoveringPoint(cfg.R / 8.0, 0.02), 0.3 + 0.1j),
-        (CoveringPoint(cfg.R / 8.0, -0.15), -0.2 + 0.05j),
-    ]
-    rep = theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5)
-    for row in rep.rows:
-        assert row["residual"] <= 100.0 * row["budget"]
-        assert abs(row["lhs"]) > 1e-9  # the check is not vacuous
+    rows = checks.summed_equation(sol, spec, cfg, pts, beta_prime=0.5)  # 10x budget
+    assert len(rows) == 5
+    for _, detail, ratio, _ in rows:
+        assert ratio <= 1.0, detail
 
 
 def test_theorem2_sees_mahler_coupling_error(fx_full):
-    # at |t| = 0.8 R the Mahler coupling is material, so the residual is
-    # gated against that term's own size rather than the budget.  With the
-    # closed-form bracket on both sides an error in it cancels (the ladder
-    # solves the equation it defines); the contour realisation of the
-    # coupling is independent of it, so there an error of 1e-6 in the
-    # bracket leaves a residual of 1e-6 |coupling1|
+    # at |t| = 0.8 R every term is material, so the residual is gated
+    # against the smallest term's own size rather than the budget.  The gate
+    # also runs on the contour realisation of the Mahler coupling, where an
+    # error of 1e-6 in the closed-form bracket leaves a residual of
+    # 1e-6 |coupling1| instead of cancelling
     spec, cfg, sol = fx_full
-    om = ContinuedOmega(sol, spec, cfg)
     pts = [
         (CoveringPoint(0.8 * cfg.R, 0.1), 0.3 + 0.1j),
         (CoveringPoint(0.8 * cfg.R, -0.2), -0.2 + 0.05j),
     ]
-    for omega in (om, _ContourOnly(om)):
-        rep = theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5, omega=omega)
-        for row in rep.rows:
-            assert row["residual"] <= 1e-9 * abs(row["terms"]["coupling1"])
-
-
-def test_theorem2_node_doubling_converges(fx_smallq):
-    # at a deliberately coarse tail the residual is quadrature limited and
-    # doubling the nodes must at least halve it; at the default tail it sits
-    # on the truncation floor instead
-    spec, cfg, sol = fx_smallq
-    pts = [(CoveringPoint(cfg.R / 8.0, 0.02), 0.3 + 0.1j)]
-    r1 = theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5, tail=3e-2)
-    r2 = theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5, tail=3e-2, node_factor=2)
-    a = r1.rows[0]["residual"]
-    b = r2.rows[0]["residual"]
-    assert b <= 0.6 * a
+    rows = checks.term_gate(sol, spec, cfg, pts, beta_prime=0.5)
+    assert len(rows) == 4  # both points, on the continuation and on the contour
+    for _, detail, ratio, _ in rows:
+        assert ratio <= 1.0, detail
 
 
 def test_theorem2_deterministic(fx_smallq):

@@ -5,12 +5,17 @@ Copies ``src/`` to a temporary directory, applies one single-line text
 mutation to that copy (never to the working tree), and runs the tier-1
 suite against the copy through ``PYTHONPATH``.  A mutant that fails no test
 survives: the suite cannot see that error.  The unmutated copy runs first,
-so a broken baseline shows before any mutant does.
+so a broken baseline shows before any mutant does.  With ``--verify`` each
+copy also runs ``qsum verify basic.json`` for every suite, and the table
+lists the suites that fail (exit code other than 0); a mutant that fails
+no suite survives ``qsum verify``.
 
     python tools/mutants.py              # baseline, then every mutant
     python tools/mutants.py NAME ...     # baseline, then the named mutants
+    python tools/mutants.py --verify     # also run every verify suite
 
-Each run is the whole tier-1 suite, about 20 s on two cores.
+Each run is the whole tier-1 suite, about 20 s on two cores, plus about
+4 s for the verify suites.
 """
 
 from __future__ import annotations
@@ -112,18 +117,38 @@ def _run_suite(src: Path) -> tuple[int, int]:
     return counts["failed"] + counts["error"], counts["passed"]
 
 
+SUITES = ("identities", "geometry", "theorem2", "asymptotics")
+
+
+def _run_verify(src: Path) -> list[str]:
+    """Run every ``qsum verify basic.json`` suite on ``src``; returns the failing ones."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    failing = []
+    for suite in SUITES:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsum.cli", "verify", "basic.json", "--suite", suite],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+        if proc.returncode != 0:
+            failing.append(suite if proc.returncode == 1 else f"{suite}(exit {proc.returncode})")
+    return failing
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    ap.add_argument("--verify", action="store_true",
+                    help="also run every qsum verify suite on basic.json")
     args = ap.parse_args(argv)
     unknown = set(args.names) - {m.name for m in MUTANTS}
     if unknown:
         ap.error(f"unknown mutants: {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
 
-    survivors = []
+    survivors, verify_survivors = [], []
     with tempfile.TemporaryDirectory(prefix="qsum-mutants-") as tmp:
-        print(f"{'mutant':24s} {'failed':>6s} {'passed':>6s}", flush=True)
+        head = f"{'mutant':24s} {'failed':>6s} {'passed':>6s}"
+        print(head + ("  verify fails" if args.verify else ""), flush=True)
         for mutant in [None, *chosen]:
             src = Path(tmp) / (mutant.name if mutant else "baseline") / "src"
             shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -131,12 +156,20 @@ def main(argv=None) -> int:
                 _apply(src, mutant)
             failed, passed = _run_suite(src)
             name = mutant.name if mutant else "(baseline)"
-            print(f"{name:24s} {failed:6d} {passed:6d}", flush=True)
+            line = f"{name:24s} {failed:6d} {passed:6d}"
+            if args.verify:
+                failing = _run_verify(src)
+                line += "  " + (", ".join(failing) or "-")
+                if mutant and not failing:
+                    verify_survivors.append(mutant.name)
+            print(line, flush=True)
             if mutant and failed == 0:
                 survivors.append(mutant.name)
     if survivors:
         print(f"survived: {', '.join(survivors)}")
-    return 1 if survivors else 0
+    if verify_survivors:
+        print(f"survived qsum verify: {', '.join(verify_survivors)}")
+    return 1 if survivors or verify_survivors else 0
 
 
 if __name__ == "__main__":
