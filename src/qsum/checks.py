@@ -16,6 +16,7 @@ from .qcore import theta_kernel_log
 from .series import borel_exponent
 from .transforms import (
     ContinuedOmega,
+    ContourBracket,
     deceleration_integral,
     fit_log_quadratic,
     gq_sum,
@@ -143,16 +144,6 @@ def summed_equation(sol, spec, cfg, points, *, beta_prime):
          row["residual"] / max(factor * row["budget"], 1e-300), 1.0)
         for row in rep.rows
     ]
-
-
-class ContourBracket:
-    """A continuation that hides its polynomial, so `transforms._term_rows`
-    takes its Mahler coupling rows from the deceleration contour."""
-
-    def __init__(self, om):
-        self.values, self.values_batch = om.values, om.values_batch
-        self.floor_estimate, self.s_lattice = om.floor_estimate, om.s_lattice
-        self.space, self.r0 = om.space, om.r0
 
 
 def term_gate(sol, spec, cfg, points, *, beta_prime):

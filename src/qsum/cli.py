@@ -292,12 +292,18 @@ def _beta_prime(args, spec) -> float:
     return args.beta_prime
 
 
+def _refuse_invalid(spec) -> bool:
+    """Print a ``FAIL`` line on stderr for each structural condition ``spec``
+    fails; true if there is one, and a command that solves must exit 2."""
+    failures = validate_spec(spec).failures()
+    for c in failures:
+        print(f"FAIL  {c.name}: {c.detail}", file=sys.stderr)
+    return bool(failures)
+
+
 def cmd_solve(args) -> int:
     _, spec, digest = load_problem(args.spec_file)
-    report = validate_spec(spec)
-    if not report.ok:
-        for c in report.failures():
-            print(f"FAIL  {c.name}: {c.detail}", file=sys.stderr)
+    if _refuse_invalid(spec):
         return EXIT_SPEC
     beta_prime = _beta_prime(args, spec)
     cfg = select_sector(spec, args.direction)
@@ -411,7 +417,9 @@ def cmd_verify(args) -> int:
     _, spec, digest = load_problem(args.spec_file)
     rng = np.random.default_rng(args.seed)
     # a problem failing its structural conditions gets only those rows from
-    # the geometry suite, as its witnesses; every other suite needs a sector
+    # the geometry suite, as its witnesses; the suites that solve refuse it
+    if args.suite in ("theorem2", "asymptotics") and _refuse_invalid(spec):
+        return EXIT_SPEC
     cfg = None
     if args.suite != "geometry" or validate_spec(spec).ok:
         cfg = select_sector(spec, args.direction)
@@ -491,10 +499,7 @@ def _is_number(cell: str) -> bool:
 
 def cmd_sum(args) -> int:
     _, spec, digest = load_problem(args.spec_file)
-    report = validate_spec(spec)
-    if not report.ok:
-        for c in report.failures():
-            print(f"FAIL  {c.name}: {c.detail}", file=sys.stderr)
+    if _refuse_invalid(spec):
         return EXIT_SPEC
     pts = _read_points(resolve_input(args.points))
     beta_prime = _beta_prime(args, spec)

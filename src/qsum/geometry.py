@@ -12,7 +12,7 @@ symbol ratio and the q-exponential image has to be measured, not assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +26,7 @@ from .errors import (
     SmallDelta,
     ValidationError,
 )
-from .fourier import FourierFn, FourierSpace, enorm
+from .fourier import FourierFn, FourierSpace, KernelBand, enorm, kernel_band
 from .qcore import GrowthEnvelope, QParams, envelope_check, exp_q, mu_growth, q_number
 
 
@@ -49,7 +49,9 @@ class MahlerTerm:
 
     ``l2 = 1`` is a plain twisted shift, ``l2 >= 2`` adds the Mahler
     substitution ``t -> t^l2``. ``R`` is a low-to-high coefficient list and
-    ``A`` the frequency profile of the coefficient ``a(z)``.
+    ``A`` the frequency profile of the coefficient ``a(z)``.  Derived once,
+    for every realisation of the term: ``symbol = R(im)`` on ``A``'s grid
+    and ``band``, the `kernel_band` of ``A`` that the convolution uses.
     """
 
     l0: int
@@ -57,6 +59,8 @@ class MahlerTerm:
     l2: int
     R: np.ndarray
     A: FourierFn
+    symbol: np.ndarray = field(init=False, repr=False, compare=False)
+    band: KernelBand = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("l0", "l1", "l2"):
@@ -68,6 +72,10 @@ class MahlerTerm:
         r = np.asarray(self.R, dtype=complex)
         r.setflags(write=False)
         object.__setattr__(self, "R", r)
+        symbol = poly_eval_im(r, self.A.space.m)
+        symbol.setflags(write=False)
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "band", kernel_band(self.A.space, self.A.values))
 
 
 @dataclass(frozen=True)
@@ -384,18 +392,13 @@ class PmBoundReport:
     gap_detail: str
 
 
-def pm_lower_bound_report(
-    spec: ProblemSpec,
-    config: SectorConfig,
-    n_rays: int = 64,
-    n_radii: int = 64,
-    far_radius: float | None = None,
-) -> PmBoundReport:
+def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundReport:
     """Verify ``|P_m(tau)| >= delta1 |R_D(im)|`` on fresh samples and fit
     the far-field constant in front of ``exp(mu(alpha~ |tau|^{d_D}))``.
 
-    Samples the disc and the sector (offset from the selection grid), and
-    the far annulus ``[r_far, 100 r_far]`` along the sector.
+    Samples the disc and the sector (offset from the 64-by-64 selection
+    grid), and the far annulus ``[r_far, 100 r_far]``, ``r_far = max(1, rho)``,
+    along the sector.
 
     Raises:
         BoundViolation: a sample lands below ``delta1 |R_D|``; the witness
@@ -404,6 +407,7 @@ def pm_lower_bound_report(
     at = config.alpha_tilde_D
     ratio = spec.q_symbol() / spec.rd_symbol()
     m_grid = spec.space.m
+    n_rays = n_radii = 64
 
     phis = np.linspace(
         config.d - config.half_opening, config.d + config.half_opening, n_rays + 1
@@ -428,7 +432,7 @@ def pm_lower_bound_report(
             )
         min_margin = min(min_margin, margin)
 
-    r_far = far_radius if far_radius is not None else max(1.0, config.rho)
+    r_far = max(1.0, config.rho)
     far_r = np.logspace(math.log10(r_far), math.log10(100.0 * r_far), n_radii)
     far_phis = np.linspace(
         config.d - config.half_opening, config.d + config.half_opening, 8

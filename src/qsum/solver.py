@@ -31,7 +31,6 @@ from .fourier import (
     convolve_values,
     enorm_values,
     inverse_fourier_table,
-    kernel_band,
     series_norm_1R,
 )
 from .geometry import ProblemSpec, SectorConfig, alpha_tilde, inv_pm_taylor, poly_eval_im
@@ -61,8 +60,6 @@ class H1Context:
     config: SectorConfig
     N: int
     inv_p: np.ndarray          # (N+1, G) Taylor rows of the inverted symbol
-    term_r: tuple              # R_l(i m) per coupling term, each (G,)
-    term_band: tuple           # coupling kernel bands (`kernel_band`)
     forcing_rows: np.ndarray   # (N, G) forcing already placed by order
 
 
@@ -81,13 +78,11 @@ def make_h1_context(
             )
     space = spec.space
     inv_p = inv_pm_taylor(space.m, spec, config, N)
-    term_r = tuple(poly_eval_im(t.R, space.m) for t in spec.terms)
-    term_band = tuple(kernel_band(space, t.A.values) for t in spec.terms)
     forcing = np.zeros((N, space.size), dtype=complex)
     for f in spec.forcing:
         if f.j <= N:
             forcing[f.j - 1] += f.F.values
-    return H1Context(spec, config, N, inv_p, term_r, term_band, forcing)
+    return H1Context(spec, config, N, inv_p, forcing)
 
 
 def _coupling_image(omega: TruncatedSeries, ctx: H1Context, diagnostics=None) -> np.ndarray:
@@ -96,7 +91,7 @@ def _coupling_image(omega: TruncatedSeries, ctx: H1Context, diagnostics=None) ->
     params = spec.params
     N = ctx.N
     out = np.zeros((N, spec.space.size), dtype=complex)
-    for term, r_vals, band in zip(spec.terms, ctx.term_r, ctx.term_band):
+    for term in spec.terms:
         j_exp = Fraction(term.l1) - Fraction(term.l0, params.k)
         shifted = apply_t_sigma(omega, term.l0, j_exp, params, out_order=N)
         if term.l2 >= 2:
@@ -110,10 +105,10 @@ def _coupling_image(omega: TruncatedSeries, ctx: H1Context, diagnostics=None) ->
                 diagnostics["dropped_mass_1R"] = diagnostics.get("dropped_mass_1R", 0.0) + dropped
             shifted = mahler(dec, term.l2, out_order=N)
         pre = params.q ** float(-borel_exponent(term.l0, params.k))
-        rows = shifted.coeffs * r_vals[None, :]
+        rows = shifted.coeffs * term.symbol[None, :]
         live = np.flatnonzero(np.any(rows, axis=1))
         if live.size:
-            out[live] += (pre * INV_SQRT_2PI) * convolve_values(spec.space, band, rows[live])
+            out[live] += (pre * INV_SQRT_2PI) * convolve_values(spec.space, term.band, rows[live])
     return out
 
 
@@ -167,21 +162,20 @@ def solve_fixed_point(
     config: SectorConfig,
     N: int,
     tol: float = 1e-12,
-    max_iter: int | None = None,
     mode: str = "contraction",
 ) -> BorelSolution:
     """Picard iteration from zero until the step norm drops below ``tol``.
 
     ``mode="contraction"`` raises :class:`NoContraction` once the measured
-    ratio exceeds one for three consecutive steps; ``mode="triangular"``
-    ignores ratios and relies on exactness of orders <= sweep count, which
-    needs at most N + 1 sweeps. The returned residual is the step norm of
-    one extra sweep applied to the accepted iterate.
+    ratio exceeds one for three consecutive steps, or after ``max(4 N, 64)``
+    sweeps; ``mode="triangular"`` ignores ratios and relies on exactness of
+    orders <= sweep count, which needs at most N + 1 sweeps. The returned
+    residual is the step norm of one extra sweep applied to the accepted
+    iterate.
     """
     if mode not in ("contraction", "triangular"):
         raise ValidationError("mode must be 'contraction' or 'triangular'")
-    if max_iter is None:
-        max_iter = N + 1 if mode == "triangular" else max(4 * N, 64)
+    max_iter = N + 1 if mode == "triangular" else max(4 * N, 64)
     ctx = make_h1_context(spec, config, N)
     diagnostics: dict = {}
     space = spec.space
@@ -295,12 +289,9 @@ def main_equation_residual(
     for term in spec.terms:
         # orders p with l2 (p + l0) <= N, each landing on its own order
         ps = np.arange(1, N // term.l2 - term.l0 + 1)
-        r_vals = poly_eval_im(term.R, space.m)
         twist = np.array([params.q ** (term.l1 * int(p)) for p in ps])
-        g = U.coeffs[ps - 1] * r_vals * twist[:, None]
-        rhs[term.l2 * (ps + term.l0) - 1] += INV_SQRT_2PI * convolve_values(
-            space, term.A.values, g
-        )
+        g = U.coeffs[ps - 1] * term.symbol * twist[:, None]
+        rhs[term.l2 * (ps + term.l0) - 1] += INV_SQRT_2PI * convolve_values(space, term.band, g)
     for f in spec.forcing:
         if f.j <= N:
             w = params.q ** float(borel_exponent(f.j, params.k))

@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
     ZeroDivision,
 )
-from .fourier import FourierFn, SQRT2PI, convolve_values, inverse_fourier_eval, kernel_band
+from .fourier import FourierFn, SQRT2PI, convolve_values, inverse_fourier_eval
 from .geometry import ProblemSpec, SectorConfig, eval_Pm, poly_eval_im
 from .qcore import CoveringPoint, QParams, exp_q, pi_qk, recip_kernel_log, theta_kernel_log
 from .series import TruncatedSeries, borel_exponent
@@ -431,6 +431,12 @@ def _series_radius(series: TruncatedSeries, target: float, cap: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
+def _shift_factors(l0: int, l1: int, params: QParams) -> tuple[float, float]:
+    """A coupling bracket's shift ``c = q^{l1 - l0/k}`` and its ``q^{e(l0)}``."""
+    return params.q ** (l1 - l0 / params.k), params.q ** float(borel_exponent(l0, params.k))
+
+
+@functools.lru_cache(maxsize=64)
 def _decel_logmag(powers: tuple, l0: int, l1: int, l2: int, params: QParams):
     """Exponents ``n = p + l0`` and log magnitudes of the decelerated bracket.
 
@@ -446,7 +452,7 @@ def _decel_logmag(powers: tuple, l0: int, l1: int, l2: int, params: QParams):
         for n in exps
     ])
     logmag = (drop - float(borel_exponent(l0, k))) * params.log_q \
-        + p * math.log(params.q ** (l1 - l0 / k))
+        + p * math.log(_shift_factors(l0, l1, params)[0])
     exps = exps.astype(float)
     exps.setflags(write=False)
     logmag.setflags(write=False)
@@ -489,47 +495,47 @@ def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarra
 class ContinuedOmega:
     """Continuation of a Borel-plane fixed point beyond its series disc.
 
-    Inside ``r0`` the truncated series is machine accurate and is used
+    Inside ``r0`` (where the series' top order falls to 1e-13 of its
+    coefficient scale) the truncated series is machine accurate and is used
     directly.  Outside, the value is the right-hand side of the continued
-    fixed-point equation: shifted-argument terms walk back toward the disc
-    by factors ``q^{l1 - l0/k} < 1``, Mahler terms are the closed-form
-    `decelerated_bracket` of the truncated series (their brackets only ever
-    see arguments inside ``r0``, so no contour is needed), and the forcing
-    over the denominator symbol is closed form.  Values are memoised;
-    keeping ray nodes on ``s_lattice`` multiples makes the recursion ladders
-    collide and turns a nodes-times-depth cost into nodes-plus-depth.
+    fixed-point equation, every coupling row taken from `_term_rows`, the
+    ray integrand's own brackets, at the one node ``u``: shifted-argument
+    terms walk back toward the disc by factors ``c = q^{l1 - l0/k} < 1``,
+    Mahler terms are the closed-form `decelerated_bracket` of the truncated
+    series (their brackets only ever see arguments inside ``r0``, so no
+    contour is needed), and the forcing over the denominator symbol is
+    closed form.  Values are memoised; keeping ray nodes on ``s_lattice``
+    multiples makes the recursion ladders collide and turns a
+    nodes-times-depth cost into nodes-plus-depth.
+
+    Raises:
+        ValidationError: a coupling's ``c`` is not below 1, so its ladder
+            would walk away from the disc.
     """
 
-    def __init__(
-        self,
-        sol,
-        spec: ProblemSpec,
-        config: SectorConfig,
-        *,
-        trunc_target: float = 1e-13,
-        max_rungs: int = 20000,
-        step_target: float = 0.25,
-    ):
+    def __init__(self, sol, spec: ProblemSpec, config: SectorConfig, *, max_rungs: int = 20000):
         self.series = sol.omega if hasattr(sol, "omega") else sol
         self.spec = spec
         self.config = config
         self.params = spec.params
         self.space = spec.space
         self.max_rungs = max_rungs
-        q, k = self.params.q, self.params.k
+        k = self.params.k
+        for i, term in enumerate(spec.terms):
+            if _shift_factors(term.l0, term.l1, self.params)[0] >= 1.0:
+                raise ValidationError(
+                    f"term[{i}]: shift factor q^(l1 - l0/k) is not below 1, "
+                    "so the continuation ladder never reaches the series disc"
+                )
 
-        self.r0 = _series_radius(self.series, trunc_target, 0.9 * config.R)
+        self.r0 = _series_radius(self.series, 1e-13, 0.9 * config.R)
         top = float(np.max(np.abs(self.series.coeffs[-1]))) if self.series.order else 0.0
         self._floor = top * self.r0**self.series.order
 
         # shifts c = l1 - l0/k are integer multiples of 1/k, so a lattice of
-        # log(q)/(k*mstep) keeps every ladder argument on ray nodes
-        mstep = max(1, int(round(self.params.log_q / (k * step_target))))
+        # log(q)/(k*mstep), about 0.25, keeps every ladder argument on ray nodes
+        mstep = max(1, int(round(self.params.log_q / (k * 0.25))))
         self.s_lattice = self.params.log_q / (k * mstep)
-
-        self._shift = [q ** (term.l1 - term.l0 / k) for term in spec.terms]
-        self._rvals = [poly_eval_im(t.R, self.space.m) for t in spec.terms]
-        self._bands = [kernel_band(self.space, t.A.values) for t in spec.terms]
         self._memo: dict = {}
         self._rungs = 0
 
@@ -570,22 +576,18 @@ class ContinuedOmega:
 
     def rhs_at(self, u: CoveringPoint) -> np.ndarray:
         """One application of the continued equation's right-hand side."""
-        return self._rhs(u, self._mahler_row)
+        return self._rhs(u, self)
 
-    def _rhs(self, u: CoveringPoint, mahler_row) -> np.ndarray:
-        """`rhs_at` with the Mahler rows taken from ``mahler_row(u, term)``."""
+    def _rhs(self, u: CoveringPoint, ev) -> np.ndarray:
+        """`rhs_at` with the coupling rows `_term_rows` gives on ``ev``, this
+        continuation or its `ContourBracket`."""
         spec, space = self.spec, self.space
-        q, k = self.params.q, self.params.k
         uc = u.to_complex()
+        s = np.array([math.log(u.r)])
         acc = np.zeros(space.size, dtype=complex)
-        for i, term in enumerate(spec.terms):
-            if term.l2 == 1:
-                inner = self.values(u.scale(self._shift[i]))
-                pre = uc**term.l0 / q ** float(borel_exponent(term.l0, k))
-                row = pre * inner
-            else:
-                row = mahler_row(u, term)
-            acc += INV_SQRT_2PI * convolve_values(space, self._bands[i], self._rvals[i] * row)
+        for term in spec.terms:
+            row = _term_rows(ev, s, u.theta, spec, term)[0]
+            acc += INV_SQRT_2PI * convolve_values(space, term.band, term.symbol * row)
         for fc in spec.forcing:
             acc += fc.F.values * uc**fc.j
         return acc / eval_Pm(uc, space.m, spec)
@@ -598,12 +600,18 @@ class ContinuedOmega:
         """
         return np.arange(1, self.series.coeffs.shape[0] + 1), self.series.coeffs
 
-    def _mahler_row(self, u: CoveringPoint, term) -> np.ndarray:
-        log_h = term.l2 * (math.log(u.r) + 1j * u.theta)
-        return decelerated_bracket(*self.polynomial(), term, log_h, self.params)
-
     def floor_estimate(self) -> float:
         return self._floor
+
+
+class ContourBracket:
+    """A continuation that hides its polynomial, so `_term_rows` takes its
+    Mahler coupling rows from the deceleration contour."""
+
+    def __init__(self, om: ContinuedOmega):
+        self.values, self.values_batch = om.values, om.values_batch
+        self.floor_estimate, self.s_lattice = om.floor_estimate, om.s_lattice
+        self.space, self.r0 = om.space, om.r0
 
 
 # ---------------------------------------------------------------------------
@@ -692,25 +700,24 @@ class _ExpqNodes:
 def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=None) -> np.ndarray:
     """Integrand rows (S, G) for a plain or coupling-twisted evaluator.
 
-    A Mahler coupling of an evaluator that exposes its polynomial
+    The one realisation of a coupling's bracket: `ContinuedOmega.rhs_at`
+    takes its rows here too, at the one node ``u``.  A Mahler coupling of an evaluator that exposes its polynomial
     (``polynomial() -> (powers, rows)``) is the closed-form
     `decelerated_bracket` at ``h = u^{l2}``.  Only evaluators without one
     (callables such as `SeparableOmega`) take the deceleration contour.
     """
     params = spec.params
-    q, k = params.q, params.k
     radii = np.exp(s)
     if ell is None:
-        return np.stack([omega_ev.values(CoveringPoint(float(r), theta_d)) for r in radii])
-    l0, l1, l2 = ell.l0, ell.l1, ell.l2
-    c = q ** (l1 - l0 / k)
-    if l2 == 1:
-        rows = np.stack(
-            [omega_ev.values(CoveringPoint(float(r * c), theta_d)) for r in radii]
+        return np.array([omega_ev.values(CoveringPoint(r, theta_d)) for r in radii.tolist()])
+    if ell.l2 == 1:
+        c, e_l0 = _shift_factors(ell.l0, ell.l1, params)
+        rows = np.array(
+            [omega_ev.values(CoveringPoint(r * c, theta_d)) for r in radii.tolist()]
         )
-        phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0, k))
-        return (radii**l0 * phase)[:, None] * rows
-    log_h = l2 * (s + 1j * theta_d)
+        phase = complex(np.exp(1j * ell.l0 * theta_d)) / e_l0
+        return (radii**ell.l0 * phase)[:, None] * rows
+    log_h = ell.l2 * (s + 1j * theta_d)
     if hasattr(omega_ev, "polynomial"):
         return decelerated_bracket(*omega_ev.polynomial(), ell, log_h, params)
     return _deceleration_rows(omega_ev, ell, log_h, params)
@@ -725,18 +732,16 @@ def _deceleration_rows(omega_ev, term, log_h, params: QParams) -> np.ndarray:
     ``r0 / c`` for an evaluator with a series radius ``r0``, so ``omega``
     is evaluated within ``0.7 r0``.
     """
-    q, k = params.q, params.k
-    l0, l2 = term.l0, term.l2
-    c = q ** (term.l1 - l0 / k)
-    e_l0 = q ** float(borel_exponent(l0, k))
+    l0 = term.l0
+    c, e_l0 = _shift_factors(l0, term.l1, params)
     r0 = getattr(omega_ev, "r0", None)
 
     def bracket(y: np.ndarray) -> np.ndarray:
         return (y**l0 / e_l0)[:, None] * omega_ev.values_batch(y * c)
 
     disc = None if r0 is None else r0 / c
-    window = _deceleration_window(l2, params)
-    return _deceleration_contour(bracket, l2, l0, log_h, params, window, disc)
+    window = _deceleration_window(term.l2, params)
+    return _deceleration_contour(bracket, term.l2, l0, log_h, params, window, disc)
 
 
 def _integrand(
@@ -913,7 +918,7 @@ def theorem2_residual(
             if ell is not None:
                 # symbol under the convolution, then the profile product rule
                 p1, p2 = INV_SQRT_2PI * convolve_values(
-                    space, ell.A.values, poly_eval_im(ell.R, space.m) * np.stack([p1, p2])
+                    space, ell.band, ell.symbol * np.stack([p1, p2])
                 )
             v1 = inverse_fourier_eval(FourierFn(space, p1), z, beta_prime)
             v2 = inverse_fourier_eval(FourierFn(space, p2), z, beta_prime)
@@ -960,37 +965,27 @@ def eaux2_sector_residual(
     spec: ProblemSpec,
     config: SectorConfig,
     tau_samples,
-    m_subgrid=None,
     *,
     omega=None,
-    series_radius: float | None = None,
 ) -> SectorResidualReport:
     """Self-consistency of the sector continuation, sampled at ``tau``.
 
-    Where the series is still trustworthy (``|tau|`` below ``series_radius``,
-    default where its own tail estimate is still a few percent of the
-    coefficient scale), the series branch is compared against one
-    right-hand-side application: this is the genuine overlap check.  Deeper
-    in the sector the continued value, whose Mahler rows are the closed-form
-    decelerated bracket, is compared against a right-hand side whose Mahler
-    rows come from the deceleration contour instead: two independent
+    Where the series is still trustworthy (``|tau|`` below the radius where
+    its own tail estimate is still a few percent of the coefficient scale),
+    the series branch is compared against one right-hand-side application:
+    this is the genuine overlap check.  Deeper in the sector the continued
+    value, whose Mahler rows are the closed-form decelerated bracket, is
+    compared against the right-hand side on its `ContourBracket`, whose
+    Mahler rows come from the deceleration contour instead: two independent
     realisations of the same bracket, so the spread measures the
     continuation's stability.  The growth certificate fits the
     log-quadratic sector envelope and reports the worst constant.
     """
     if omega is None:
         omega = ContinuedOmega(sol, spec, config)
-    if series_radius is None:
-        series_radius = _series_radius(omega.series, 0.05, 0.97 * config.rho)
-    space, params = spec.space, spec.params
-    kap = _kappa(params)
-    idx = np.arange(space.size) if m_subgrid is None else np.asarray(m_subgrid, dtype=int)
-    wgt = space.decay_weight()[idx]
-
-    def contour_row(u: CoveringPoint, term) -> np.ndarray:
-        log_h = term.l2 * (math.log(u.r) + 1j * u.theta)
-        return _deceleration_rows(omega, term, [log_h], params)[0]
-
+    series_radius = _series_radius(omega.series, 0.05, 0.97 * config.rho)
+    kap = _kappa(spec.params)
+    wgt = spec.space.decay_weight()
     rows = []
     lognum, logtau = [], []
     for tau in tau_samples:
@@ -1004,10 +999,10 @@ def eaux2_sector_residual(
         else:
             lhs = val
             mode = "stability"
-            rhs = omega._rhs(tau, contour_row)
-        diff = float(np.max(np.abs((lhs - rhs)[idx])))
-        scale = float(np.max(np.abs(rhs[idx]))) or 1.0
-        num = float(np.max(np.abs(val[idx]) * wgt))
+            rhs = omega._rhs(tau, ContourBracket(omega))
+        diff = float(np.max(np.abs(lhs - rhs)))
+        scale = float(np.max(np.abs(rhs))) or 1.0
+        num = float(np.max(np.abs(val) * wgt))
         rows.append(
             {
                 "tau_r": tau.r,

@@ -8,7 +8,7 @@ from qsum.qcore import QParams
 
 @pytest.fixture
 def p2():
-    """q = 2, order 1, default tolerances."""
+    """q = 2, order 1."""
     return QParams(q=2.0, k=1)
 
 

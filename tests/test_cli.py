@@ -242,6 +242,19 @@ def test_verify_geometry_bad_spec_exits_verify(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "violating.json", "--suite", "theorem2"),
+    ("verify", "violating.json", "--suite", "asymptotics"),
+    ("solve", "violating.json", "--out", "unused"),
+    ("sum", "violating.json", "--points", "unused.csv"),
+])
+def test_solving_commands_refuse_bad_spec(capsys, argv):
+    # the shift factor of violating.json is 1, so its continuation ladder
+    # would never reach the disc: refused before any work, with the conditions
+    assert run(*argv) == EXIT_SPEC
+    assert "FAIL  shift-order bound term[0]" in capsys.readouterr().err
+
+
 def test_verify_theorem2(capsys):
     assert run("verify", "basic.json", "--suite", "theorem2",
                "--order", "12") == EXIT_OK

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from scipy.optimize import brentq
 
 from conftest import build_spec, gaussian_profile
-from qsum import checks, transforms
+from qsum import checks, fourier, geometry, transforms
+from qsum.cli import load_problem
 from qsum.errors import (
     DomainTooLarge,
     DomainViolation,
@@ -14,10 +16,10 @@ from qsum.errors import (
     ZeroDivision,
 )
 from qsum.fourier import FourierFn, inverse_fourier_eval
-from qsum.geometry import select_sector
+from qsum.geometry import MahlerTerm, select_sector
 from qsum.qcore import CoveringPoint, QParams, exp_q, theta_kernel_log
 from qsum.series import borel_exponent
-from qsum.solver import solve_fixed_point
+from qsum.solver import assemble_U_hat, main_equation_residual, solve_fixed_point
 from qsum.transforms import (
     CircleContour,
     ContinuedOmega,
@@ -532,7 +534,7 @@ def test_continued_formal_and_contour_brackets_agree(fx_full):
         u = CoveringPoint(r, 0.17)
         s = np.array([math.log(u.r)])
         via_contour = _term_rows(checks.ContourBracket(om), s, u.theta, spec, ell)[0]
-        formal = om._mahler_row(u, ell)
+        formal = _term_rows(om, s, u.theta, spec, ell)[0]
         scale = float(np.max(np.abs(formal)))
         assert np.max(np.abs(via_contour - formal)) <= 1e-12 * scale
 
@@ -597,6 +599,39 @@ def test_ladder_rung_cap_carries_witness(fx_full):
         om.values(CoveringPoint(4.0 * cfg.R, 0.1))
     assert exc.value.witness["rungs"] == 3
     assert exc.value.witness["point"] == pytest.approx((cfg.R, 0.1))
+
+
+def test_continued_refuses_shift_factor_not_below_one(fx_full):
+    # c = q^(l1 - l0/k) = 1: the shift ladder would never reach the disc
+    spec, cfg, sol = fx_full
+    term = MahlerTerm(l0=1, l1=1, l2=1, R=[1.0], A=spec.terms[0].A)
+    with pytest.raises(ValidationError, match=r"term\[0\]"):
+        ContinuedOmega(sol, dataclasses.replace(spec, terms=(term,)), cfg)
+
+
+def test_one_band_per_coupling_term(monkeypatch):
+    # every realisation of a coupling term (Picard sweep, formal residual,
+    # continuation rung, summed equation) convolves with the band its
+    # MahlerTerm built when the problem was loaded
+    builds = []
+    build = fourier.kernel_band
+
+    def counting(space, h):
+        builds.append(len(h))
+        return build(space, h)
+
+    monkeypatch.setattr(fourier, "kernel_band", counting)
+    monkeypatch.setattr(geometry, "kernel_band", counting)
+    _, spec, _ = load_problem("basic.json")
+    assert len(builds) == len(spec.terms)
+    cfg = select_sector(spec, 0.0)
+    sol = solve_fixed_point(spec, cfg, 12)
+    main_equation_residual(assemble_U_hat(sol, spec.params), spec, cfg)
+    pts = [(CoveringPoint(0.8 * cfg.R, th), 0.3 + 0.1j) for th in (0.1, -0.2)]
+    om = ContinuedOmega(sol, spec, cfg)
+    theorem2_residual(sol, spec, cfg, pts, beta_prime=0.5, omega=om)
+    assert om._rungs > 0
+    assert len(builds) == len(spec.terms)
 
 
 def test_continued_memoises_on_lattice(fx_full):

@@ -62,12 +62,13 @@ MUTANTS = [
         "        rows = rows * m_mult[None, :]",
         "        rows = rows",
     ),
-    # ray-sum selector ell: the shift coupling's q^{-e(l0)} at the wrong order
+    # every coupling bracket's q^{-e(l0)} at the wrong order: the ray rows,
+    # the continuation's rungs and the contour rows share it
     Mutant(
         "shift-borel-exponent",
         "qsum/transforms.py",
-        "phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0, k))",
-        "phase = complex(np.exp(1j * l0 * theta_d)) / q ** float(borel_exponent(l0 + 1, k))",
+        "params.q ** float(borel_exponent(l0, params.k))",
+        "params.q ** float(borel_exponent(l0 + 1, params.k))",
     ),
     # the continuation's forcing term, off by 1e-6 relative
     Mutant(
@@ -89,6 +90,34 @@ MUTANTS = [
         "qsum/transforms.py",
         "    shift = params.q ** (-k_dd)",
         "    shift = params.q ** (-k_dd * (1 + 1e-6))",
+    ),
+    # the sector claims a separation delta1 1% above the one it measured
+    Mutant(
+        "geometry-delta1",
+        "qsum/geometry.py",
+        "        delta1=delta1,",
+        "        delta1=1.01 * delta1,",
+    ),
+    # the Laplace kernel's Gaussian width, off by 1e-9 relative
+    Mutant(
+        "kernel-kappa",
+        "qsum/qcore.py",
+        "    kappa = params.k / (2.0 * params.log_q)\n    return np.exp(-kappa",
+        "    kappa = params.k / (2.0 * params.log_q) * (1 + 1e-9)\n    return np.exp(-kappa",
+    ),
+    # the scalar q-Laplace quadrature, off by 1e-6 relative
+    Mutant(
+        "laplace-prefactor",
+        "qsum/transforms.py",
+        "    return complex(pi_qk(params) * np.sum(quad.weights() * kern * vals))",
+        "    return complex(pi_qk(params) * np.sum(quad.weights() * kern * vals) * (1 + 1e-6))",
+    ),
+    # the formal q-Laplace grows at 3/2 of the q-Gevrey rate
+    Mutant(
+        "formal-laplace-rate",
+        "qsum/series.py",
+        "W, [borel_exponent(n, k) for n in range(1, W.order + 1)], params.q",
+        "W, [borel_exponent(n, k) * 3 / 2 for n in range(1, W.order + 1)], params.q",
     ),
 ]
 
