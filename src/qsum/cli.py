@@ -157,10 +157,7 @@ def load_problem(name: str) -> tuple[dict, ProblemSpec, str]:
         params=params,
         space=space,
     )
-    digest = hashlib.sha256(
-        json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-    return raw, spec, digest
+    return raw, spec, _canonical_hash(raw)
 
 
 # ---------------------------------------------------------------------------

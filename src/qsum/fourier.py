@@ -297,49 +297,72 @@ def convolve(h: FourierFn, g: FourierFn) -> FourierFn:
     return FourierFn(h.space, convolve_values(h.space, h.values, g.values))
 
 
-def inverse_fourier_eval(f: FourierFn, z: complex, beta_prime: float) -> complex:
-    """Evaluate ``(1/sqrt(2 pi)) int f(m) e^{i m z} dm`` at one strip point.
+def _contract(a, b) -> np.ndarray:
+    """``a @ b`` for ``(S, K)`` or ``(K,)`` times ``(K, G)`` or ``(K,)``, real or complex.
 
-    ``beta_prime`` is the caller-declared strip half-height; it must be
-    strictly below the certificate ``beta`` and ``|Im z|`` must stay within
-    it. Nothing is inferred: widening the strip is an explicit decision.
-
-    Raises:
-        StripViolation: declared margin missing or the point escapes it.
+    The library's one quadrature sum.  It runs in real dgemm: the left
+    operand's real and imaginary parts are stacked as rows, and a complex
+    right operand is read as interleaved float64, so it is not copied.  As
+    in `convolve_values`, the sum over ``K`` runs in fixed _BLOCK-point
+    pieces added in a fixed order, so its bits do not depend on the BLAS
+    thread count.
     """
-    sp = f.space
-    if not (0.0 < beta_prime < sp.beta):
-        raise StripViolation(
-            f"declared strip height {beta_prime} must lie in (0, beta={sp.beta})"
-        )
-    if abs(complex(z).imag) > beta_prime:
-        raise StripViolation(f"|Im z| = {abs(complex(z).imag)} exceeds declared {beta_prime}")
-    phases = np.exp(1j * sp.m * complex(z))
-    return complex(np.sum(sp.weights() * f.values * phases) / SQRT2PI)
+    a, b = np.asarray(a), np.ascontiguousarray(b)
+    shape = a.shape[:-1] + b.shape[1:]
+    rows = a.reshape(-1, a.shape[-1])
+    x = np.concatenate([rows.real, rows.imag]) if rows.dtype.kind == "c" else rows
+    e = b.reshape(len(b), -1)
+    complex_b = e.dtype.kind == "c"
+    if complex_b:
+        e = e.view(np.float64)
+    # the last, partial piece, then the whole pieces as one stacked product
+    n = len(e) - len(e) % _BLOCK
+    acc = x[:, n:] @ e[n:]
+    if n:
+        pieces = x[:, :n].reshape(len(x), -1, _BLOCK).transpose(1, 0, 2) \
+            @ e[:n].reshape(-1, _BLOCK, e.shape[1])
+        acc += np.add.reduce(pieces)
+    # y[p] is part p of a (real, then imaginary if any) times b
+    y = acc.reshape(len(x) // len(rows), len(rows), -1)
+    if complex_b:
+        out = y[0].view(complex)
+        if len(y) == 2:
+            out += 1j * y[1].view(complex)
+        return out.reshape(shape)
+    if len(y) == 1:
+        return y[0].reshape(shape)
+    res = np.empty(y.shape[1:], dtype=complex)
+    res.real, res.imag = y
+    return res.reshape(shape)
+
+
+def inverse_fourier_eval(f: FourierFn, z: complex, beta_prime: float) -> complex:
+    """Evaluate ``(1/sqrt(2 pi)) int f(m) e^{i m z} dm`` at one strip point:
+    the one-point case of `inverse_fourier_table`."""
+    return complex(inverse_fourier_table(f.values, f.space, [z], beta_prime)[0])
 
 
 def inverse_fourier_table(f_rows: np.ndarray, space: FourierSpace, z_points, beta_prime: float) -> np.ndarray:
-    """Vectorised :func:`inverse_fourier_eval` for stacked rows of values.
+    """``(1/sqrt(2 pi)) int f(m) e^{i m z} dm`` for stacked rows at strip points.
 
     ``f_rows`` has shape ``(..., G)``; returns shape ``(..., len(z_points))``.
+    ``beta_prime`` is the caller-declared strip half-height; it must be
+    strictly below the certificate ``beta`` and every ``|Im z|`` must stay
+    within it. Nothing is inferred: widening the strip is an explicit decision.
+
+    Raises:
+        StripViolation: declared margin missing or a point escapes it.
     """
     if not (0.0 < beta_prime < space.beta):
-        raise StripViolation("declared strip height out of range")
+        raise StripViolation(
+            f"declared strip height {beta_prime} must lie in (0, beta={space.beta})"
+        )
     zs = np.asarray(z_points, dtype=complex)
-    if np.any(np.abs(zs.imag) > beta_prime):
-        raise StripViolation("a requested point escapes the declared strip")
-    phases = np.exp(1j * np.outer(space.m, zs))  # (G, Z)
+    worst = float(np.max(np.abs(zs.imag), initial=0.0))
+    if worst > beta_prime:
+        raise StripViolation(f"|Im z| = {worst} exceeds declared {beta_prime}")
     fw = np.asarray(f_rows) * space.weights()
-    rows = fw.reshape(-1, space.size)
-    x = np.concatenate([rows.real, rows.imag]) if np.iscomplexobj(rows) else rows
-    e = np.concatenate([phases.real, phases.imag], axis=1)
-    # the grid sum in fixed _BLOCK-point pieces, added in order, as in
-    # `convolve_values`: its bits do not depend on the BLAS thread count
-    acc = x[:, :_BLOCK] @ e[:_BLOCK]
-    for j in range(_BLOCK, space.size, _BLOCK):
-        acc += x[:, j : j + _BLOCK] @ e[j : j + _BLOCK]
-    re, im = _recombine(acc.reshape(-1, rows.shape[0], 2, zs.size))
-    return ((re + 1j * im) / SQRT2PI).reshape(fw.shape[:-1] + (zs.size,))
+    return _contract(fw, np.exp(1j * np.outer(space.m, zs))) / SQRT2PI
 
 
 def series_norm_1R(W: TruncatedSeries, R: float) -> float:
@@ -359,28 +382,3 @@ def series_norm_1R(W: TruncatedSeries, R: float) -> float:
         for p in range(1, W.order + 1):
             total += abs(complex(W.coeffs[p - 1])) * R ** p
     return total
-
-
-def series_norm_sector(
-    tau_abs: np.ndarray,
-    values: np.ndarray,
-    space: FourierSpace,
-    alpha: float,
-    R: float,
-    params,
-) -> float:
-    """Sector norm: sup over samples with ``|tau| >= R`` of the weighted
-    modulus with kernel weight
-    ``|tau|^{-1} exp(-k log^2|tau|/(2 log q) - alpha log|tau|)``.
-
-    ``values`` has shape ``(n_tau, G)``.
-    """
-    tau_abs = np.asarray(tau_abs, dtype=float)
-    mask = tau_abs >= R
-    if not np.any(mask):
-        raise ValidationError("sector norm needs samples with |tau| >= R")
-    ta = tau_abs[mask]
-    lt = np.log(ta)
-    kern = np.exp(-params.k * lt * lt / (2.0 * params.log_q) - alpha * lt) / ta
-    weighted = np.abs(values[mask]) * space.decay_weight()[None, :] * kern[:, None]
-    return float(np.max(weighted))

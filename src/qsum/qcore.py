@@ -73,12 +73,6 @@ class CoveringPoint:
             raise ValidationError("covering powers must be integers")
         return CoveringPoint(self.r ** n, n * self.theta)
 
-    def scale(self, c: float) -> "CoveringPoint":
-        """Multiply by a positive real; the angle is untouched."""
-        if c <= 0:
-            raise ValidationError("scale factor must be positive")
-        return CoveringPoint(c * self.r, self.theta)
-
     @classmethod
     def lift(cls, w: complex, branch: int = 0) -> "CoveringPoint":
         """Lift a nonzero plane point, choosing the covering sheet.
@@ -122,10 +116,10 @@ def exp_q(z, params: QParams):
     r"""The q-exponential ``sum_n z^n / [n]_q!``, entire in ``z``.
 
     Accepts a scalar or any ``ndarray`` of plane points (the function is
-    single valued, so no covering bookkeeping is needed). Terms are added
-    until the next one falls below ``1e-12 * (1 + |partial sum|)``; the
-    series converges for every ``z`` because ``[n]_q!`` grows like
-    ``q^{n(n-1)/2}``.
+    single valued, so no covering bookkeeping is needed). Each element adds
+    terms until its next one falls below ``1e-12 * (1 + |partial sum|)``, so
+    its value does not depend on the batch it is in; the series converges for
+    every ``z`` because ``[n]_q!`` grows like ``q^{n(n-1)/2}``.
 
     Raises:
         ConvergenceError: the cap of 500 terms was hit, which means ``|z|``
@@ -133,13 +127,16 @@ def exp_q(z, params: QParams):
     """
     arr = np.asarray(z, dtype=complex)
     scalar = arr.ndim == 0
-    work = np.atleast_1d(arr).copy()
+    work = arr.reshape(-1)
+    # a stopped element's total takes no more terms
+    live = np.ones(work.shape, dtype=bool)
     total = np.ones_like(work)
     term = np.ones_like(work)
     for n in range(1, _EXPQ_MAX_TERMS + 1):
         term = term * work / q_number(n, params.q)
-        total += term
-        if np.all(np.abs(term) < _EXPQ_EPS * (1.0 + np.abs(total))):
+        np.add(total, term, out=total, where=live)
+        live &= ~(np.abs(term) < _EXPQ_EPS * (1.0 + np.abs(total)))
+        if not live.any():
             return complex(total[0]) if scalar else total.reshape(arr.shape)
     raise ConvergenceError(
         f"q-exponential did not settle within {_EXPQ_MAX_TERMS} terms "

@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
     ZeroDivision,
 )
-from .fourier import FourierFn, SQRT2PI, convolve_values, inverse_fourier_eval
+from .fourier import SQRT2PI, _contract, convolve_values, inverse_fourier_table
 from .geometry import ProblemSpec, SectorConfig, eval_Pm, poly_eval_im
 from .qcore import CoveringPoint, QParams, exp_q, pi_qk, recip_kernel_log, theta_kernel_log
 from .series import TruncatedSeries, borel_exponent
@@ -194,8 +194,8 @@ def _ray_value(f, T: CoveringPoint, quad: RayQuadrature, params: QParams) -> com
     s = quad.s_grid()
     log_ratio = (math.log(T.r) - s) + 1j * (T.theta - quad.theta_d)
     kern = theta_kernel_log(log_ratio, params)
-    vals = f(np.exp(s + 1j * quad.theta_d))
-    return complex(pi_qk(params) * np.sum(quad.weights() * kern * vals))
+    vals = np.broadcast_to(f(np.exp(s + 1j * quad.theta_d)), s.shape)
+    return complex(pi_qk(params) * _contract(quad.weights() * kern, vals))
 
 
 def _stabilise(value_at, quad, eps_rel: float, what: str, refine_kw=None) -> complex:
@@ -220,8 +220,8 @@ def q_laplace(
     f,
     T: CoveringPoint,
     quad: RayQuadrature | None = None,
-    params: QParams | None = None,
     *,
+    params: QParams,
     radius_cert: float | None = None,
     growth: float = 0.0,
     tail: float = 1e-12,
@@ -240,8 +240,6 @@ def q_laplace(
         DomainTooLarge: ``|T|`` exceeds ``radius_cert``.
         QuadratureStall: node doubling failed to stabilise the value.
     """
-    if params is None:
-        raise ValidationError("params are required")
     if radius_cert is not None and T.r > radius_cert:
         raise DomainTooLarge(f"|T| = {T.r:.3g} exceeds certified radius {radius_cert:.3g}")
     if quad is None:
@@ -258,14 +256,14 @@ def _contour_value(vals, log_y, weights: np.ndarray, params: QParams, k_order: f
     pref = -1j * params.q ** (1.0 / (8.0 * k)) * math.sqrt(k)
     pref /= math.sqrt(2.0 * math.pi * params.log_q)
     kern = recip_kernel_log(log_y, params, k_order=k)
-    return pref * ((weights * kern) @ vals) * 1j
+    return pref * _contract(weights * kern, vals) * 1j
 
 
 def q_borel_analytic(
     phi,
     xi: CoveringPoint,
-    params: QParams | None = None,
     *,
+    params: QParams,
     radius: float = 0.5,
     step: float = 0.2,
     eps_rel: float = 1e-8,
@@ -278,8 +276,6 @@ def q_borel_analytic(
     centred on ``xi``'s angle, where the kernel Gaussian in the covering
     angle peaks.
     """
-    if params is None:
-        raise ValidationError("params are required")
 
     def value_at(ct: CircleContour) -> complex:
         pts = [CoveringPoint(ct.radius, float(t)) for t in ct.t_grid()]
@@ -328,8 +324,8 @@ def deceleration_integral(
     f,
     p: int,
     h: CoveringPoint,
-    params: QParams | None = None,
     *,
+    params: QParams,
     f_disc_radius: float | None = None,
     eps_rel: float = 1e-8,
     check: bool = True,
@@ -340,8 +336,6 @@ def deceleration_integral(
     checked by node doubling.  ``f`` is called with ndarrays of plane points,
     all within ``0.7 f_disc_radius`` when that is given.
     """
-    if params is None:
-        raise ValidationError("params are required")
     if p < 2:
         raise ValidationError("deceleration needs p >= 2")
     log_h = [complex(math.log(h.r), h.theta)]
@@ -468,7 +462,7 @@ def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarra
     Summed in log magnitude so deep evaluations neither overflow nor round
     through the kernel peak.  A scalar ``log_h = log h`` gives one ``(G,)``
     row; an ``(S,)`` array (``l2 (s + i theta_d)`` along a ray) gives all
-    ``(S, G)`` rows in one ``(S, N) @ (N, G)`` product.
+    ``(S, G)`` rows in one `_contract` of ``(S, N)`` by ``(N, G)``.
 
     Raises:
         DomainTooLarge: a monomial's log magnitude exceeds 700; the witness
@@ -489,7 +483,7 @@ def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarra
                 "peak_log_magnitude": float(peaks[worst]),
             },
         )
-    return np.exp(logmag + exps * log_h) @ rows
+    return _contract(np.exp(logmag + exps * log_h), rows)
 
 
 class ContinuedOmega:
@@ -779,7 +773,7 @@ def _profile(
     kern, rows = _integrand(omega_ev, t, quad.s_grid(), quad.theta_d, spec, ell, expq)
     if m_mult is not None:
         rows = rows * m_mult[None, :]
-    prof = pi_qk(spec.params) * ((quad.weights() * kern) @ rows)
+    prof = pi_qk(spec.params) * _contract(quad.weights() * kern, rows)
     lev = np.max(np.abs(kern[:, None] * rows), axis=1)
     return prof, float(max(lev[0], lev[-1]))
 
@@ -844,7 +838,7 @@ def gq_sum(
 
     def value_at(qd: RayQuadrature) -> complex:
         prof, _ = _profile(omega_ev, t, spec, qd, ell=ell, expq=expq)
-        return inverse_fourier_eval(FourierFn(spec.space, prof), z, beta_prime)
+        return complex(inverse_fourier_table(prof, spec.space, [z], beta_prime)[0])
 
     if not check:
         return value_at(quad)
@@ -915,17 +909,15 @@ def theorem2_residual(
             p1, edge1 = _profile(ev, t, spec, quad, ell=ell, expq=ex, m_mult=mult)
             quad2 = quad.refined(lattice=getattr(ev, "s_lattice", None))
             p2, _ = _profile(ev, t, spec, quad2, ell=ell, expq=ex, m_mult=mult)
+            profs = np.stack([p1, p2])
             if ell is not None:
                 # symbol under the convolution, then the profile product rule
-                p1, p2 = INV_SQRT_2PI * convolve_values(
-                    space, ell.band, ell.symbol * np.stack([p1, p2])
-                )
-            v1 = inverse_fourier_eval(FourierFn(space, p1), z, beta_prime)
-            v2 = inverse_fourier_eval(FourierFn(space, p2), z, beta_prime)
+                profs = INV_SQRT_2PI * convolve_values(space, ell.band, ell.symbol * profs)
+            v1, v2 = map(complex, inverse_fourier_table(profs, space, [z], beta_prime)[:, 0])
             values[name] = v2
             budget += abs(v2 - v1) + edge1 * math.sqrt(
                 math.pi / _kappa(params)
-            ) + (abs(p2[0]) + abs(p2[-1])) / space.beta
+            ) + (abs(profs[1, 0]) + abs(profs[1, -1])) / space.beta
         rhs = values["dominant"] + sum(
             values[f"coupling{i}"] for i in range(len(spec.terms))
         ) + values.get("forcing", 0.0)

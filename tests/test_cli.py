@@ -430,6 +430,44 @@ def test_solve_artifacts_do_not_depend_on_blas_threads(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_sum_and_verify_do_not_depend_on_blas_threads(tmp_path):
+    # every ray, contour and inverse-Fourier sum goes through the same
+    # fixed-block reduction as the convolution
+    rng = np.random.default_rng(1)
+    pts = tmp_path / "pts.csv"
+    lines = ["t_r,t_theta,z_re,z_im"]
+    for j in range(8):  # 8 t in [0.05 R, 0.5 R] of basic.json (R = 1.06), 4 z each
+        t_r, t_theta = 1.06 * (0.05 + 0.45 * (j + rng.uniform()) / 8), rng.uniform(-0.3, 0.3)
+        for _ in range(4):
+            lines.append(f"{t_r:.6f},{t_theta:.6f},{rng.uniform(-1, 1):.6f},"
+                         f"{0.5 * rng.uniform(-0.4, 0.4):.6f}")
+    pts.write_text("\n".join(lines) + "\n")
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run_out = {}
+        for cmd in (["sum", "basic.json", "--points", str(pts)],
+                    ["verify", "basic.json", "--suite", "theorem2"]):
+            out = tmp_path / f"{cmd[0]}{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "qsum.cli", *cmd, "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            run_out[cmd[0]] = proc.stdout
+            for path in sorted(out.iterdir()):
+                data = path.read_text()
+                if path.name == "manifest.json":
+                    manifest = json.loads(data)
+                    manifest.pop("timestamp")
+                    data = json.dumps(manifest, sort_keys=True)
+                run_out[f"{cmd[0]}/{path.name}"] = data
+        runs.append(run_out)
+    assert runs[0].keys() == runs[1].keys()
+    for name in runs[0]:
+        assert runs[0][name] == runs[1][name], name
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qsum.cli", "validate", "basic.json"],

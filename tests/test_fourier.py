@@ -8,6 +8,7 @@ from qsum.fourier import (
     FourierFn,
     FourierSpace,
     SQRT2PI,
+    _contract,
     convolve,
     convolve_values,
     enorm,
@@ -16,9 +17,7 @@ from qsum.fourier import (
     kernel_band,
     make_space,
     series_norm_1R,
-    series_norm_sector,
 )
-from qsum.qcore import QParams
 from qsum.series import TruncatedSeries
 
 
@@ -252,8 +251,42 @@ class TestInverseFourier:
         table = inverse_fourier_table(rows, sp, zs, beta_prime=0.5)
         for i in range(3):
             for jz, z in enumerate(zs):
-                want = inverse_fourier_eval(FourierFn(sp, rows[i]), z, 0.5)
+                # the trapezoid sum written out, independent of the contraction
+                want = np.sum(sp.weights() * rows[i] * np.exp(1j * sp.m * z)) / SQRT2PI
                 assert table[i, jz] == pytest.approx(want, rel=1e-12)
+
+
+def assert_contracts(a, b, got):
+    """``got`` against the products of ``a @ b`` summed by np.sum, within
+    4 K eps times ``|a| @ |b|`` on each entry."""
+    K = a.shape[-1]
+    a2, b2 = np.atleast_2d(a), b.reshape(K, -1)
+    want = np.sum(a2[:, :, None] * b2[None, :, :], axis=1)
+    bound = 4 * K * np.finfo(float).eps * (np.abs(a2) @ np.abs(b2))
+    assert got.shape == (a @ b).shape
+    assert np.iscomplexobj(got) == (np.iscomplexobj(a) or np.iscomplexobj(b))
+    assert np.all(np.abs(got.reshape(want.shape) - want) <= bound)
+
+
+class TestContract:
+    KINDS = ["real", "complex", "real 1-d", "complex 1-d"]
+
+    @pytest.mark.parametrize("K", [12, 64, 150])
+    @pytest.mark.parametrize("left", KINDS)
+    @pytest.mark.parametrize("right", KINDS)
+    def test_matches_summed_products(self, rng, K, left, right):
+        def operand(kind, shape):
+            x = rng.standard_normal(shape)
+            return x + 1j * rng.standard_normal(shape) if kind.startswith("complex") else x
+
+        a = operand(left, (K,) if left.endswith("1-d") else (5, K))
+        b = operand(right, (K,) if right.endswith("1-d") else (K, 7))
+        assert_contracts(a, b, _contract(a, b))
+
+    def test_reads_strided_operands(self, rng):
+        a = rng.standard_normal((4, 130)) + 1j * rng.standard_normal((4, 130))
+        b = rng.standard_normal((9, 130)) + 1j * rng.standard_normal((9, 130))
+        assert_contracts(a[:, ::2], b.T[::2], _contract(a[:, ::2], b.T[::2]))
 
 
 class TestSeriesNorms:
@@ -268,18 +301,6 @@ class TestSeriesNorms:
     def test_norm_1R_scalar_space(self):
         w = TruncatedSeries(np.array([1.0, 1.0]))
         assert series_norm_1R(w, 2.0) == pytest.approx(2.0 + 4.0)
-
-    def test_sector_norm_weighting(self):
-        params = QParams(q=2.0, k=1)
-        sp = make_space(1.0, 2.0, half_width=5.0, n_points=101)
-        tau_abs = np.array([0.5, 1.0, 2.0])
-        vals = np.ones((3, sp.size), dtype=complex)
-        got = series_norm_sector(tau_abs, vals, sp, alpha=0.0, R=1.0, params=params)
-        # |tau| = 1 sample: kernel weight is exactly 1, m-weight max at grid edge
-        edge = (1.0 + 5.0) ** 2 * math.exp(5.0)
-        assert got >= edge * math.exp(-params.k * math.log(2.0) ** 2 / (2 * params.log_q)) / 2.0
-        with pytest.raises(ValidationError):
-            series_norm_sector(np.array([0.1]), vals[:1], sp, 0.0, 1.0, params)
 
 
 class TestKernelBoundIntegral:

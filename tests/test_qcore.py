@@ -108,6 +108,13 @@ class TestExpQ:
         for i, z in enumerate(zs):
             assert vec[i] == pytest.approx(exp_q(complex(z), p2), rel=1e-14)
 
+    def test_batch_gives_each_value_its_own_bits(self, p2, rng):
+        # each element stops at its own term, so a batch changes no bit
+        zs = 10.0 ** rng.uniform(-2, 1.5, 50) * np.exp(2j * np.pi * rng.random(50))
+        vec = exp_q(zs.reshape(5, 10), p2).ravel()
+        alone = np.array([exp_q(z, p2) for z in zs])
+        assert np.array_equal(vec, alone)
+
     def test_term_cap_raises(self):
         slow = QParams(q=1.0001)
         with pytest.raises(ConvergenceError):

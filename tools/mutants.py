@@ -109,8 +109,15 @@ MUTANTS = [
     Mutant(
         "laplace-prefactor",
         "qsum/transforms.py",
-        "    return complex(pi_qk(params) * np.sum(quad.weights() * kern * vals))",
-        "    return complex(pi_qk(params) * np.sum(quad.weights() * kern * vals) * (1 + 1e-6))",
+        "    return complex(pi_qk(params) * _contract(quad.weights() * kern, vals))",
+        "    return complex(pi_qk(params) * _contract(quad.weights() * kern, vals) * (1 + 1e-6))",
+    ),
+    # the quadrature sum drops its last, partial block of nodes
+    Mutant(
+        "contract-last-block",
+        "qsum/fourier.py",
+        "    acc = x[:, n:] @ e[n:]",
+        "    acc = 0.0 * (x[:, n:] @ e[n:])",
     ),
     # the formal q-Laplace grows at 3/2 of the q-Gevrey rate
     Mutant(
