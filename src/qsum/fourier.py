@@ -19,6 +19,7 @@ from .errors import GridMismatch, StripViolation, ValidationError
 from .series import TruncatedSeries
 
 SQRT2PI = math.sqrt(2.0 * math.pi)
+INV_SQRT_2PI = 1.0 / SQRT2PI
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,11 +91,12 @@ def make_space(
     beta: float, mu: float, half_width: float | None = None, n_points: int | None = None
 ) -> FourierSpace:
     """Default grid policy: ``M = 40/beta`` (so ``e^{-beta M} ~ 4e-18``)
-    sampled with at least 2001 points; both knobs can be overridden."""
+    sampled with 2001 points; both knobs can be overridden, ``n_points`` only
+    by an odd count, so that the grid holds ``m = 0``."""
     M = 40.0 / beta if half_width is None else float(half_width)
     n = 2001 if n_points is None else int(n_points)
     if n % 2 == 0:
-        n += 1
+        raise ValidationError(f"n_points must be odd, got {n}")
     return FourierSpace(np.linspace(-M, M, n), beta, mu)
 
 

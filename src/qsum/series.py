@@ -37,6 +37,17 @@ def deceleration_exponent(n: int, p: int, k: int) -> Fraction:
     return borel_exponent(n, k) - borel_exponent(p * n, k)
 
 
+def coupling_exponent(p: int, l0: int, l1: int, l2: int, k: int) -> Fraction:
+    """Exponent ``E(p) = e(p) + l1 p - e(l2 (p + l0))`` of a coupling's
+    Borel-plane map, ``e`` being `borel_exponent`.
+
+    The coupling ``(t^l0 sigma_q^l1 R(d_z) u)(t^l2, z)`` sends the order-``p``
+    Borel coefficient to order ``l2 (p + l0)`` times ``q^E(p)``: the shift,
+    the dilation and the Mahler deceleration in one step.
+    """
+    return borel_exponent(p, k) + l1 * p - borel_exponent(l2 * (p + l0), k)
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Coefficients ``a_1 .. a_N`` of a series with zero constant term.

@@ -2,14 +2,15 @@
 
 The unknown lives as a truncated power series in the Borel variable whose
 coefficients are functions on the frequency grid. One application of the
-update operator pushes every coupling term through its Borel-plane form
-(degree shift and dilation for plain shift terms, formal deceleration plus
-power substitution for Mahler terms), convolves in the frequency variable,
-adds the forcing, and multiplies by the Taylor inverse of the divisor
-symbol. Every coupling raises the power-series order by at least one, so
-the order-p output coefficient depends only on input coefficients below p:
-iteration from zero reproduces the exact truncated coefficients after at
-most N sweeps whether or not the norm estimates contract.
+update operator pushes every coupling term through its Borel-plane map
+(order p to order l2 (p + l0) times q^E(p), the shift, dilation and Mahler
+deceleration in one step; see `series.coupling_exponent`), convolves in the
+frequency variable, adds the forcing, and multiplies by the Taylor inverse
+of the divisor symbol. Every coupling raises the power-series order by at
+least one, so the order-p output coefficient depends only on input
+coefficients below p: iteration from zero reproduces the exact truncated
+coefficients after at most N sweeps whether or not the norm estimates
+contract.
 
 Contraction is measured, not assumed. The measured step ratios are the
 empirical counterpart of the smallness regime the existence statement asks
@@ -21,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import GridMismatch, NoContraction, OrderOverflow, ValidationError
+from .errors import GridMismatch, NoContraction, ValidationError
 from .fourier import (
+    INV_SQRT_2PI,
     FourierSpace,
     convolve_values,
     enorm_values,
@@ -35,21 +36,17 @@ from .fourier import (
 )
 from .geometry import ProblemSpec, SectorConfig, alpha_tilde, inv_pm_taylor, poly_eval_im
 from .qcore import QParams, q_number
-from .series import (
-    TruncatedSeries,
-    apply_t_sigma,
-    borel_exponent,
-    formal_deceleration,
-    formal_q_borel,
-    formal_q_laplace,
-    mahler,
-)
+from .series import TruncatedSeries, borel_exponent, coupling_exponent, formal_q_laplace
 
-# Intermediate order cap; a Mahler ratio times the truncation order past
-# this is treated as a mistake rather than a request.
-DEFAULT_ORDER_BUDGET = 8192
 
-INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+def _coupling_map(term, params: QParams, orders: np.ndarray):
+    """Targets ``l2 (p + l0)`` and factors ``q^E(p)`` of a coupling's
+    Borel-plane map at the source orders ``p``."""
+    factors = [
+        params.q ** float(coupling_exponent(int(p), term.l0, term.l1, term.l2, params.k))
+        for p in orders
+    ]
+    return term.l2 * (orders + term.l0), np.array(factors)
 
 
 @dataclass(frozen=True)
@@ -61,55 +58,51 @@ class H1Context:
     N: int
     inv_p: np.ndarray          # (N+1, G) Taylor rows of the inverted symbol
     forcing_rows: np.ndarray   # (N, G) forcing already placed by order
+    maps: tuple                # per term: source orders, targets <= N, factors
 
 
-def make_h1_context(
-    spec: ProblemSpec,
-    config: SectorConfig,
-    N: int,
-    order_budget: int = DEFAULT_ORDER_BUDGET,
-) -> H1Context:
+def make_h1_context(spec: ProblemSpec, config: SectorConfig, N: int) -> H1Context:
     if N < 1:
         raise ValidationError("truncation order must be >= 1")
-    for term in spec.terms:
-        if term.l2 * N > order_budget:
-            raise OrderOverflow(
-                f"Mahler ratio {term.l2} at order {N} exceeds the budget {order_budget}"
-            )
     space = spec.space
     inv_p = inv_pm_taylor(space.m, spec, config, N)
     forcing = np.zeros((N, space.size), dtype=complex)
     for f in spec.forcing:
         if f.j <= N:
             forcing[f.j - 1] += f.F.values
-    return H1Context(spec, config, N, inv_p, forcing)
-
-
-def _coupling_image(omega: TruncatedSeries, ctx: H1Context, diagnostics=None) -> np.ndarray:
-    """Sum of all coupling contributions before the symbol inversion, (N, G)."""
-    spec = ctx.spec
-    params = spec.params
-    N = ctx.N
-    out = np.zeros((N, spec.space.size), dtype=complex)
+    maps = []
     for term in spec.terms:
-        j_exp = Fraction(term.l1) - Fraction(term.l0, params.k)
-        shifted = apply_t_sigma(omega, term.l0, j_exp, params, out_order=N)
-        if term.l2 >= 2:
-            dec = formal_deceleration(shifted, term.l2, params)
-            if diagnostics is not None:
-                dropped = 0.0
-                for n in range(N // term.l2 + 1, dec.order + 1):
-                    row = dec.coeffs[n - 1]
-                    if np.any(row):
-                        dropped += enorm_values(spec.space, row) * ctx.config.R ** (term.l2 * n)
-                diagnostics["dropped_mass_1R"] = diagnostics.get("dropped_mass_1R", 0.0) + dropped
-            shifted = mahler(dec, term.l2, out_order=N)
-        pre = params.q ** float(-borel_exponent(term.l0, params.k))
-        rows = shifted.coeffs * term.symbol[None, :]
-        live = np.flatnonzero(np.any(rows, axis=1))
-        if live.size:
-            out[live] += (pre * INV_SQRT_2PI) * convolve_values(spec.space, term.band, rows[live])
+        src = np.arange(1, N // term.l2 - term.l0 + 1)
+        maps.append((src, *_coupling_map(term, spec.params, src)))
+    return H1Context(spec, config, N, inv_p, forcing, tuple(maps))
+
+
+def _coupling_image(omega: TruncatedSeries, ctx: H1Context) -> np.ndarray:
+    """Sum of all coupling contributions before the symbol inversion, (N, G)."""
+    space = ctx.spec.space
+    out = np.zeros((ctx.N, space.size), dtype=complex)
+    for term, (src, dst, factors) in zip(ctx.spec.terms, ctx.maps):
+        rows = factors[:, None] * omega.coeffs[src - 1] * term.symbol[None, :]
+        live = np.any(rows, axis=1)
+        if np.any(live):
+            out[dst[live] - 1] += INV_SQRT_2PI * convolve_values(space, term.band, rows[live])
     return out
+
+
+def _dropped_mass_1R(omega: TruncatedSeries, spec: ProblemSpec, R: float) -> float:
+    """Certificate mass the couplings push past the truncation order N.
+
+    The sum over terms and over orders ``p <= N`` with ``l2 (p + l0) > N`` of
+    ``q^E(p) enorm(omega_p) R^(l2 (p + l0))``.
+    """
+    N = omega.order
+    total = 0.0
+    for term in spec.terms:
+        src = np.arange(max(1, N // term.l2 - term.l0 + 1), N + 1)
+        dst, factors = _coupling_map(term, spec.params, src)
+        for p, n, f in zip(src, dst, factors):
+            total += f * enorm_values(spec.space, omega.coeffs[p - 1]) * R ** int(n)
+    return float(total)
 
 
 def apply_H1(
@@ -118,7 +111,6 @@ def apply_H1(
     config: SectorConfig,
     N: int,
     ctx: H1Context | None = None,
-    diagnostics: dict | None = None,
 ) -> TruncatedSeries:
     """One sweep of the Borel-plane update operator, truncated at order N.
 
@@ -134,7 +126,7 @@ def apply_H1(
     elif ctx.N != N or ctx.spec is not spec:
         raise ValidationError("context was built for a different problem or order")
     omega = omega.truncated(N) if omega.order > N else omega.pad_to(N)
-    numer = _coupling_image(omega, ctx, diagnostics) + ctx.forcing_rows
+    numer = _coupling_image(omega, ctx) + ctx.forcing_rows
     out = np.zeros_like(numer)
     # Cauchy product with the inverted symbol: its row a multiplies numerator
     # order p - a.  Descending a adds each order's products in the order of
@@ -154,7 +146,7 @@ class BorelSolution:
     contraction_history: tuple
     residual_1R: float
     R: float
-    dropped_mass_1R: float = 0.0
+    dropped_mass_1R: float
 
 
 def solve_fixed_point(
@@ -177,7 +169,6 @@ def solve_fixed_point(
         raise ValidationError("mode must be 'contraction' or 'triangular'")
     max_iter = N + 1 if mode == "triangular" else max(4 * N, 64)
     ctx = make_h1_context(spec, config, N)
-    diagnostics: dict = {}
     space = spec.space
     omega = TruncatedSeries(np.zeros((N, space.size), dtype=complex), space)
     history: list[float] = []
@@ -185,7 +176,7 @@ def solve_fixed_point(
     rising = 0
     iterations = 0
     for _ in range(max_iter):
-        nxt = apply_H1(omega, spec, config, N, ctx=ctx, diagnostics=diagnostics)
+        nxt = apply_H1(omega, spec, config, N, ctx=ctx)
         iterations += 1
         delta = series_norm_1R(nxt - omega, config.R)
         if prev_delta is not None and prev_delta > 0.0:
@@ -218,7 +209,7 @@ def solve_fixed_point(
         contraction_history=tuple(history),
         residual_1R=residual,
         R=config.R,
-        dropped_mass_1R=diagnostics.get("dropped_mass_1R", 0.0),
+        dropped_mass_1R=_dropped_mass_1R(omega, spec, config.R),
     )
 
 

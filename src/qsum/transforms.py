@@ -49,12 +49,10 @@ from .errors import (
     ValidationError,
     ZeroDivision,
 )
-from .fourier import SQRT2PI, _contract, convolve_values, inverse_fourier_table
+from .fourier import INV_SQRT_2PI, _contract, convolve_values, inverse_fourier_table
 from .geometry import ProblemSpec, SectorConfig, eval_Pm, poly_eval_im
 from .qcore import CoveringPoint, QParams, exp_q, pi_qk, recip_kernel_log, theta_kernel_log
-from .series import TruncatedSeries, borel_exponent
-
-INV_SQRT_2PI = 1.0 / SQRT2PI
+from .series import TruncatedSeries, borel_exponent, coupling_exponent
 
 
 def _kappa(params: QParams, k_order: float | None = None) -> float:
@@ -434,20 +432,14 @@ def _shift_factors(l0: int, l1: int, params: QParams) -> tuple[float, float]:
 def _decel_logmag(powers: tuple, l0: int, l1: int, l2: int, params: QParams):
     """Exponents ``n = p + l0`` and log magnitudes of the decelerated bracket.
 
-    Monomial ``u^p`` of the evaluator carries
-    ``q**(e(n) - e(l2*n) - e(l0)) * c**p`` with ``c = q**(l1 - l0/k)``: the
-    bracket's twist and shift, times the exact deceleration factor.
+    Monomial ``u^p`` of the evaluator carries ``q**E(p)``, the coupling's
+    Borel-plane factor (`series.coupling_exponent`): the bracket's twist and
+    shift, times the exact deceleration factor.
     """
-    k = params.k
-    p = np.asarray(powers)
-    exps = p + l0
-    drop = np.array([
-        float(borel_exponent(int(n), k) - borel_exponent(int(l2 * n), k))
-        for n in exps
-    ])
-    logmag = (drop - float(borel_exponent(l0, k))) * params.log_q \
-        + p * math.log(_shift_factors(l0, l1, params)[0])
-    exps = exps.astype(float)
+    exps = np.asarray(powers, dtype=float) + l0
+    logmag = params.log_q * np.array(
+        [float(coupling_exponent(p, l0, l1, l2, params.k)) for p in powers]
+    )
     exps.setflags(write=False)
     logmag.setflags(write=False)
     return exps, logmag

@@ -90,6 +90,19 @@ def test_values_profile_roundtrip(tmp_path):
     assert run("validate", str(p)) == EXIT_OK
 
 
+def test_even_grid_size_refused(tmp_path, capsys):
+    # an even n_points is refused, not silently raised to the next odd count
+    spec = json.loads(resolve_input("basic.json").read_text())
+    spec["space"]["n_points"] = 600
+    p = tmp_path / "even.json"
+    p.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert run("solve", str(p), "--order", "4", "--out", str(out)) == EXIT_SPEC
+    assert "n_points must be odd, got 600" in capsys.readouterr().err
+    assert not out.exists()
+    assert run("validate", str(p)) == EXIT_SPEC
+
+
 def test_usage_errors(capsys, tmp_path):
     assert run("frobnicate") == EXIT_USAGE
     assert run("verify", "basic.json", "--suite", "bogus") == EXIT_USAGE

@@ -13,6 +13,7 @@ from qsum.series import (
     apply_t_sigma,
     borel_commutation_check,
     borel_exponent,
+    coupling_exponent,
     deceleration_exponent,
     formal_deceleration,
     formal_q_borel,
@@ -148,6 +149,22 @@ class TestCommutation:
         # rational identity behind the deceleration route, n up to 20
         for n in range(1, 21):
             assert borel_exponent(p * n, k) - borel_exponent(n, k) == -deceleration_exponent(n, p, k)
+
+    @given(
+        st.integers(1, 60), st.integers(0, 6), st.integers(-4, 4),
+        st.integers(1, 5), st.sampled_from([1, 2, 3, 4]),
+    )
+    @settings(deadline=None, max_examples=200)
+    def test_coupling_exponent_routes_agree(self, p, l0, l1, l2, k):
+        E = coupling_exponent(p, l0, l1, l2, k)
+        # the series operators: t^l0 with dilation q^{l1 - l0/k}, the
+        # deceleration of ratio l2, and the q^{-e(l0)} prefactor
+        chain = ((Fraction(l1) - Fraction(l0, k)) * p
+                 + deceleration_exponent(p + l0, l2, k) - borel_exponent(l0, k))
+        assert E == chain
+        # the t-plane map q^{l1 p}, conjugated by the Borel weights q^{e(n)}
+        D = l2 * (p + l0)
+        assert E == Fraction(p * (p - 1), 2 * k) + l1 * p - Fraction(D * (D - 1), 2 * k)
 
     def test_mahler_borel_coefficient_routes_agree(self, p2, rng):
         u = TruncatedSeries(rng.standard_normal(8) + 1j * rng.standard_normal(8))

@@ -1,11 +1,13 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import build_spec, gaussian_profile
-from qsum.errors import GridMismatch, NoContraction, OrderOverflow, OverflowFailure, StripViolation
+from qsum.cli import load_problem
+from qsum.errors import GridMismatch, NoContraction, OverflowFailure, StripViolation
 from qsum.fourier import FourierSpace, enorm_values, make_space, series_norm_1R
 from qsum.geometry import poly_eval_im, select_sector
 from qsum.series import TruncatedSeries, borel_exponent, formal_q_borel, formal_q_laplace
@@ -19,6 +21,7 @@ from qsum.solver import (
     pm_taylor_rows,
     solve_fixed_point,
 )
+from qsum.transforms import _decel_logmag
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -171,10 +174,19 @@ class TestApplyH1:
         with pytest.raises(GridMismatch):
             apply_H1(bad, basic_spec, cfg, 4)
 
-    def test_order_budget(self, basic_spec):
-        cfg = select_sector(basic_spec, 0.0)
-        with pytest.raises(OrderOverflow):
-            make_h1_context(basic_spec, cfg, 8, order_budget=10)
+    def test_context_factors_are_the_bracket_magnitudes(self):
+        # the solver's coupling map and the Mahler bracket read one exponent
+        _, spec, _ = load_problem("basic.json")
+        cfg = select_sector(spec, 0.0)
+        N = 12
+        ctx = make_h1_context(spec, cfg, N)
+        for term, (src, dst, factors) in zip(spec.terms, ctx.maps):
+            assert np.array_equal(src, np.arange(1, N // term.l2 - term.l0 + 1))
+            assert np.array_equal(dst, term.l2 * (src + term.l0))
+            _, logmag = _decel_logmag(
+                tuple(int(p) for p in src), term.l0, term.l1, term.l2, spec.params
+            )
+            np.testing.assert_allclose(factors, np.exp(logmag), rtol=1e-13)
 
 
 class TestFixedPoint:
@@ -237,6 +249,30 @@ class TestFixedPoint:
         assert all(n <= bound for n in norms)
         changes = [abs(b - a) for a, b in zip(norms, norms[1:])]
         assert changes[-1] <= 1e-2 * changes[0]
+
+    def test_dropped_mass_is_that_of_the_accepted_iterate(self):
+        # every order a coupling pushes past N, shift terms included, counted
+        # once on the accepted iterate: the same at every tolerance and mode
+        _, spec, _ = load_problem("basic.json")
+        cfg = select_sector(spec, 0.0)
+        N = 12
+        sols = [solve_fixed_point(spec, cfg, N, tol=tol) for tol in (1e-4, 1e-8, 1e-12)]
+        sols.append(solve_fixed_point(spec, cfg, N, mode="triangular"))
+        assert len({sol.iterations for sol in sols[:3]}) == 3
+        q, k = spec.params.q, spec.params.k
+        for sol in sols:
+            want = 0.0
+            for term in spec.terms:
+                for p in range(1, N + 1):
+                    D = term.l2 * (p + term.l0)
+                    if D > N:
+                        E = (Fraction(p * (p - 1), 2 * k) + term.l1 * p
+                             - Fraction(D * (D - 1), 2 * k))
+                        norm = enorm_values(spec.space, sol.omega.coeffs[p - 1])
+                        want += q ** float(E) * norm * cfg.R ** D
+            assert sol.dropped_mass_1R == pytest.approx(want, rel=1e-13)
+        masses = [sol.dropped_mass_1R for sol in sols]
+        assert max(masses) <= min(masses) * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_high_order_solve_is_finite(self, q):

@@ -45,8 +45,8 @@ MUTANTS = [
     Mutant(
         "decel-logmag",
         "qsum/transforms.py",
-        "    logmag = (drop - float(borel_exponent(l0, k))) * params.log_q \\",
-        "    logmag = 1e-6 + (drop - float(borel_exponent(l0, k))) * params.log_q \\",
+        "    logmag = params.log_q * np.array(",
+        "    logmag = 1e-6 + params.log_q * np.array(",
     ),
     # ray-sum selector inv_expq: the coupling jobs lose their exp_q division
     Mutant(
@@ -118,6 +118,14 @@ MUTANTS = [
         "qsum/fourier.py",
         "    acc = x[:, n:] @ e[n:]",
         "    acc = 0.0 * (x[:, n:] @ e[n:])",
+    ),
+    # every coupling's Borel-plane exponent E(p), off by 1e-6: the solver's
+    # coupling map and the Mahler bracket share it
+    Mutant(
+        "coupling-exponent",
+        "qsum/series.py",
+        "    return borel_exponent(p, k) + l1 * p - borel_exponent(l2 * (p + l0), k)\n",
+        "    return borel_exponent(p, k) + l1 * p - borel_exponent(l2 * (p + l0), k) + 1e-6\n",
     ),
     # the formal q-Laplace grows at 3/2 of the q-Gevrey rate
     Mutant(
