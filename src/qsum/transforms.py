@@ -36,6 +36,7 @@ evaluator floor is the series truncation estimate of the continuation.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -363,16 +364,12 @@ class SeparableOmega:
         self.profile = np.asarray(profile, dtype=complex)
         self.space = space
         self.params = params
-        self.s_lattice = None
 
-    def values(self, u: CoveringPoint) -> np.ndarray:
-        return complex(self.radial(u.to_complex())) * self.profile
+    def ray_values(self, radii, theta: float) -> np.ndarray:
+        return self.values_batch(np.asarray(radii) * cmath.exp(1j * theta))
 
     def values_batch(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.radial(np.asarray(pts, dtype=complex)))[:, None] * self.profile[None, :]
-
-    def floor_estimate(self) -> float:
-        return 0.0
 
 
 class PolynomialOmega:
@@ -383,20 +380,16 @@ class PolynomialOmega:
         self.rows = [np.asarray(r, dtype=complex) for r in rows]
         self.space = space
         self.params = params
-        self.s_lattice = None
 
-    def values(self, u: CoveringPoint) -> np.ndarray:
-        uc = u.to_complex()
-        out = np.zeros(self.space.size, dtype=complex)
+    def ray_values(self, radii, theta: float) -> np.ndarray:
+        uc = (np.asarray(radii) * cmath.exp(1j * theta)).tolist()
+        out = np.zeros((len(uc), self.space.size), dtype=complex)
         for p, row in zip(self.powers, self.rows):
-            out += uc**p * row
+            out += np.array([u**p for u in uc])[:, None] * row
         return out
 
     def polynomial(self):
         return self.powers, np.array(self.rows)
-
-    def floor_estimate(self) -> float:
-        return 0.0
 
 
 def _series_at(series: TruncatedSeries, pts: np.ndarray) -> np.ndarray:
@@ -484,15 +477,14 @@ class ContinuedOmega:
     Inside ``r0`` (where the series' top order falls to 1e-13 of its
     coefficient scale) the truncated series is machine accurate and is used
     directly.  Outside, the value is the right-hand side of the continued
-    fixed-point equation, every coupling row taken from `_term_rows`, the
-    ray integrand's own brackets, at the one node ``u``: shifted-argument
-    terms walk back toward the disc by factors ``c = q^{l1 - l0/k} < 1``,
-    Mahler terms are the closed-form `decelerated_bracket` of the truncated
-    series (their brackets only ever see arguments inside ``r0``, so no
-    contour is needed), and the forcing over the denominator symbol is
-    closed form.  Values are memoised; keeping ray nodes on ``s_lattice``
-    multiples makes the recursion ladders collide and turns a
-    nodes-times-depth cost into nodes-plus-depth.
+    fixed-point equation (`rhs_at`), every coupling row taken from
+    `_term_rows`, the ray integrand's own brackets: shift terms read the
+    ladder at ``c u``, ``c = q^{l1 - l0/k} < 1``, Mahler terms are the
+    closed-form `decelerated_bracket` of the truncated series (their
+    brackets only see arguments inside ``r0``), and the forcing over the
+    denominator symbol is closed form.  Rungs are memoised; ray nodes on
+    ``s_lattice`` multiples make the ladders collide, so the cost is nodes
+    plus depth, not nodes times depth.
 
     Raises:
         ValidationError: a coupling's ``c`` is not below 1, so its ladder
@@ -502,7 +494,6 @@ class ContinuedOmega:
     def __init__(self, sol, spec: ProblemSpec, config: SectorConfig, *, max_rungs: int = 20000):
         self.series = sol.omega if hasattr(sol, "omega") else sol
         self.spec = spec
-        self.config = config
         self.params = spec.params
         self.space = spec.space
         self.max_rungs = max_rungs
@@ -513,6 +504,7 @@ class ContinuedOmega:
                     f"term[{i}]: shift factor q^(l1 - l0/k) is not below 1, "
                     "so the continuation ladder never reaches the series disc"
                 )
+        self._shifts = [_shift_factors(t.l0, t.l1, self.params)[0] for t in spec.terms if t.l2 == 1]
 
         self.r0 = _series_radius(self.series, 1e-13, 0.9 * config.R)
         top = float(np.max(np.abs(self.series.coeffs[-1]))) if self.series.order else 0.0
@@ -524,32 +516,65 @@ class ContinuedOmega:
         self.s_lattice = self.params.log_q / (k * mstep)
         self._memo: dict = {}
         self._rungs = 0
+        self._last_sum: list = [None]  # see `gq_sum`
 
-    def _key(self, u: CoveringPoint):
-        s = math.log(u.r)
+    def _key(self, r: float, theta: float):
+        s = math.log(r)
         j = s / self.s_lattice
         jr = round(j)
         if abs(j - jr) < 1e-9:
-            return (int(jr), round(u.theta, 10))
-        return (round(s, 12), round(u.theta, 10))
+            return (int(jr), round(theta, 10))
+        return (round(s, 12), round(theta, 10))
 
     def values(self, u: CoveringPoint) -> np.ndarray:
-        if u.r <= self.r0:
-            return _series_at(self.series, np.array([u.to_complex()]))[0]
-        key = self._key(u)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        self._rungs += 1
-        if self._rungs > self.max_rungs:
-            raise DomainTooLarge(
-                f"continuation ladder exceeded {self.max_rungs} rungs; "
-                "the requested points are too deep in the sector for this budget",
-                witness={"point": (u.r, u.theta), "rungs": self._rungs},
-            )
-        out = self.rhs_at(u)
-        out.setflags(write=False)
-        self._memo[key] = out
+        """`ray_values` at the one node ``u``."""
+        return self.ray_values(np.array([u.r]), u.theta)[0]
+
+    def ray_values(self, radii, theta: float) -> np.ndarray:
+        """Values (S, G) at the ray nodes ``radii * e^{i theta}``.
+
+        Nodes inside ``r0`` take one series evaluation.  The rungs missing
+        beyond it are found by following each shift coupling's ``r -> r c``
+        down to the disc, then filled in ascending waves that span less than
+        one shift factor, so that each wave reads only earlier ones.  Past
+        ``max_rungs`` it raises `DomainTooLarge` before any wave runs, with
+        the rung where that walk crossed the cap, and keeps no rung.
+        """
+        radii = np.asarray(radii, dtype=float)
+        out = np.empty((radii.size, self.space.size), dtype=complex)
+        inside = radii <= self.r0
+        if inside.any():
+            out[inside] = _series_at(self.series, radii[inside] * cmath.exp(1j * theta))
+        far = [(i, self._key(r, theta)) for i, r in enumerate(radii.tolist()) if r > self.r0]
+        new: dict = {}
+        stack = radii[~inside].tolist()[::-1]
+        while stack:
+            r = stack.pop()
+            key = self._key(r, theta) if r > self.r0 else None
+            if key is None or key in self._memo or key in new:
+                continue
+            new[key] = r
+            if self._rungs + len(new) > self.max_rungs:
+                raise DomainTooLarge(
+                    f"continuation ladder exceeded {self.max_rungs} rungs; "
+                    "the requested points are too deep in the sector for this budget",
+                    witness={"point": (r, theta), "rungs": self._rungs + len(new)},
+                )
+            # the radii `_term_rows` passes down, depth first in term order
+            stack.extend(float(np.exp(math.log(r))) * c for c in self._shifts[::-1])
+        # a rung reads rungs at least one factor c below it, never its own wave
+        width = -math.log(max(self._shifts)) - 1e-9 if self._shifts else math.inf
+        rungs = sorted(new, key=new.get)
+        while rungs:
+            top = math.log(new[rungs[0]]) + width
+            n = next((i for i, k in enumerate(rungs) if math.log(new[k]) >= top), len(rungs))
+            wave, rungs = rungs[:n], rungs[n:]
+            rows = self.rhs_at(np.array([new[k] for k in wave]), theta)
+            rows.setflags(write=False)
+            self._memo.update(zip(wave, rows))
+            self._rungs += n
+        for i, key in far:
+            out[i] = self._memo[key]
         return out
 
     def values_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -560,23 +585,26 @@ class ContinuedOmega:
             return _series_at(self.series, pts)
         raise DomainViolation("batch evaluation is restricted to the series disc")
 
-    def rhs_at(self, u: CoveringPoint) -> np.ndarray:
-        """One application of the continued equation's right-hand side."""
-        return self._rhs(u, self)
+    def rhs_at(self, radii, theta: float) -> np.ndarray:
+        """One application of the continued equation's right-hand side at
+        the ray nodes ``radii * e^{i theta}``: (S, G)."""
+        return self._rhs(radii, theta, self)
 
-    def _rhs(self, u: CoveringPoint, ev) -> np.ndarray:
+    def _rhs(self, radii, theta: float, ev) -> np.ndarray:
         """`rhs_at` with the coupling rows `_term_rows` gives on ``ev``, this
         continuation or its `ContourBracket`."""
         spec, space = self.spec, self.space
-        uc = u.to_complex()
-        s = np.array([math.log(u.r)])
-        acc = np.zeros(space.size, dtype=complex)
+        uc = radii * cmath.exp(1j * theta)
+        # math.log, as in `_key`: np.log differs in the last bit on some radii
+        s = np.array([math.log(r) for r in radii.tolist()])
+        acc = np.zeros((radii.size, space.size), dtype=complex)
         for term in spec.terms:
-            row = _term_rows(ev, s, u.theta, spec, term)[0]
-            acc += INV_SQRT_2PI * convolve_values(space, term.band, term.symbol * row)
+            rows = _term_rows(ev, s, theta, spec, term)
+            acc += INV_SQRT_2PI * convolve_values(space, term.band, term.symbol * rows)
         for fc in spec.forcing:
-            acc += fc.F.values * uc**fc.j
-        return acc / eval_Pm(uc, space.m, spec)
+            # Python's complex power, one node at a time: numpy's differs in the last bits
+            acc += fc.F.values * np.array([u**fc.j for u in uc.tolist()])[:, None]
+        return acc / eval_Pm(uc[:, None], space.m, spec)
 
     def polynomial(self):
         """The truncated series as ``(powers, rows)``.
@@ -595,7 +623,7 @@ class ContourBracket:
     Mahler coupling rows from the deceleration contour."""
 
     def __init__(self, om: ContinuedOmega):
-        self.values, self.values_batch = om.values, om.values_batch
+        self.ray_values, self.values_batch = om.ray_values, om.values_batch
         self.floor_estimate, self.s_lattice = om.floor_estimate, om.s_lattice
         self.space, self.r0 = om.space, om.r0
 
@@ -687,20 +715,19 @@ def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=N
     """Integrand rows (S, G) for a plain or coupling-twisted evaluator.
 
     The one realisation of a coupling's bracket: `ContinuedOmega.rhs_at`
-    takes its rows here too, at the one node ``u``.  A Mahler coupling of an evaluator that exposes its polynomial
-    (``polynomial() -> (powers, rows)``) is the closed-form
-    `decelerated_bracket` at ``h = u^{l2}``.  Only evaluators without one
+    takes a wave's rows here too.  Plain and shift rows are the evaluator's
+    `ray_values`.  A Mahler coupling of an evaluator that exposes its
+    polynomial (``polynomial() -> (powers, rows)``) is the closed-form
+    `decelerated_bracket` at ``h = u^{l2}``; only evaluators without one
     (callables such as `SeparableOmega`) take the deceleration contour.
     """
     params = spec.params
     radii = np.exp(s)
     if ell is None:
-        return np.array([omega_ev.values(CoveringPoint(r, theta_d)) for r in radii.tolist()])
+        return omega_ev.ray_values(radii, theta_d)
     if ell.l2 == 1:
         c, e_l0 = _shift_factors(ell.l0, ell.l1, params)
-        rows = np.array(
-            [omega_ev.values(CoveringPoint(r * c, theta_d)) for r in radii.tolist()]
-        )
+        rows = omega_ev.ray_values(radii * c, theta_d)
         phase = complex(np.exp(1j * ell.l0 * theta_d)) / e_l0
         return (radii**ell.l0 * phase)[:, None] * rows
     log_h = ell.l2 * (s + 1j * theta_d)
@@ -823,14 +850,23 @@ def gq_sum(
     applied here (`theorem2_residual` applies them after the ray integral).
     ``inv_expq`` inserts ``1/exp_q(alpha~ u^{d_D})`` under the integral.
     """
-    expq = _ExpqNodes(spec, config) if inv_expq else None
-    if quad is None:
-        quad = _auto_quad(omega_ev, t, spec, ell=ell, expq=expq, tail=tail)
+    # the window and the level profiles do not depend on z: a continuation
+    # keeps those of its last sum, so the next z costs only the inversions
+    kept = omega_ev._last_sum if isinstance(omega_ev, ContinuedOmega) else [None]
+    key = (t, quad, id(ell), inv_expq, tail, id(spec), id(config))
+    if kept[0] != key:
+        expq = _ExpqNodes(spec, config) if inv_expq else None
+        if quad is None:
+            quad = _auto_quad(omega_ev, t, spec, ell=ell, expq=expq, tail=tail)
+        # holding ell, spec and config keeps their ids in the key unique
+        kept[:] = [key, (ell, spec, config), quad, expq, {}]
+    quad, expq, profiles = kept[2:]
     lattice = getattr(omega_ev, "s_lattice", None)
 
     def value_at(qd: RayQuadrature) -> complex:
-        prof, _ = _profile(omega_ev, t, spec, qd, ell=ell, expq=expq)
-        return complex(inverse_fourier_table(prof, spec.space, [z], beta_prime)[0])
+        if qd not in profiles:
+            profiles[qd] = _profile(omega_ev, t, spec, qd, ell=ell, expq=expq)[0]
+        return complex(inverse_fourier_table(profiles[qd], spec.space, [z], beta_prime)[0])
 
     if not check:
         return value_at(quad)
@@ -979,11 +1015,11 @@ def eaux2_sector_residual(
         if tau.r <= series_radius:
             lhs = _series_at(omega.series, np.array([tau.to_complex()]))[0]
             mode = "overlap"
-            rhs = omega.rhs_at(tau)
+            rhs = omega.rhs_at(np.array([tau.r]), tau.theta)[0]
         else:
             lhs = val
             mode = "stability"
-            rhs = omega._rhs(tau, ContourBracket(omega))
+            rhs = omega._rhs(np.array([tau.r]), tau.theta, ContourBracket(omega))[0]
         diff = float(np.max(np.abs(lhs - rhs)))
         scale = float(np.max(np.abs(rhs))) or 1.0
         num = float(np.max(np.abs(val) * wgt))

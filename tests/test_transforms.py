@@ -601,6 +601,26 @@ def test_ladder_rung_cap_carries_witness(fx_full):
     assert exc.value.witness["point"] == pytest.approx((cfg.R, 0.1))
 
 
+@pytest.mark.parametrize("max_rungs, witness_r", [(1, 2.0), (2, 1.0), (4, 0.25), (5, None)])
+def test_ladder_rung_cap_is_checked_before_any_wave(fx_full, max_rungs, witness_r):
+    # 4R walks down by 1/2 through 2R, R, R/2 and R/4; R/8 is inside r0.
+    # The witness is the rung where that walk crosses the cap, and a
+    # refused request keeps no rung
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg, max_rungs=max_rungs)
+    u = CoveringPoint(4.0 * cfg.R, 0.1)
+    assert cfg.R / 8.0 < om.r0 < cfg.R / 4.0
+    if witness_r is None:
+        om.values(u)
+        assert om._rungs == max_rungs
+        return
+    with pytest.raises(DomainTooLarge) as exc:
+        om.values(u)
+    assert exc.value.witness["rungs"] == max_rungs + 1
+    assert exc.value.witness["point"] == pytest.approx((witness_r * cfg.R, 0.1))
+    assert om._memo == {} and om._rungs == 0
+
+
 def test_continued_refuses_shift_factor_not_below_one(fx_full):
     # c = q^(l1 - l0/k) = 1: the shift ladder would never reach the disc
     spec, cfg, sol = fx_full
@@ -649,6 +669,125 @@ def test_continued_batch_outside_disc_raises(fx_full):
     om = ContinuedOmega(sol, spec, cfg)
     with pytest.raises(DomainViolation):
         om.values_batch(np.array([om.r0 * 3.0 + 0.0j]))
+
+
+def _mixed_request(om):
+    """Radii inside ``r0``, on the lattice beyond it, on the refined
+    half-lattice, with duplicates, in shuffled order."""
+    h = om.s_lattice
+    j0 = math.ceil(math.log(om.r0) / h)
+    radii = [0.3 * om.r0, 0.9 * om.r0]
+    radii += [math.exp(j * h) for j in range(j0, j0 + 14)]
+    radii += [math.exp((j + 0.5) * h) for j in range(j0, j0 + 14, 3)]
+    radii += radii[3:9]
+    return np.random.default_rng(0).permutation(radii)
+
+
+@pytest.mark.parametrize("kind", ["continued", "contour", "separable", "polynomial"])
+def test_ray_values_match_one_node_requests(fx_full, kind):
+    # one request equals, bit for bit, the same nodes asked one at a time of
+    # a fresh evaluator, and fills the same ladder
+    spec, cfg, sol = fx_full
+    g = gaussian_profile(spec.space, 1.0).values
+    make = {
+        "continued": lambda: ContinuedOmega(sol, spec, cfg),
+        "contour": lambda: checks.ContourBracket(ContinuedOmega(sol, spec, cfg)),
+        "separable": lambda: SeparableOmega(
+            lambda u: u / (1.0 + u), g, spec.space, spec.params),
+        "polynomial": lambda: PolynomialOmega([1, 3], [g, 0.5 * g], spec.space, spec.params),
+    }[kind]
+    ev, fresh = make(), make()
+    radii = _mixed_request(ContinuedOmega(sol, spec, cfg))
+    got = ev.ray_values(radii, 0.1)
+    if kind == "continued":
+        want = np.array([fresh.values(CoveringPoint(r, 0.1)) for r in radii.tolist()])
+        assert ev._rungs == fresh._rungs > 0
+    else:
+        want = np.array([fresh.ray_values(np.array([r]), 0.1)[0] for r in radii.tolist()])
+    assert got.shape == (radii.size, spec.space.size)
+    assert np.array_equal(got, want)
+
+
+def _count(monkeypatch, name):
+    calls = []
+    fn = getattr(transforms, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(transforms, name, counting)
+    return calls
+
+
+def test_gq_sum_reuses_the_profile_across_z(fx_full, monkeypatch):
+    # the window and the level profiles at one t do not depend on z: on one
+    # continuation, calls 2-4 run no probe and no profile, and every value
+    # equals that of a fresh continuation
+    spec, cfg, sol = fx_full
+    t = CoveringPoint(cfg.R / 4.0, 0.1)
+    zs = [0.2 + 0.1j, -0.4, 0.7 - 0.2j, 0.1 + 0.3j]
+    want = [gq_sum(ContinuedOmega(sol, spec, cfg), t, z, cfg, spec, beta_prime=0.5)
+            for z in zs]
+    om = ContinuedOmega(sol, spec, cfg)
+    got = [gq_sum(om, t, zs[0], cfg, spec, beta_prime=0.5)]
+    probes, profiles = _count(monkeypatch, "_auto_quad"), _count(monkeypatch, "_profile")
+    got += [gq_sum(om, t, z, cfg, spec, beta_prime=0.5) for z in zs[1:]]
+    assert got == want
+    assert probes == [] and profiles == []
+
+
+@pytest.mark.parametrize("change", ["t", "ell", "inv_expq", "tail", "quad"])
+def test_gq_sum_recomputes_when_the_sum_changes(fx_full, monkeypatch, change):
+    spec, cfg, sol = fx_full
+    t = CoveringPoint(cfg.R / 4.0, 0.1)
+    first = {"t": t, "beta_prime": 0.5, "inv_expq": True}
+    other = {
+        "t": {"t": CoveringPoint(cfg.R / 5.0, 0.1)},
+        "ell": {"ell": spec.terms[0]},
+        "inv_expq": {"inv_expq": False},
+        "tail": {"tail": 1e-10},
+        "quad": {"quad": _auto_quad(ContinuedOmega(sol, spec, cfg), t, spec, tail=1e-11)},
+    }[change]
+    # ``ref`` walks the same ladder but drops the kept sum before each call
+    # (a rung keeps the radius of its first visit, so the oracle needs the
+    # same history, not a fresh continuation); one sum is kept, so going
+    # back to the first recomputes too
+    om, ref = ContinuedOmega(sol, spec, cfg), ContinuedOmega(sol, spec, cfg)
+    for call in [first, {**first, **other}, first]:
+        kw = dict(call)
+        point = kw.pop("t")
+        ref._last_sum = [None]
+        want = gq_sum(ref, point, 0.2, cfg, spec, **kw)
+        profiles = _count(monkeypatch, "_profile")
+        assert gq_sum(om, point, 0.2, cfg, spec, **kw) == want
+        assert profiles
+        monkeypatch.undo()
+
+
+def test_contour_bracket_never_sees_the_continuation_profiles(fx_full, monkeypatch):
+    # the Mahler rows of the bracket are the contour's, not the closed form's
+    spec, cfg, sol = fx_full
+    t = CoveringPoint(cfg.R / 4.0, 0.1)
+    kw = {"beta_prime": 0.5, "ell": spec.terms[1], "inv_expq": True}
+    want = gq_sum(checks.ContourBracket(ContinuedOmega(sol, spec, cfg)), t, 0.2, cfg, spec, **kw)
+    om = ContinuedOmega(sol, spec, cfg)
+    closed = gq_sum(om, t, 0.2, cfg, spec, **kw)
+    kept = list(om._last_sum)
+    profiles = _count(monkeypatch, "_profile")
+    assert gq_sum(checks.ContourBracket(om), t, 0.2, cfg, spec, **kw) == want != closed
+    assert profiles and all(a is b for a, b in zip(om._last_sum, kept))
+
+
+def test_gq_sum_domain_error_holds_for_every_z(fx_full):
+    # a refused t keeps nothing, so every z at it is refused alike
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg, max_rungs=5)
+    t = CoveringPoint(0.4 * cfg.R, 0.1)
+    for z in (0.2, -0.3 + 0.1j, 0.5j, 0.9):
+        with pytest.raises(DomainTooLarge):
+            gq_sum(om, t, z, cfg, spec, beta_prime=0.5)
+    assert om._last_sum == [None]
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,15 @@ MUTANTS = [
     Mutant(
         "continuation-forcing",
         "qsum/transforms.py",
-        "            acc += fc.F.values * uc**fc.j",
-        "            acc += fc.F.values * uc**fc.j * (1.0 + 1e-6)",
+        "            acc += fc.F.values * np.array(",
+        "            acc += (1.0 + 1e-6) * fc.F.values * np.array(",
+    ),
+    # the ray sum kept for the next z forgets which coupling it summed
+    Mutant(
+        "profile-key",
+        "qsum/transforms.py",
+        "    key = (t, quad, id(ell), inv_expq, tail, id(spec), id(config))",
+        "    key = (t, quad, inv_expq, tail, id(spec), id(config))",
     ),
     # the Borel-type contour prefactor, off by 1e-6 relative
     Mutant(
