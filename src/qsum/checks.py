@@ -98,7 +98,7 @@ def borel_roundtrip(params, points):
             f, x, params=params,
             quad=ray_window(x, params, growth=3.0, tail=1e-14, step=0.08), check=False,
         )
-        got = q_borel_analytic(phi, xi, params=params, radius=0.5, step=0.15)
+        got = q_borel_analytic(phi, xi, params=params, step=0.15)
         rows.append(("borel-inverts-laplace", f"xi=({xi.r:.4g},{xi.theta:.4g})",
                      _rel(got, f(xi.to_complex())), 1e-5))
     return rows

@@ -513,9 +513,6 @@ def cmd_sum(args) -> int:
         if abs(z_im) > beta_prime:
             rows.append((t_r, t_theta, z_re, z_im, "", "", "", "strip"))
             continue
-        if t_r > cfg.R:
-            rows.append((t_r, t_theta, z_re, z_im, "", "", "", "domain"))
-            continue
         try:
             v = gq_sum(om, CoveringPoint(t_r, t_theta), z, cfg, spec,
                        beta_prime=beta_prime, tail=args.tail, eps_rel=args.eps_rel)

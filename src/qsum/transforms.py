@@ -2,10 +2,11 @@
 
 The formal layer (`series`) moves coefficients around; this module does the
 analysis: the Laplace integral along a ray of the covering surface, the
-inverse (Borel) contour integral over a covering circle, the deceleration
-contour that realises the Mahler substitution analytically, and the
-assembled double and triple integrals that turn a Borel-plane fixed point
-into an actual function ``u(t, z)``.
+inverse (Borel) contour integral over a covering circle, and the
+deceleration contour that realises the Mahler substitution analytically.
+Two ray sums turn a Borel-plane fixed point into functions of ``(t, z)``:
+`gq_sum` is the solution ``u(t, z)``, and `_term_sum` is each term of the
+equation it solves, which `theorem2_residual` compares.
 
 Conventions used throughout:
 
@@ -23,10 +24,9 @@ Conventions used throughout:
 * Windows are either prescribed (`RayQuadrature`, `CircleContour`) or built
   automatically from a tail target by probing the actual integrand, never
   from growth assumptions alone.
-* ``refined()`` splits a doubling of nodes between step and window
-  (step/sqrt(2), window*sqrt(2)) so that both error sources shrink; the
-  lattice-preserving variant halves the step and widens the window more
-  conservatively so that ladder caching in `ContinuedOmega` keeps working.
+* ``refined()`` doubles the nodes (step/sqrt(2), window*sqrt(2)) so that
+  both error sources shrink; its lattice variant halves the step and widens
+  the window by a quarter, so that the memo of `ContinuedOmega` keeps hitting.
 
 Error budgets reported by the residual drivers are documented estimates,
 not bounds: the window term is the measured edge level times the Gaussian
@@ -51,7 +51,7 @@ from .errors import (
     ZeroDivision,
 )
 from .fourier import INV_SQRT_2PI, _contract, convolve_values, inverse_fourier_table
-from .geometry import ProblemSpec, SectorConfig, eval_Pm, poly_eval_im
+from .geometry import ProblemSpec, SectorConfig, eval_Pm
 from .qcore import CoveringPoint, QParams, exp_q, pi_qk, recip_kernel_log, theta_kernel_log
 from .series import TruncatedSeries, borel_exponent, coupling_exponent
 
@@ -221,11 +221,7 @@ def q_laplace(
     quad: RayQuadrature | None = None,
     *,
     params: QParams,
-    radius_cert: float | None = None,
     growth: float = 0.0,
-    tail: float = 1e-12,
-    step: float = 0.12,
-    eps_rel: float = 1e-9,
     check: bool = True,
 ) -> complex:
     """Laplace integral ``pi_{q,k} int Theta_k(T/u) f(u) du/u`` along a ray.
@@ -233,19 +229,17 @@ def q_laplace(
     ``f`` is called with an ndarray of plane points ``e^{s + i theta_d}``
     and must broadcast.  With no ``quad`` the ray direction is ``T``'s own
     angle (the value does not depend on the direction within the admissible
-    family) and the window is sized from ``growth`` and ``tail``.
+    family) and the window is `ray_window`'s for ``growth``.  With ``check``
+    the value is accepted once two node doublings agree to 1e-9.
 
     Raises:
-        DomainTooLarge: ``|T|`` exceeds ``radius_cert``.
         QuadratureStall: node doubling failed to stabilise the value.
     """
-    if radius_cert is not None and T.r > radius_cert:
-        raise DomainTooLarge(f"|T| = {T.r:.3g} exceeds certified radius {radius_cert:.3g}")
     if quad is None:
-        quad = ray_window(T, params, growth=growth, tail=tail, step=step)
+        quad = ray_window(T, params, growth=growth)
     if not check:
         return _ray_value(f, T, quad, params)
-    return _stabilise(lambda qd: _ray_value(f, T, qd, params), quad, eps_rel, "q_laplace")
+    return _stabilise(lambda qd: _ray_value(f, T, qd, params), quad, 1e-9, "q_laplace")
 
 
 def _contour_value(vals, log_y, weights: np.ndarray, params: QParams, k_order: float | None = None):
@@ -263,17 +257,14 @@ def q_borel_analytic(
     xi: CoveringPoint,
     *,
     params: QParams,
-    radius: float = 0.5,
     step: float = 0.2,
-    eps_rel: float = 1e-8,
-    check: bool = True,
 ) -> complex:
     """Analytic Borel transform: contour integral against the inverse kernel.
 
     ``phi`` is called once per node with a `CoveringPoint` on the circle (it
-    may be multivalued in the angle).  The contour is built at ``radius``
+    may be multivalued in the angle).  The contour is built at radius 0.5
     centred on ``xi``'s angle, where the kernel Gaussian in the covering
-    angle peaks.
+    angle peaks, and checked by node doubling to 1e-8.
     """
 
     def value_at(ct: CircleContour) -> complex:
@@ -282,10 +273,8 @@ def q_borel_analytic(
         log_y = (math.log(ct.radius) - math.log(xi.r)) + 1j * (ct.t_grid() - xi.theta)
         return complex(_contour_value(vals, log_y, ct.weights(), params))
 
-    contour = contour_window(xi.theta, radius, params, step=step)
-    if not check:
-        return value_at(contour)
-    return _stabilise(value_at, contour, eps_rel, "q_borel_analytic")
+    contour = contour_window(xi.theta, 0.5, params, step=step)
+    return _stabilise(value_at, contour, 1e-8, "q_borel_analytic")
 
 
 def _deceleration_window(p: int, params: QParams) -> CircleContour:
@@ -326,13 +315,11 @@ def deceleration_integral(
     *,
     params: QParams,
     f_disc_radius: float | None = None,
-    eps_rel: float = 1e-8,
-    check: bool = True,
 ) -> complex:
     """Contour form of the order-``p`` deceleration of ``f``, evaluated at ``h``.
 
     The one-value case of `_deceleration_contour` (``f`` starting at ``x^1``),
-    checked by node doubling.  ``f`` is called with ndarrays of plane points,
+    checked by node doubling to 1e-8.  ``f`` is called with ndarrays of plane points,
     all within ``0.7 f_disc_radius`` when that is given.
     """
     if p < 2:
@@ -342,10 +329,7 @@ def deceleration_integral(
     def value_at(ct: CircleContour) -> complex:
         return complex(_deceleration_contour(f, p, 0, log_h, params, ct, f_disc_radius)[0])
 
-    window = _deceleration_window(p, params)
-    if not check:
-        return value_at(window)
-    return _stabilise(value_at, window, eps_rel, "deceleration_integral")
+    return _stabilise(value_at, _deceleration_window(p, params), 1e-8, "deceleration_integral")
 
 
 # ---------------------------------------------------------------------------
@@ -638,41 +622,36 @@ def _probe_ray(
     *,
     tail: float,
     lattice: float | None,
-    coarse: float = 0.5,
-    max_span: float = 40.0,
 ) -> tuple[float, float]:
     """Bracket the decayed support of ``level(s)`` around ``s_seed``.
 
-    Walks outward in coarse steps from the seed until the level falls below
-    ``tail`` times the running peak on both sides.  Raises `DomainTooLarge`
-    if the upper side has not decayed within ``max_span`` (the integral is
-    then not certified to converge at this point for this budget).
+    Walks outward in steps of about 0.5 from the seed, upward first (the
+    peak can sit away from the seed), until the level falls below ``tail``
+    times the running peak.  Raises `DomainTooLarge` if a side has not
+    decayed within 40 units (the integral is then not certified to converge
+    at this point for this budget).
     """
+    coarse, span = 0.5, 40.0
     if lattice is not None:
         coarse = max(lattice, lattice * round(coarse / lattice))
         s_seed = lattice * round(s_seed / lattice)
     peak = level(s_seed)
-    lo = hi = s_seed
-    nxt = peak
-    # climb first: the peak can sit away from the seed
-    for _ in range(int(max_span / coarse)):
-        nxt = level(hi + coarse)
-        hi += coarse
-        peak = max(peak, nxt)
-        if nxt < tail * max(peak, 1e-300):
-            break
-    else:
-        raise DomainTooLarge(
-            f"ray integrand still at {nxt:.3g} (peak {peak:.3g}) after "
-            f"{max_span:.0f} units; point outside the certified domain"
-        )
-    for _ in range(int(max_span / coarse)):
-        nxt = level(lo - coarse)
-        lo -= coarse
-        peak = max(peak, nxt)
-        if nxt < tail * max(peak, 1e-300):
-            break
-    return lo, hi
+    ends = []
+    for step in (coarse, -coarse):
+        s = s_seed
+        for _ in range(int(span / coarse)):
+            s += step
+            nxt = level(s)
+            peak = max(peak, nxt)
+            if nxt < tail * max(peak, 1e-300):
+                break
+        else:
+            raise DomainTooLarge(
+                f"ray integrand still at {nxt:.3g} (peak {peak:.3g}) after "
+                f"{span:.0f} units; point outside the certified domain"
+            )
+        ends.append(s)
+    return ends[1], ends[0]
 
 
 def _expq_row(u_plane: np.ndarray, spec: ProblemSpec, config: SectorConfig) -> np.ndarray:
@@ -691,10 +670,9 @@ def _expq_row(u_plane: np.ndarray, spec: ProblemSpec, config: SectorConfig) -> n
 class _ExpqNodes:
     """`_expq_row` memoised per ray node ``(s, theta_d)``.
 
-    `gq_sum` shares one between its probe and its refinement levels, and
-    `theorem2_residual` one across the jobs of a call, so each distinct
-    node costs one ``exp_q`` evaluation however many terms, probes and
-    refinement levels visit it.
+    `theorem2_residual` shares one across the terms of a call, so each
+    distinct node costs one ``exp_q`` evaluation however many terms, probes
+    and refinement levels visit it.
     """
 
     def __init__(self, spec: ProblemSpec, config: SectorConfig):
@@ -805,7 +783,6 @@ def _auto_quad(
     ell=None,
     expq: _ExpqNodes | None = None,
     tail: float = 1e-11,
-    step: float = 0.12,
 ) -> RayQuadrature:
     """Probe the actual integrand to size the ray window for this term
     (``ell`` and ``expq`` as in `_integrand`)."""
@@ -822,7 +799,7 @@ def _auto_quad(
         hi = math.ceil(hi / h) * h
         n = int(round((hi - lo) / h)) + 1
         return RayQuadrature(t.theta, lo, hi, max(8, n))
-    n = max(8, int(math.ceil((hi - lo) / step)) + 1)
+    n = max(8, int(math.ceil((hi - lo) / 0.12)) + 1)
     return RayQuadrature(t.theta, lo, hi, n)
 
 
@@ -834,42 +811,39 @@ def gq_sum(
     spec: ProblemSpec,
     *,
     beta_prime: float,
-    ell=None,
-    inv_expq: bool = False,
     quad: RayQuadrature | None = None,
     tail: float = 1e-11,
     eps_rel: float = 1e-8,
-    check: bool = True,
 ) -> complex:
-    """The ray sum ``(pi/sqrt(2 pi)) iint Theta(t/u) rows(u, m) e^{imz}``.
+    """The solution sum ``(pi/sqrt(2 pi)) iint Theta(t/u) omega(u, m) e^{imz}``.
 
-    By default the rows are ``omega(u, m)``: the solution sum.  With ``ell``
-    (a `MahlerTerm`) they are that coupling's bracket of ``omega``, the
-    shift ``u^{l0} q^{-e(l0)} omega(c u)`` for ``l2 = 1`` and its
-    deceleration for ``l2 >= 2``; the term's profile and symbol are not
-    applied here (`theorem2_residual` applies them after the ray integral).
-    ``inv_expq`` inserts ``1/exp_q(alpha~ u^{d_D})`` under the integral.
+    The q-Laplace transform of the evaluator along ``arg t`` (or along
+    ``quad``), inverted at ``z`` and checked by node doubling.  The terms of
+    the equation it solves are summed by `_term_sum`.
+
+    Raises:
+        DomainTooLarge: ``|t|`` exceeds the sector's ``R``, or the ray
+            integrand does not decay at this ``t``.
     """
+    if t.r > config.R:
+        raise DomainTooLarge(f"|t| = {t.r:.3g} exceeds the sector radius R = {config.R:.3g}")
     # the window and the level profiles do not depend on z: a continuation
     # keeps those of its last sum, so the next z costs only the inversions
     kept = omega_ev._last_sum if isinstance(omega_ev, ContinuedOmega) else [None]
-    key = (t, quad, id(ell), inv_expq, tail, id(spec), id(config))
+    key = (t, quad, tail, id(spec))
     if kept[0] != key:
-        expq = _ExpqNodes(spec, config) if inv_expq else None
         if quad is None:
-            quad = _auto_quad(omega_ev, t, spec, ell=ell, expq=expq, tail=tail)
-        # holding ell, spec and config keeps their ids in the key unique
-        kept[:] = [key, (ell, spec, config), quad, expq, {}]
-    quad, expq, profiles = kept[2:]
-    lattice = getattr(omega_ev, "s_lattice", None)
+            quad = _auto_quad(omega_ev, t, spec, tail=tail)
+        # holding spec keeps its id in the key unique
+        kept[:] = [key, spec, quad, {}]
+    quad, profiles = kept[2:]
 
     def value_at(qd: RayQuadrature) -> complex:
         if qd not in profiles:
-            profiles[qd] = _profile(omega_ev, t, spec, qd, ell=ell, expq=expq)[0]
+            profiles[qd] = _profile(omega_ev, t, spec, qd)[0]
         return complex(inverse_fourier_table(profiles[qd], spec.space, [z], beta_prime)[0])
 
-    if not check:
-        return value_at(quad)
+    lattice = getattr(omega_ev, "s_lattice", None)
     return _stabilise(value_at, quad, eps_rel, "gq_sum", refine_kw={"lattice": lattice})
 
 
@@ -877,12 +851,47 @@ def gq_sum(
 # residual drivers
 
 
+def _term_sum(
+    ev,
+    t: CoveringPoint,
+    z: complex,
+    spec: ProblemSpec,
+    *,
+    beta_prime: float,
+    ell,
+    expq: _ExpqNodes | None,
+    mult: np.ndarray | None,
+    tail: float,
+    node_factor: int,
+) -> tuple[complex, float]:
+    """One term of the summed equation at ``(t, z)``: ``(value, budget)``.
+
+    The rows `_integrand` selects (``ell`` and ``expq`` as there), times
+    ``mult``, summed on the probed window refined ``node_factor - 1`` times
+    and once more; a coupling's symbol and convolution act on both profiles.
+    The budget adds the refine difference, the window edge mass and the
+    profile's mass at the grid ends."""
+    space = spec.space
+    lattice = getattr(ev, "s_lattice", None)
+    quad = _auto_quad(ev, t, spec, ell=ell, expq=expq, tail=tail)
+    for _ in range(node_factor - 1):
+        quad = quad.refined(lattice=lattice)
+    p1, edge1 = _profile(ev, t, spec, quad, ell=ell, expq=expq, m_mult=mult)
+    p2, _ = _profile(ev, t, spec, quad.refined(lattice=lattice), ell=ell, expq=expq, m_mult=mult)
+    profs = np.stack([p1, p2])
+    if ell is not None:
+        # symbol under the convolution, then the profile product rule
+        profs = INV_SQRT_2PI * convolve_values(space, ell.band, ell.symbol * profs)
+    v1, v2 = map(complex, inverse_fourier_table(profs, space, [z], beta_prime)[:, 0])
+    edge = edge1 * math.sqrt(math.pi / _kappa(spec.params))
+    return v2, abs(v2 - v1) + edge + (abs(profs[1, 0]) + abs(profs[1, -1])) / space.beta
+
+
 @dataclass
 class Theorem2Report:
     """Per-sample residual of the pseudo-equation satisfied by the sum."""
 
     rows: list
-    settings: dict
 
 
 def theorem2_residual(
@@ -898,79 +907,46 @@ def theorem2_residual(
 ) -> Theorem2Report:
     """Evaluate every term of the summed equation and report ``|LHS - RHS|``.
 
-    Each term gets its own probed window so that tails do not cancel between
-    terms.  The budget column is the documented estimate: the per-term
-    refine-and-compare difference plus the window edge mass plus the
-    evaluator's truncation floor; the residual itself is computed from the
-    refined values.  ``node_factor`` doubles (or more) every node count for
-    the convergence probe in the acceptance suite.  The Mahler coupling rows
-    of a polynomial evaluator (the continuation's truncated series, which is
-    all its bracket sees) are the closed-form `decelerated_bracket`, so that
-    term carries only the ray quadrature's error.
+    Each term is a `_term_sum` on its own probed window, so that tails do
+    not cancel between terms.  The budget column is the documented
+    estimate: the terms' budgets plus the evaluator's truncation floor; the
+    residual itself is computed from the refined values.  ``node_factor``
+    doubles (or more) every node count for the convergence probe in the
+    acceptance suite.  The Mahler coupling rows of a polynomial evaluator
+    (the continuation's truncated series, which is all its bracket sees)
+    are the closed-form `decelerated_bracket`, so that term carries only the
+    ray quadrature's error.
     """
     if omega is None:
         omega = ContinuedOmega(sol, spec, config)
-    space, params = spec.space, spec.params
-    qsym = poly_eval_im(spec.Q, space.m)
-    rdsym = poly_eval_im(spec.R_D, space.m)
-    forcing_ev = None
+    expq = _ExpqNodes(spec, config)
+    # terms: (name, evaluator, ell, exp_q memo, m multiplier)
+    jobs = [("lhs", omega, None, expq, spec.q_symbol()),
+            ("dominant", omega, None, None, spec.rd_symbol())]
+    for i, term in enumerate(spec.terms):
+        jobs.append((f"coupling{i}", omega, term, expq, None))
     if spec.forcing:
         forcing_ev = PolynomialOmega(
-            [f.j for f in spec.forcing], [f.F.values for f in spec.forcing], space, params
+            [f.j for f in spec.forcing], [f.F.values for f in spec.forcing], spec.space, spec.params
         )
-    lattice = getattr(omega, "s_lattice", None)
-    expq = _ExpqNodes(spec, config)
+        jobs.append(("forcing", forcing_ev, None, expq, None))
     rows = []
     for t, z in sample_points:
-        # profiles: (name, evaluator, ell, exp_q memo, m multiplier)
-        jobs = [("lhs", omega, None, expq, qsym), ("dominant", omega, None, None, rdsym)]
-        for i, term in enumerate(spec.terms):
-            jobs.append((f"coupling{i}", omega, term, expq, None))
-        if forcing_ev is not None:
-            jobs.append(("forcing", forcing_ev, None, expq, None))
         values: dict = {}
         budget = omega.floor_estimate()
         for name, ev, ell, ex, mult in jobs:
-            quad = _auto_quad(ev, t, spec, ell=ell, expq=ex, tail=tail)
-            for _ in range(max(0, node_factor - 1)):
-                quad = quad.refined(lattice=getattr(ev, "s_lattice", None))
-            p1, edge1 = _profile(ev, t, spec, quad, ell=ell, expq=ex, m_mult=mult)
-            quad2 = quad.refined(lattice=getattr(ev, "s_lattice", None))
-            p2, _ = _profile(ev, t, spec, quad2, ell=ell, expq=ex, m_mult=mult)
-            profs = np.stack([p1, p2])
-            if ell is not None:
-                # symbol under the convolution, then the profile product rule
-                profs = INV_SQRT_2PI * convolve_values(space, ell.band, ell.symbol * profs)
-            v1, v2 = map(complex, inverse_fourier_table(profs, space, [z], beta_prime)[:, 0])
-            values[name] = v2
-            budget += abs(v2 - v1) + edge1 * math.sqrt(
-                math.pi / _kappa(params)
-            ) + (abs(profs[1, 0]) + abs(profs[1, -1])) / space.beta
+            values[name], term_budget = _term_sum(
+                ev, t, z, spec, beta_prime=beta_prime, ell=ell, expq=ex, mult=mult,
+                tail=tail, node_factor=node_factor,
+            )
+            budget += term_budget
         rhs = values["dominant"] + sum(
             values[f"coupling{i}"] for i in range(len(spec.terms))
         ) + values.get("forcing", 0.0)
-        rows.append(
-            {
-                "t_r": t.r,
-                "t_theta": t.theta,
-                "z_re": complex(z).real,
-                "z_im": complex(z).imag,
-                "terms": values,
-                "lhs": values["lhs"],
-                "rhs": rhs,
-                "residual": abs(values["lhs"] - rhs),
-                "budget": budget,
-            }
-        )
-    return Theorem2Report(
-        rows,
-        {
-            "beta_prime": beta_prime,
-            "tail": tail,
-            "node_factor": node_factor,
-            "lattice": lattice,
-        },
-    )
+        rows.append({"t_r": t.r, "t_theta": t.theta, "z_re": complex(z).real,
+                     "z_im": complex(z).imag, "terms": values, "lhs": values["lhs"],
+                     "rhs": rhs, "residual": abs(values["lhs"] - rhs), "budget": budget})
+    return Theorem2Report(rows)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from qsum.errors import (
     ValidationError,
     ZeroDivision,
 )
-from qsum.fourier import FourierFn, inverse_fourier_eval
+from qsum.fourier import INV_SQRT_2PI, FourierFn, convolve_values, inverse_fourier_eval
 from qsum.geometry import MahlerTerm, select_sector
 from qsum.qcore import CoveringPoint, QParams, exp_q, theta_kernel_log
 from qsum.series import borel_exponent
@@ -29,7 +29,9 @@ from qsum.transforms import (
     _auto_quad,
     _ExpqNodes,
     _expq_row,
+    _profile,
     _term_rows,
+    _term_sum,
     decelerated_bracket,
     deceleration_integral,
     eaux2_sector_residual,
@@ -185,15 +187,9 @@ def test_q_laplace_commutes_with_q_difference():
     assert abs(lhs - want) <= 1e-6 * abs(want)
 
 
-def test_q_laplace_radius_guard():
-    P = QParams(q=2.0, k=1)
-    with pytest.raises(DomainTooLarge):
-        q_laplace(lambda u: u, CoveringPoint(0.5, 0.0), params=P, radius_cert=0.2)
-
-
 def test_q_laplace_stall_on_kink():
     # kinks in the log-radius coordinate keep the trapezoid at low order, so
-    # node-doubling agreement can never reach 1e-14 within two refinements
+    # node-doubling agreement cannot reach 1e-9 within two refinements
     P = QParams(q=2.0, k=1)
     with pytest.raises(QuadratureStall):
         q_laplace(
@@ -201,7 +197,6 @@ def test_q_laplace_stall_on_kink():
             CoveringPoint(0.1, 0.0),
             quad=RayQuadrature(0.0, -8.0, 5.0, 40),
             params=P,
-            eps_rel=1e-14,
         )
 
 
@@ -225,7 +220,7 @@ def test_borel_inverts_laplace_linear():
         lambda u: u, x, params=P,
         quad=ray_window(x, P, growth=1.0, tail=1e-14, step=0.08), check=False,
     )
-    got = q_borel_analytic(phi, xi, params=P, radius=0.5, step=0.15)
+    got = q_borel_analytic(phi, xi, params=P, step=0.15)
     want = xi.r * np.exp(1j * xi.theta)
     assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -320,7 +315,15 @@ def test_deceleration_guards():
 
 
 # ---------------------------------------------------------------------------
-# G_q-sum and the operator family
+# G_q-sum and the term sums
+
+
+def _term(ev, t, z, cfg, spec, *, ell=None, expq=True):
+    """The value `_term_sum` gives one term of the summed equation, at the
+    tail and node count `theorem2_residual` uses; ``expq`` divides by exp_q."""
+    ex = _ExpqNodes(spec, cfg) if expq else None
+    return _term_sum(ev, t, z, spec, beta_prime=0.5, ell=ell, expq=ex, mult=None,
+                     tail=1e-10, node_factor=1)[0]
 
 
 def test_gq_sum_separable_monomial(fx_forcing):
@@ -381,7 +384,7 @@ def test_expq_inverse_cancellation(fx_forcing):
     ev = SeparableOmega(radial, g, space, P)
     t = CoveringPoint(0.1, 0.15)
     z = 0.25 - 0.1j
-    got = gq_sum(ev, t, z, cfg, spec, beta_prime=0.5, inv_expq=True)
+    got = _term(ev, t, z, cfg, spec)
     want = t.r * np.exp(1j * t.theta) * inverse_fourier_eval(FourierFn(space, g), z, 0.5)
     assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -389,7 +392,7 @@ def test_expq_inverse_cancellation(fx_forcing):
 def test_expq_inverse_zero(fx_forcing):
     spec, cfg = fx_forcing
     ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size), spec.space, spec.params)
-    got = gq_sum(ev, CoveringPoint(0.1, 0.0), 0.1, cfg, spec, beta_prime=0.5, inv_expq=True)
+    got = _term(ev, CoveringPoint(0.1, 0.0), 0.1, cfg, spec)
     assert abs(got) <= 1e-14
 
 
@@ -404,8 +407,8 @@ def test_expq_inverse_consistency(fx_forcing):
     )
     t = CoveringPoint(0.08, -0.2)
     z = 0.1 + 0.05j
-    a = gq_sum(ev, t, z, cfg, spec, beta_prime=0.5, inv_expq=True)
-    b = gq_sum(ev_div, t, z, cfg, spec, beta_prime=0.5)
+    a = _term(ev, t, z, cfg, spec)
+    b = _term(ev_div, t, z, cfg, spec, expq=False)
     assert abs(a - b) <= 1e-8 * abs(a)
 
 
@@ -420,19 +423,14 @@ def test_expq_zero_node_raises(fx_forcing):
     g = gaussian_profile(spec.space, 1.0).values
     ev = SeparableOmega(lambda u: u, g, spec.space, P)
     with pytest.raises(ZeroDivision):
-        gq_sum(
-            ev, CoveringPoint(0.05, math.pi), 0.1, cfg, spec,
-            beta_prime=0.5, inv_expq=True, quad=qd, check=False,
-        )
+        _profile(ev, CoveringPoint(0.05, math.pi), spec, qd, expq=_ExpqNodes(spec, cfg))
 
 
 def test_g_ellk_zero(fx_full):
     spec, cfg, _ = fx_full
     ell = spec.terms[1]
     ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size), spec.space, spec.params)
-    got = gq_sum(
-        ev, CoveringPoint(0.08, 0.1), 0.1, cfg, spec, beta_prime=0.5, ell=ell, inv_expq=True
-    )
+    got = _term(ev, CoveringPoint(0.08, 0.1), 0.1, cfg, spec, ell=ell)
     assert abs(got) <= 1e-14
 
 
@@ -440,11 +438,13 @@ def test_g_ellk_zero(fx_full):
 def test_g_ellk_monomial_oracle(fx_full, index):
     # on u^n the inner contour is exactly the formal deceleration factor, so
     # the triple integral collapses to the inverse-insertion sum of a single
-    # higher monomial; for the shift coupling (l2 = 1) that factor is 1
+    # higher monomial with the coupled profile; for the shift coupling
+    # (l2 = 1) that factor is 1
     spec, cfg, _ = fx_full
     P, space = spec.params, spec.space
     ell = spec.terms[index]
     g = gaussian_profile(space, 1.0).values
+    coupled = INV_SQRT_2PI * convolve_values(space, ell.band, ell.symbol * g)
     t = CoveringPoint(0.08, 0.1)
     z = 0.15 + 0.05j
     c = ell.l1 - ell.l0 / P.k
@@ -455,13 +455,10 @@ def test_g_ellk_monomial_oracle(fx_full, index):
             / P.q ** be(ell.l0, P.k)
             * P.q ** (be(M, P.k) - be(ell.l2 * M, P.k))
         )
-        lhs = gq_sum(
-            SeparableOmega(lambda u, n=n: u**n, g, space, P),
-            t, z, cfg, spec, beta_prime=0.5, ell=ell, inv_expq=True,
-        )
-        rhs = gq_sum(
-            SeparableOmega(lambda u, f=fac, m=M: f * u ** (ell.l2 * m), g, space, P),
-            t, z, cfg, spec, beta_prime=0.5, inv_expq=True,
+        lhs = _term(SeparableOmega(lambda u, n=n: u**n, g, space, P), t, z, cfg, spec, ell=ell)
+        rhs = _term(
+            SeparableOmega(lambda u, f=fac, m=M: f * u ** (ell.l2 * m), coupled, space, P),
+            t, z, cfg, spec,
         )
         assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
 
@@ -476,14 +473,8 @@ def test_g_ellk_polynomial_matches_callable(fx_full, n):
     g = gaussian_profile(space, 1.0).values
     t = CoveringPoint(0.08, 0.1)
     z = 0.15 + 0.05j
-    closed = gq_sum(
-        PolynomialOmega([n], [g], space, P), t, z, cfg, spec,
-        beta_prime=0.5, ell=ell, inv_expq=True,
-    )
-    contour = gq_sum(
-        SeparableOmega(lambda u: u**n, g, space, P), t, z, cfg, spec,
-        beta_prime=0.5, ell=ell, inv_expq=True,
-    )
+    closed = _term(PolynomialOmega([n], [g], space, P), t, z, cfg, spec, ell=ell)
+    contour = _term(SeparableOmega(lambda u: u**n, g, space, P), t, z, cfg, spec, ell=ell)
     assert abs(closed - contour) <= 1e-10 * abs(contour)
 
 
@@ -498,10 +489,7 @@ def test_g_ellk_linearity(fx_full):
     ev1 = SeparableOmega(lambda u: u, g, space, P)
     ev2 = SeparableOmega(lambda u: u**2, g, space, P)
     ev12 = SeparableOmega(lambda u: a * u + b * u**2, g, space, P)
-    v1, v2, v12 = (
-        gq_sum(ev, t, z, cfg, spec, beta_prime=0.5, ell=ell, inv_expq=True)
-        for ev in (ev1, ev2, ev12)
-    )
+    v1, v2, v12 = (_term(ev, t, z, cfg, spec, ell=ell) for ev in (ev1, ev2, ev12))
     scale = max(abs(v12), 1e-300)
     assert abs(v12 - (a * v1 + b * v2)) <= 1e-8 * scale
 
@@ -737,15 +725,13 @@ def test_gq_sum_reuses_the_profile_across_z(fx_full, monkeypatch):
     assert probes == [] and profiles == []
 
 
-@pytest.mark.parametrize("change", ["t", "ell", "inv_expq", "tail", "quad"])
+@pytest.mark.parametrize("change", ["t", "tail", "quad"])
 def test_gq_sum_recomputes_when_the_sum_changes(fx_full, monkeypatch, change):
     spec, cfg, sol = fx_full
     t = CoveringPoint(cfg.R / 4.0, 0.1)
-    first = {"t": t, "beta_prime": 0.5, "inv_expq": True}
+    first = {"t": t, "beta_prime": 0.5}
     other = {
         "t": {"t": CoveringPoint(cfg.R / 5.0, 0.1)},
-        "ell": {"ell": spec.terms[0]},
-        "inv_expq": {"inv_expq": False},
         "tail": {"tail": 1e-10},
         "quad": {"quad": _auto_quad(ContinuedOmega(sol, spec, cfg), t, spec, tail=1e-11)},
     }[change]
@@ -766,16 +752,17 @@ def test_gq_sum_recomputes_when_the_sum_changes(fx_full, monkeypatch, change):
 
 
 def test_contour_bracket_never_sees_the_continuation_profiles(fx_full, monkeypatch):
-    # the Mahler rows of the bracket are the contour's, not the closed form's
+    # a sum on the bracket keeps nothing, and leaves the sum kept on the
+    # continuation it wraps as it was
     spec, cfg, sol = fx_full
     t = CoveringPoint(cfg.R / 4.0, 0.1)
-    kw = {"beta_prime": 0.5, "ell": spec.terms[1], "inv_expq": True}
-    want = gq_sum(checks.ContourBracket(ContinuedOmega(sol, spec, cfg)), t, 0.2, cfg, spec, **kw)
+    want = gq_sum(checks.ContourBracket(ContinuedOmega(sol, spec, cfg)), t, 0.2, cfg, spec,
+                  beta_prime=0.5)
     om = ContinuedOmega(sol, spec, cfg)
-    closed = gq_sum(om, t, 0.2, cfg, spec, **kw)
+    gq_sum(om, t, 0.2, cfg, spec, beta_prime=0.5)
     kept = list(om._last_sum)
     profiles = _count(monkeypatch, "_profile")
-    assert gq_sum(checks.ContourBracket(om), t, 0.2, cfg, spec, **kw) == want != closed
+    assert gq_sum(checks.ContourBracket(om), t, 0.2, cfg, spec, beta_prime=0.5) == want
     assert profiles and all(a is b for a, b in zip(om._last_sum, kept))
 
 
@@ -788,6 +775,16 @@ def test_gq_sum_domain_error_holds_for_every_z(fx_full):
         with pytest.raises(DomainTooLarge):
             gq_sum(om, t, z, cfg, spec, beta_prime=0.5)
     assert om._last_sum == [None]
+
+
+def test_gq_sum_refuses_t_beyond_the_sector_radius(fx_full, monkeypatch):
+    # |t| > R is outside the sector: refused before any probe, keeping nothing
+    spec, cfg, sol = fx_full
+    om = ContinuedOmega(sol, spec, cfg)
+    probes = _count(monkeypatch, "_auto_quad")
+    with pytest.raises(DomainTooLarge, match="sector radius"):
+        gq_sum(om, CoveringPoint(1.5 * cfg.R, 0.1), 0.2, cfg, spec, beta_prime=0.5)
+    assert probes == [] and om._rungs == 0 and om._last_sum == [None]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ MUTANTS = [
         "    logmag = params.log_q * np.array(",
         "    logmag = 1e-6 + params.log_q * np.array(",
     ),
-    # ray-sum selector inv_expq: the coupling jobs lose their exp_q division
+    # the coupling terms of the summed equation lose their exp_q division
     Mutant(
         "coupling-no-expq",
         "qsum/transforms.py",
@@ -77,12 +77,20 @@ MUTANTS = [
         "            acc += fc.F.values * np.array(",
         "            acc += (1.0 + 1e-6) * fc.F.values * np.array(",
     ),
-    # the ray sum kept for the next z forgets which coupling it summed
+    # the ray sum kept for the next z forgets which tail sized its window
     Mutant(
         "profile-key",
         "qsum/transforms.py",
-        "    key = (t, quad, id(ell), inv_expq, tail, id(spec), id(config))",
-        "    key = (t, quad, inv_expq, tail, id(spec), id(config))",
+        "    key = (t, quad, tail, id(spec))",
+        "    key = (t, quad, id(spec))",
+    ),
+    # every coupling term of the summed equation, off by 1e-6 relative
+    Mutant(
+        "term-coupling",
+        "qsum/transforms.py",
+        "        profs = INV_SQRT_2PI * convolve_values(space, ell.band, ell.symbol * profs)",
+        "        profs = INV_SQRT_2PI * convolve_values(space, ell.band, ell.symbol * profs)"
+        " * (1.0 + 1e-6)",
     ),
     # the Borel-type contour prefactor, off by 1e-6 relative
     Mutant(
