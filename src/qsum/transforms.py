@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -616,6 +617,23 @@ class ContourBracket:
 # assembled integrals
 
 
+# probe nodes per `level` request; wider chunks add rungs no window visits
+_PROBE_CHUNK = 4
+
+
+def _probe_levels(level, nodes: list):
+    """``level`` at ``nodes`` in order, one request per `_PROBE_CHUNK`; a chunk
+    that raises is asked again node by node, so only a node the scan reaches
+    raises."""
+    for i in range(0, len(nodes), _PROBE_CHUNK):
+        chunk = nodes[i : i + _PROBE_CHUNK]
+        try:
+            levels = level(np.array(chunk))
+        except (DomainTooLarge, ZeroDivision):
+            levels = (level(np.array([s]))[0] for s in chunk)
+        yield from levels
+
+
 def _probe_ray(
     level,
     s_seed: float,
@@ -623,32 +641,37 @@ def _probe_ray(
     tail: float,
     lattice: float | None,
 ) -> tuple[float, float]:
-    """Bracket the decayed support of ``level(s)`` around ``s_seed``.
+    """Bracket the decayed support of ``level(s) -> list[float]`` around ``s_seed``.
 
     Walks outward in steps of about 0.5 from the seed, upward first (the
     peak can sit away from the seed), until the level falls below ``tail``
-    times the running peak.  Raises `DomainTooLarge` if a side has not
-    decayed within 40 units (the integral is then not certified to converge
-    at this point for this budget).
+    times the running peak; the lower side starts from the peak the upper
+    side left.  A probe costs one request per chunk of nodes
+    (`_probe_levels`); nodes past the stopping one change neither end.
+    Raises `DomainTooLarge`, its witness the side, last node, level and
+    peak, if a side has not decayed within 40 units (the integral is then
+    not certified to converge at this point for this budget).
     """
     coarse, span = 0.5, 40.0
     if lattice is not None:
         coarse = max(lattice, lattice * round(coarse / lattice))
         s_seed = lattice * round(s_seed / lattice)
-    peak = level(s_seed)
-    ends = []
-    for step in (coarse, -coarse):
-        s = s_seed
-        for _ in range(int(span / coarse)):
-            s += step
-            nxt = level(s)
+    n, peak, ends = int(span / coarse), None, []
+    for side, step in (("upper", coarse), ("lower", -coarse)):
+        # accumulated, as a one-node walk's ``s += step`` would; the seed
+        # rides in the upper side's first request and starts the peak
+        nodes = list(itertools.accumulate(itertools.repeat(step, n), initial=s_seed))
+        levels = _probe_levels(level, nodes if peak is None else nodes[1:])
+        peak = next(levels) if peak is None else peak
+        for s, nxt in zip(nodes[1:], levels):
             peak = max(peak, nxt)
             if nxt < tail * max(peak, 1e-300):
                 break
         else:
             raise DomainTooLarge(
                 f"ray integrand still at {nxt:.3g} (peak {peak:.3g}) after "
-                f"{span:.0f} units; point outside the certified domain"
+                f"{span:.0f} units; point outside the certified domain",
+                witness={"side": side, "s": s, "level": nxt, "peak": peak},
             )
         ends.append(s)
     return ends[1], ends[0]
@@ -672,7 +695,8 @@ class _ExpqNodes:
 
     `theorem2_residual` shares one across the terms of a call, so each
     distinct node costs one ``exp_q`` evaluation however many terms, probes
-    and refinement levels visit it.
+    and refinement levels visit it; a probe chunk is one batched call, and
+    one that raises memoises nothing.
     """
 
     def __init__(self, spec: ProblemSpec, config: SectorConfig):
@@ -785,12 +809,13 @@ def _auto_quad(
     tail: float = 1e-11,
 ) -> RayQuadrature:
     """Probe the actual integrand to size the ray window for this term
-    (``ell`` and ``expq`` as in `_integrand`)."""
+    (``ell`` and ``expq`` as in `_integrand`).  Each chunk of the probe is
+    one `_integrand` request: one `ray_values` and one batched ``exp_q``."""
     lattice = getattr(omega_ev, "s_lattice", None)
 
-    def level(sv: float) -> float:
-        kern, rows = _integrand(omega_ev, t, np.array([sv]), t.theta, spec, ell, expq)
-        return float(np.max(np.abs(kern[:, None] * rows)))
+    def level(sv: np.ndarray) -> list[float]:
+        kern, rows = _integrand(omega_ev, t, sv, t.theta, spec, ell, expq)
+        return np.max(np.abs(kern[:, None] * rows), axis=1).tolist()
 
     lo, hi = _probe_ray(level, math.log(t.r), tail=tail, lattice=lattice)
     if lattice is not None:

@@ -788,6 +788,175 @@ def test_gq_sum_refuses_t_beyond_the_sector_radius(fx_full, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# ray probe
+
+
+def _one_node_walk(level, s_seed, *, tail, lattice):
+    """The probe as a walk of one-node requests: the reference the chunked
+    `_probe_ray` must match."""
+    coarse, span = 0.5, 40.0
+    if lattice is not None:
+        coarse = max(lattice, lattice * round(coarse / lattice))
+        s_seed = lattice * round(s_seed / lattice)
+    peak = level(np.array([s_seed]))[0]
+    ends = []
+    for step in (coarse, -coarse):
+        s = s_seed
+        for _ in range(int(span / coarse)):
+            s += step
+            nxt = level(np.array([s]))[0]
+            peak = max(peak, nxt)
+            if nxt < tail * max(peak, 1e-300):
+                break
+        else:
+            raise DomainTooLarge("one-node walk did not decay")
+        ends.append(s)
+    return ends[1], ends[0]
+
+
+def _synthetic_level(shape, fail_on=None, error=DomainTooLarge):
+    """``level`` of the scalar ``shape(s)``; a request holding a node with
+    ``fail_on(s)`` raises ``error``.  Returns it and the list of raises."""
+    raised = []
+
+    def level(s):
+        if fail_on is not None and any(fail_on(x) for x in s.tolist()):
+            raised.append(s.size)
+            raise error("synthetic failure")
+        return [float(shape(x)) for x in s.tolist()]
+
+    return level, raised
+
+
+_PROBE_SHAPES = {
+    "peak-away-from-seed": lambda s: math.exp(-((s - 3.0) ** 2)),
+    "upper-many-chunks": lambda s: math.exp(-0.2 * (s - 6.0) ** 2),
+    "lower-decays-at-once": lambda s: math.exp(-((s - 1.0) ** 2)) if s > 0.0 else 0.0,
+}
+
+
+@pytest.mark.parametrize("lattice", [None, 0.17328679513998632])
+@pytest.mark.parametrize("shape", list(_PROBE_SHAPES))
+def test_probe_ray_matches_one_node_walk(shape, lattice):
+    level, _ = _synthetic_level(_PROBE_SHAPES[shape])
+    want = _one_node_walk(level, 0.3, tail=1e-10, lattice=lattice)
+    assert transforms._probe_ray(level, 0.3, tail=1e-10, lattice=lattice) == want
+    if shape == "upper-many-chunks":
+        assert want[1] - 0.3 > 0.5 * transforms._PROBE_CHUNK
+
+
+@pytest.mark.parametrize("error", [DomainTooLarge, ZeroDivision])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_probe_ray_ignores_errors_past_the_stopping_node(side, error):
+    # a chunk that raises past the node the scan stops at is asked again one
+    # node at a time, which never reaches the failing node
+    shape = _PROBE_SHAPES["upper-many-chunks"]
+    lo, hi = _one_node_walk(_synthetic_level(shape)[0], 0.3, tail=1e-10, lattice=None)
+    fail_on = (lambda s: s > hi + 0.1) if side == "upper" else (lambda s: s < lo - 0.1)
+    level, raised = _synthetic_level(shape, fail_on, error)
+    assert transforms._probe_ray(level, 0.3, tail=1e-10, lattice=None) == (lo, hi)
+    assert raised
+
+
+@pytest.mark.parametrize("error", [DomainTooLarge, ZeroDivision])
+def test_probe_ray_raises_errors_before_the_stopping_node(error):
+    shape = _PROBE_SHAPES["upper-many-chunks"]
+    level, _ = _synthetic_level(shape, lambda s: 4.0 < s < 4.5, error)
+    with pytest.raises(error) as want:
+        _one_node_walk(level, 0.3, tail=1e-10, lattice=None)
+    with pytest.raises(error) as got:
+        transforms._probe_ray(level, 0.3, tail=1e-10, lattice=None)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("side, shape", [
+    ("upper", lambda s: 1.0),
+    ("lower", lambda s: math.exp(-s)),
+])
+def test_probe_ray_undecayed_side_carries_witness(side, shape):
+    level, _ = _synthetic_level(shape)
+    with pytest.raises(DomainTooLarge):
+        _one_node_walk(level, 0.3, tail=1e-10, lattice=None)
+    with pytest.raises(DomainTooLarge, match="after 40 units") as exc:
+        transforms._probe_ray(level, 0.3, tail=1e-10, lattice=None)
+    s = 0.3
+    for _ in range(80):
+        s += 0.5 if side == "upper" else -0.5
+    assert exc.value.witness == {"side": side, "s": s, "level": shape(s), "peak": shape(s)}
+
+
+def _reference_probe(monkeypatch):
+    """Swap `_probe_ray` for the one-node walk; returns the count of the
+    nodes it asks for."""
+    nodes = []
+
+    def walk(level, s_seed, *, tail, lattice):
+        def one(s):
+            nodes.append(s.size)
+            return level(s)
+
+        return _one_node_walk(one, s_seed, tail=tail, lattice=lattice)
+
+    monkeypatch.setattr(transforms, "_probe_ray", walk)
+    return nodes
+
+
+def _theorem2_windows(sol, spec, cfg, t):
+    """theorem2_residual at ``t``: its row, and per job the probed window
+    and the continuation's rung count after that job's term sum."""
+    om = ContinuedOmega(sol, spec, cfg)
+    log = []
+    auto_quad, term_sum = transforms._auto_quad, transforms._term_sum
+
+    def probed(*args, **kwargs):
+        log.append(auto_quad(*args, **kwargs))
+        return log[-1]
+
+    def summed(*args, **kwargs):
+        out = term_sum(*args, **kwargs)
+        log.append(om._rungs)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transforms, "_auto_quad", probed)
+        mp.setattr(transforms, "_term_sum", summed)
+        rep = theorem2_residual(sol, spec, cfg, [(t, 0.2 + 0.1j)], beta_prime=0.5, omega=om)
+    return rep.rows[0], log
+
+
+@pytest.mark.parametrize("t_frac, theta", [(0.25, 0.1), (0.5, -0.2), (0.8, 0.3)])
+def test_chunked_probe_keeps_theorem2_windows_and_rungs(fx_full, monkeypatch, t_frac, theta):
+    # every job (lhs, dominant, both couplings, forcing) probes the same
+    # window and leaves the same ladder as the one-node walk; the terms are
+    # bit-identical, and only the budget's window-edge levels may move, as a
+    # rung first reached past a stopping node keeps that node's radius
+    spec, cfg, sol = fx_full
+    t = CoveringPoint(t_frac * cfg.R, theta)
+    got, got_log = _theorem2_windows(sol, spec, cfg, t)
+    _reference_probe(monkeypatch)
+    want, want_log = _theorem2_windows(sol, spec, cfg, t)
+    assert len(got_log) == 2 * (3 + len(spec.terms))
+    assert got_log == want_log
+    for key in ("terms", "lhs", "rhs", "residual"):
+        assert got[key] == want[key]
+    assert got["budget"] == pytest.approx(want["budget"], rel=1e-14)
+
+
+def test_probe_requests_a_chunk_per_call(fx_full, monkeypatch):
+    # one `_integrand` request per chunk of 4 nodes: the two sides round up
+    # separately, so at most one request above a quarter of the walk's nodes
+    spec, cfg, sol = fx_full
+    t = CoveringPoint(0.5 * cfg.R, 0.1)
+    calls = _count(monkeypatch, "_integrand")
+    got = _auto_quad(ContinuedOmega(sol, spec, cfg), t, spec, tail=1e-11)
+    requests = len(calls)
+    nodes = _reference_probe(monkeypatch)
+    assert _auto_quad(ContinuedOmega(sol, spec, cfg), t, spec, tail=1e-11) == got
+    assert len(nodes) == sum(nodes) > 8
+    assert requests <= math.ceil(len(nodes) / 4) + 1
+
+
+# ---------------------------------------------------------------------------
 # equation residual drivers
 
 

@@ -84,6 +84,14 @@ MUTANTS = [
         "    key = (t, quad, tail, id(spec))",
         "    key = (t, quad, id(spec))",
     ),
+    # the ray probe's lower side starts from a fresh peak, not the one the
+    # upper side left, so a peak away from the seed no longer sets its tail
+    Mutant(
+        "probe-peak",
+        "qsum/transforms.py",
+        "        peak = next(levels) if peak is None else peak\n",
+        "        peak = next(levels) if peak is None else 0.0\n",
+    ),
     # every coupling term of the summed equation, off by 1e-6 relative
     Mutant(
         "term-coupling",
