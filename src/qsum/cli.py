@@ -17,17 +17,17 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import hashlib
 import importlib.resources
 import json
 import math
 import os
+import reprlib
 import sys
 from pathlib import Path
 
 import numpy as np
-from jsonschema import validate as _schema_validate
-from jsonschema.exceptions import ValidationError as SchemaError
 
 from . import __version__, checks
 from .errors import (
@@ -94,11 +94,73 @@ def resolve_input(name: str) -> Path:
     raise ValidationError(f"cannot resolve input file {name!r}")
 
 
+@functools.cache
 def _load_schema(name: str) -> dict:
     pk = _package_file("schemas", name)
     if pk is None:
         raise ValidationError(f"missing packaged schema {name!r}")
     return json.loads(pk.read_text())
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "null": type(None), "number": (int, float), "integer": int}
+_SCHEMA_KEYWORDS = {"type", "required", "additionalProperties", "properties", "minimum",
+                    "exclusiveMinimum", "minItems", "items", "$ref", "oneOf", "const",
+                    "$schema", "title", "description", "definitions"}  # the last 4 annotate
+
+
+def _is_type(v, name: str) -> bool:
+    # draft-07: True is not a number, and 1.0 is an integer
+    fits = isinstance(v, _JSON_TYPES[name]) and isinstance(v, bool) == (name == "boolean")
+    return fits or (name == "integer" and isinstance(v, float) and v.is_integer())
+
+
+def _json_path(path: tuple) -> str:
+    return "/".join(map(str, path)) or "(root)"
+
+
+def schema_errors(inst, schema, root: dict | None = None, path: tuple = ()):
+    """Yield ``(path, reason)``, ``path`` a tuple of JSON keys, for each way
+    ``inst`` breaks a draft-07 ``schema`` that uses only the keywords of the
+    problem schema.  Raises `ValidationError` on any other keyword."""
+    root = schema if root is None else root
+    if isinstance(schema, bool):
+        yield from () if schema else [(path, "is not allowed here")]
+        return
+    unknown = set(schema) - _SCHEMA_KEYWORDS
+    if unknown or not schema.get("$ref", "#").startswith("#"):
+        raise ValidationError(f"schema not supported: {sorted(unknown) or schema['$ref']}")
+    if "$ref" in schema:  # draft-07 ignores a $ref's siblings
+        target = functools.reduce(dict.__getitem__, schema["$ref"].split("/")[1:], root)
+        yield from schema_errors(inst, target, root, path)
+        return
+    types = schema.get("type", ())
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_is_type(inst, t) for t in types):
+        yield path, f"{reprlib.repr(inst)} is not of type {' or '.join(types)}"
+    const = schema.get("const", inst)
+    if "const" in schema and (inst != const or isinstance(inst, bool) != isinstance(const, bool)):
+        yield path, f"{reprlib.repr(inst)} is not {const!r}"
+    if _is_type(inst, "number") and inst < schema.get("minimum", -math.inf):
+        yield path, f"{inst!r} is below the minimum {schema['minimum']}"
+    if _is_type(inst, "number") and inst <= schema.get("exclusiveMinimum", -math.inf):
+        yield path, f"{inst!r} is not above {schema['exclusiveMinimum']}"
+    if isinstance(inst, list):
+        if len(inst) < schema.get("minItems", 0):
+            yield path, f"has fewer than {schema['minItems']} items"
+        for i, item in enumerate(inst):
+            yield from schema_errors(item, schema.get("items", True), root, (*path, i))
+    if isinstance(inst, dict):
+        yield from (((*path, key), "is required but missing")
+                    for key in schema.get("required", ()) if key not in inst)
+        props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)
+        for key, value in inst.items():
+            yield from schema_errors(value, props.get(key, extra), root, (*path, key))
+    if "oneOf" in schema:
+        errs = [next(schema_errors(inst, sub, root, path), None) for sub in schema["oneOf"]]
+        if errs.count(None) != 1:
+            yield path, f"matches {errs.count(None)} of its oneOf schemas, not one; " + "; ".join(
+                f"{_json_path(p)}: {r}" for p, r in filter(None, errs))
 
 
 def _parse_profile(node: dict, space) -> FourierFn:
@@ -124,10 +186,8 @@ def load_problem(name: str) -> tuple[dict, ProblemSpec, str]:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        _schema_validate(raw, _load_schema("problem_spec.schema.json"))
-    except SchemaError as exc:
-        raise ValidationError(f"{path}: schema violation: {exc.message}") from exc
+    for where, reason in schema_errors(raw, _load_schema("problem_spec.schema.json")):
+        raise ValidationError(f"{path}: schema violation: {_json_path(where)}: {reason}", where)
 
     sp = raw["space"]
     space = make_space(
@@ -709,7 +769,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, SchemaError) as exc:
+    except ValidationError as exc:
         print(f"invalid problem file: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (NoContraction, BadDirection, SmallDelta, DivergentInversion,

@@ -25,8 +25,13 @@ class OverflowFailure(QsumError):
     """A quantity left the representable floating-point range.
 
     Raised instead of silently returning ``inf`` so downstream code never
-    propagates non-finite values.
+    propagates non-finite values.  Where a sample point produced the value,
+    ``witness`` holds it.
     """
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class EnvelopeViolation(QsumError):

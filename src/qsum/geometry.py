@@ -23,6 +23,7 @@ from .errors import (
     BoundViolation,
     DivergentInversion,
     EnvelopeViolation,
+    OverflowFailure,
     SmallDelta,
     ValidationError,
 )
@@ -290,12 +291,26 @@ def eval_Pm(tau, m, spec: ProblemSpec):
 
 def _exp_image(spec, config_at, d, ho, radii, n_rays):
     phis = np.linspace(d - ho, d + ho, n_rays)
-    tau = radii[:, None] * np.exp(1j * phis[None, :])
-    return exp_q(config_at * tau.ravel() ** spec.d_D, spec.params)
+    tau = (radii[:, None] * np.exp(1j * phis[None, :])).ravel()
+    return tau, exp_q(config_at * tau ** spec.d_D, spec.params)
 
 
-def _min_distance(curve: np.ndarray, points: np.ndarray) -> tuple[float, int, int]:
-    """Min over pairs of |curve_i - points_j|, chunked to bound memory."""
+def _min_distance(
+    curve: np.ndarray, points: np.ndarray, taus: np.ndarray
+) -> tuple[float, int, int]:
+    """Min over pairs of |curve_i - points_j|, chunked to bound memory.
+
+    Raises:
+        OverflowFailure: a point is not finite, so its chunk's minimum would
+            be NaN; the witness is that point's ``taus`` entry.
+    """
+    bad = np.flatnonzero(~np.isfinite(points))
+    if bad.size:
+        tau = complex(taus[bad[0]])
+        raise OverflowFailure(
+            f"q-exponential image {points[bad[0]]} is not finite at tau = {tau:.6g}",
+            witness=tau,
+        )
     best = math.inf
     bi = bj = 0
     for start in range(0, points.size, 512):
@@ -329,6 +344,8 @@ def select_sector(
     Raises:
         BadDirection: no opening around ``requested_d`` clears the zero cone.
         SmallDelta: measured separation below ``delta_floor``.
+        OverflowFailure: a sampled q-exponential image point is not finite;
+            the witness is its tau.
         ValidationError: ``theta_excl`` or the opening is out of range.
     """
     at = alpha_tilde(spec)
@@ -355,14 +372,14 @@ def select_sector(
 
     disc_r = np.linspace(0.0, rho, n_radii + 1)[1:]
     disc_phi = np.linspace(-math.pi, math.pi, n_rays, endpoint=False)
-    disc_img = exp_q(
-        at * (disc_r[:, None] * np.exp(1j * disc_phi[None, :])).ravel() ** spec.d_D,
-        spec.params,
-    )
+    disc_tau = (disc_r[:, None] * np.exp(1j * disc_phi[None, :])).ravel()
+    disc_img = exp_q(at * disc_tau ** spec.d_D, spec.params)
     sect_r = np.logspace(math.log10(1e-3 * rho), math.log10(100.0 * rho), n_radii)
-    sect_img = _exp_image(spec, at, requested_d, ho, sect_r, n_rays)
+    sect_tau, sect_img = _exp_image(spec, at, requested_d, ho, sect_r, n_rays)
 
-    delta1, _, _ = _min_distance(ratio, np.concatenate([disc_img, sect_img]))
+    delta1, _, _ = _min_distance(
+        ratio, np.concatenate([disc_img, sect_img]), np.concatenate([disc_tau, sect_tau])
+    )
     if delta1 < delta_floor:
         raise SmallDelta(
             f"measured separation {delta1:.3e} below floor {delta_floor:.1e}; "
@@ -403,6 +420,8 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
     Raises:
         BoundViolation: a sample lands below ``delta1 |R_D|``; the witness
             carries the offending ``(tau, m)``.
+        OverflowFailure: a sampled q-exponential image point is not finite;
+            the witness is its tau.
     """
     at = config.alpha_tilde_D
     ratio = spec.q_symbol() / spec.rd_symbol()
@@ -423,7 +442,7 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
     min_margin = math.inf
     for taus in tau_sets:
         img = exp_q(at * taus ** spec.d_D, spec.params)
-        dist, i, j = _min_distance(ratio, img)
+        dist, i, j = _min_distance(ratio, img, taus)
         margin = dist / config.delta1
         if dist < config.delta1 * (1.0 - 1e-9):
             raise BoundViolation(

@@ -538,7 +538,9 @@ class ContinuedOmega:
             key = self._key(r, theta) if r > self.r0 else None
             if key is None or key in self._memo or key in new:
                 continue
-            new[key] = r
+            # a lattice rung sits at the radius its key names, whichever
+            # request reached it first, so its bits do not depend on history
+            r = new[key] = math.exp(key[0] * self.s_lattice) if isinstance(key[0], int) else r
             if self._rungs + len(new) > self.max_rungs:
                 raise DomainTooLarge(
                     f"continuation ladder exceeded {self.max_rungs} rungs; "

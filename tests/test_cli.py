@@ -5,8 +5,10 @@ bytes are asserted directly; one test goes through ``python -m`` to cover
 the installed entry point.
 """
 
+import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +16,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from jsonschema import Draft7Validator
 from jsonschema import validate as schema_validate
 
-from qsum import transforms
+from qsum import cli, transforms
 from qsum.cli import (
     EXIT_OK,
     EXIT_REGIME,
@@ -26,6 +31,7 @@ from qsum.cli import (
     load_problem,
     main,
     resolve_input,
+    schema_errors,
 )
 from qsum.errors import BoundViolation, ValidationError
 from qsum.fourier import enorm_values
@@ -64,6 +70,149 @@ def test_schema_rejects_malformed(tmp_path):
     assert run("validate", str(p)) == EXIT_SPEC
     p.write_text("{not json")
     assert run("validate", str(p)) == EXIT_SPEC
+
+
+# ---------------------------------------------------------------------------
+# the problem schema walker, against jsonschema as the oracle
+
+PROBLEM_SCHEMA = json.loads(
+    (Path(__file__).parent.parent / "src/qsum/schemas/problem_spec.schema.json").read_text()
+)
+FIXTURES = ("basic.json", "divergent.json", "forcing_only.json", "violating.json")
+# every property name the schema knows, so added keys reach both profile kinds
+SCHEMA_KEYS = sorted(
+    {"params", "space", "Q", "R_D", "alpha_D", "d_D", "terms", "forcing", "q", "k", "beta",
+     "mu", "half_width", "n_points", "l0", "l1", "l2", "R", "A", "j", "F", "kind", "scale",
+     "center", "re", "im", "extra"}
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+    | st.sampled_from(["gaussian", "values", "x"]),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _node_paths(child, (*path, key))
+
+
+def _number_variants(v):
+    out = [-v, 0, 0.0, v - 1, v + 0.5, float(v), str(v), True, False, None, [v]]
+    return out + ([int(v)] if isinstance(v, float) and math.isfinite(v) else [])
+
+
+def _mutate(doc, data):
+    """Replace, delete or add one key or item, or change one number."""
+    path = data.draw(st.sampled_from(list(_node_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    node = parent[path[-1]] if path else doc
+    op = data.draw(st.sampled_from(["replace", "delete", "add", "number"]))
+    if op == "add" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(SCHEMA_KEYS))] = data.draw(json_values)
+        return doc
+    if op == "add" and isinstance(node, list):
+        node.insert(data.draw(st.integers(0, len(node))), data.draw(json_values))
+        return doc
+    if op == "delete" and path:
+        del parent[path[-1]]
+        return doc
+    if op == "number" and isinstance(node, (int, float)):
+        new = data.draw(st.sampled_from(_number_variants(node)))
+    else:
+        new = data.draw(json_values)
+    if not path:
+        return new
+    parent[path[-1]] = new
+    return doc
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.data())
+def test_schema_walker_agrees_with_jsonschema(data):
+    doc = copy.deepcopy(json.loads(resolve_input(data.draw(st.sampled_from(FIXTURES))).read_text()))
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutate(doc, data)
+    walker = next(schema_errors(doc, PROBLEM_SCHEMA), None) is None
+    assert walker == Draft7Validator(PROBLEM_SCHEMA).is_valid(doc)
+
+
+def test_schema_walker_accepts_fixtures_and_draft07_integers():
+    # 1.0 is an integer in draft-07; True is neither an integer nor a number
+    for name in FIXTURES:
+        assert next(schema_errors(json.loads(resolve_input(name).read_text()),
+                                  PROBLEM_SCHEMA), None) is None
+    spec = json.loads(resolve_input("basic.json").read_text())
+    spec["params"]["k"] = 1.0
+    assert next(schema_errors(spec, PROBLEM_SCHEMA), None) is None
+    for key in ("k", "q"):
+        bad = copy.deepcopy(spec)
+        bad["params"][key] = True
+        assert [p for p, _ in schema_errors(bad, PROBLEM_SCHEMA)] == [("params", key)]
+
+
+def _set(path, value):
+    def edit(spec):
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+def _drop(path):
+    def edit(spec):
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    (_set(("terms", 0, "A", "scale"), "x"), "terms/0/A/scale"),
+    (_set(("terms", 0, "A", "kind"), "values"), "terms/0/A/re"),
+    (_set(("terms", 1, "l2"), 0), "terms/1/l2"),
+    (_set(("params", "q"), 1), "params/q"),
+    (_set(("params", "k"), True), "params/k"),
+    (_set(("space", "extra"), 1), "space/extra"),
+    (_set(("space", "n_points"), 2.5), "space/n_points"),
+    (_set(("R_D",), []), "R_D"),
+    (_set(("Q", 1), None), "Q/1"),
+    (_set(("forcing", 1, "F"), 3), "forcing/1/F"),
+    (_drop(("alpha_D",)), "alpha_D"),
+    (_drop(("forcing", 0, "j")), "forcing/0/j"),
+    (_set(("d_D",), 0), "d_D"),
+])
+def test_schema_rejection_names_its_json_path(tmp_path, capsys, edit, where):
+    spec = json.loads(resolve_input("basic.json").read_text())
+    edit(spec)
+    assert not Draft7Validator(PROBLEM_SCHEMA).is_valid(spec)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(spec))
+    assert run("validate", str(p)) == EXIT_SPEC
+    assert f" {where}: " in capsys.readouterr().err
+
+
+def test_schema_with_unknown_keyword_is_refused(capsys, monkeypatch):
+    # a keyword the walker does not implement refuses the schema, even inside
+    # a oneOf branch and even where the file would pass it
+    schema = copy.deepcopy(PROBLEM_SCHEMA)
+    schema["definitions"]["profile"]["oneOf"][0]["properties"]["kind"]["pattern"] = "^g"
+    spec = json.loads(resolve_input("basic.json").read_text())
+    with pytest.raises(ValidationError, match="pattern"):
+        list(schema_errors(spec, schema))
+    assert cli._load_schema("problem_spec.schema.json") is cli._load_schema(
+        "problem_spec.schema.json")
+    monkeypatch.setattr(cli, "_load_schema", lambda name: schema)
+    assert run("validate", "basic.json") == EXIT_SPEC
+    assert "schema not supported: ['pattern']" in capsys.readouterr().err
 
 
 def test_data_dir_resolution(tmp_path, monkeypatch):
@@ -421,6 +570,21 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_loads_no_jsonschema():
+    # the problem schema is checked by `schema_errors`; jsonschema, with
+    # referencing, rpds and attrs behind it, would add ~70 ms to every command
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsum.cli; rc = qsum.cli.main(['validate', 'basic.json']); "
+         "print(rc, [m for m in sys.modules if m.split('.')[0] in "
+         "('jsonschema', 'referencing', 'rpds', 'attrs')])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "0 []"
 
 
 def test_solve_artifacts_do_not_depend_on_blas_threads(tmp_path):

@@ -8,6 +8,7 @@ from qsum.errors import (
     BadDirection,
     BoundViolation,
     DivergentInversion,
+    OverflowFailure,
     SmallDelta,
     ValidationError,
 )
@@ -17,6 +18,7 @@ from qsum.geometry import (
     MahlerTerm,
     ProblemSpec,
     SectorConfig,
+    _min_distance,
     alpha_tilde,
     eval_Pm,
     inv_pm_taylor,
@@ -166,6 +168,19 @@ class TestSectorSelection:
         c1 = select_sector(basic_spec, 0.0, n_rays=64, n_radii=64)
         c2 = select_sector(basic_spec, 0.0, n_rays=128, n_radii=128)
         assert abs(c1.delta1 - c2.delta1) < 0.01 * c1.delta1
+
+    def test_min_distance_refuses_non_finite_point(self):
+        # the NaN shares its 512-point chunk with the nearest points: argmin
+        # would pick the NaN and drop the whole chunk, measuring 0.45
+        curve = np.array([0.05 + 0j])
+        points = np.array([0.5] * 600 + [0.0501] * 10, dtype=complex)
+        taus = np.arange(points.size + 1) * (1 + 1j)
+        dist, i, j = _min_distance(curve, points, taus[:-1])
+        assert dist == pytest.approx(1e-4, rel=1e-9) and (i, j) == (0, 600)
+        points = np.insert(points, 600, complex(math.nan, 0.0))
+        with pytest.raises(OverflowFailure) as exc:
+            _min_distance(curve, points, taus)
+        assert exc.value.witness == taus[600]
 
 
 class TestPmBounds:

@@ -652,6 +652,29 @@ def test_continued_memoises_on_lattice(fx_full):
     assert om._rungs == used
 
 
+def test_rung_bits_do_not_depend_on_request_order(fx_full):
+    # a probe's accumulated s += h and a window's linspace name the same
+    # lattice rungs by radii some last bits apart; a rung is computed at the
+    # radius its key names, so either order leaves bit-identical rows
+    spec, cfg, sol = fx_full
+    h = ContinuedOmega(sol, spec, cfg).s_lattice
+    j0 = math.ceil(math.log(cfg.R / 2.0) / h)
+    s, probe = j0 * h, []
+    for _ in range(16):
+        probe.append(s)
+        s += h
+    window = np.linspace(j0 * h, (j0 + 15) * h, 16)
+    assert not np.array_equal(np.exp(probe), np.exp(window))
+    memos = []
+    for order in ((probe, window), (window, probe)):
+        om = ContinuedOmega(sol, spec, cfg)
+        for nodes in order:
+            om.ray_values(np.exp(nodes), 0.1)
+        memos.append(om._memo)
+    assert memos[0].keys() == memos[1].keys() and len(memos[0]) > 16
+    assert all(np.array_equal(memos[0][k], memos[1][k]) for k in memos[0])
+
+
 def test_continued_batch_outside_disc_raises(fx_full):
     spec, cfg, sol = fx_full
     om = ContinuedOmega(sol, spec, cfg)

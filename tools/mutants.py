@@ -150,6 +150,20 @@ MUTANTS = [
         "    return borel_exponent(p, k) + l1 * p - borel_exponent(l2 * (p + l0), k)\n",
         "    return borel_exponent(p, k) + l1 * p - borel_exponent(l2 * (p + l0), k) + 1e-6\n",
     ),
+    # the problem schema walker lets a file carry keys its schema forbids
+    Mutant(
+        "schema-additional",
+        "qsum/cli.py",
+        'props, extra = schema.get("properties", {}), schema.get("additionalProperties", True)',
+        'props, extra = schema.get("properties", {}), True',
+    ),
+    # the problem schema walker reads exclusiveMinimum as minimum, so q = 1 passes
+    Mutant(
+        "schema-exclusive",
+        "qsum/cli.py",
+        'inst <= schema.get("exclusiveMinimum", -math.inf)',
+        'inst < schema.get("exclusiveMinimum", -math.inf)',
+    ),
     # the formal q-Laplace grows at 3/2 of the q-Gevrey rate
     Mutant(
         "formal-laplace-rate",
