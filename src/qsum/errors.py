@@ -53,7 +53,12 @@ class BadDirection(QsumError):
 
 class SmallDelta(QsumError):
     """Measured separation between the symbol ratio and the q-exponential
-    image is below tolerance; the denominator may vanish."""
+    image is below tolerance; the denominator may vanish.  ``witness`` holds
+    the ``(tau, m)`` of the nearest pair."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class BoundViolation(QsumError):

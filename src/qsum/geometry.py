@@ -296,30 +296,46 @@ def _exp_image(spec, config_at, d, ho, radii, n_rays):
 
 
 def _min_distance(
-    curve: np.ndarray, points: np.ndarray, taus: np.ndarray
+    curve: np.ndarray, points: np.ndarray, taus: np.ndarray, ms: np.ndarray
 ) -> tuple[float, int, int]:
-    """Min over pairs of |curve_i - points_j|, chunked to bound memory.
+    """Min over pairs of |curve_i - points_j| and the lowest ``(i, j)`` at it.
+
+    Exact: the same bits and indices as scanning every pair in 512-point
+    chunks of ``points``, earliest chunk first.  It scans each distinct
+    curve value once, visits chunks by a lower bound from their bounding
+    boxes and stops when that bound exceeds the best distance; inside a
+    chunk it drops the curve values farther than that from the box.  The
+    ``1e-12`` slack covers the rounding of the bounds.
 
     Raises:
-        OverflowFailure: a point is not finite, so its chunk's minimum would
-            be NaN; the witness is that point's ``taus`` entry.
+        OverflowFailure: a curve value or a point is not finite, so a chunk's
+            minimum would be NaN; the witness is its ``ms`` or ``taus`` entry.
     """
-    bad = np.flatnonzero(~np.isfinite(points))
-    if bad.size:
-        tau = complex(taus[bad[0]])
-        raise OverflowFailure(
-            f"q-exponential image {points[bad[0]]} is not finite at tau = {tau:.6g}",
-            witness=tau,
-        )
-    best = math.inf
-    bi = bj = 0
-    for start in range(0, points.size, 512):
-        block = points[start : start + 512]
-        d = np.abs(curve[:, None] - block[None, :])
+    for vals, at, what in ((curve, ms, "symbol ratio {} is not finite at m = {:.6g}"),
+                           (points, taus, "q-exponential image {} is not finite at tau = {:.6g}")):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            witness = at[bad[0]].item()
+            raise OverflowFailure(what.format(vals[bad[0]], witness), witness=witness)
+    rows = np.sort(np.unique(curve, return_index=True)[1])
+    uc = curve[rows]
+    starts = np.arange(0, points.size, 512)
+    lo_re, hi_re, lo_im, hi_im = (f.reduceat(part, starts)[:, None]
+                                  for part in (points.real, points.imag)
+                                  for f in (np.minimum, np.maximum))
+    gap = np.hypot(np.maximum(np.maximum(lo_re - uc.real, uc.real - hi_re), 0.0),
+                   np.maximum(np.maximum(lo_im - uc.imag, uc.imag - hi_im), 0.0))
+    bound = gap.min(axis=1)
+    best, bc, bi, bj = math.inf, -1, 0, 0
+    for c in np.argsort(bound, kind="stable"):
+        if bound[c] > best * (1.0 + 1e-12):
+            break
+        near = np.flatnonzero(gap[c] <= best * (1.0 + 1e-12))
+        d = np.abs(uc[near, None] - points[starts[c] : starts[c] + 512][None, :])
         i, j = np.unravel_index(np.argmin(d), d.shape)
-        if d[i, j] < best:
-            best = float(d[i, j])
-            bi, bj = int(i), int(start + j)
+        if d[i, j] < best or (d[i, j] == best and c < bc):
+            best, bc = float(d[i, j]), c
+            bi, bj = int(rows[near[i]]), int(starts[c] + j)
     return best, bi, bj
 
 
@@ -339,13 +355,16 @@ def select_sector(
     scaled by ``d_D``) passes the envelope check; the separation
     ``delta_1 = min |Q/R_D - exp_q(alpha~ tau^{d_D})|`` is then measured
     over the disc of radius ``rho`` and the sector sampled out to
-    ``100 rho`` on a log-radial grid.
+    ``100 rho`` on a log-radial grid.  The scan over those samples is
+    exact: it skips only pairs that cannot hold the minimum, so ``delta_1``
+    is the minimum over every pair.
 
     Raises:
         BadDirection: no opening around ``requested_d`` clears the zero cone.
-        SmallDelta: measured separation below ``delta_floor``.
-        OverflowFailure: a sampled q-exponential image point is not finite;
-            the witness is its tau.
+        SmallDelta: measured separation below ``delta_floor``; the witness
+            is the ``(tau, m)`` of the nearest pair.
+        OverflowFailure: a sampled q-exponential image point or a symbol
+            ratio value is not finite; the witness is its tau or its m.
         ValidationError: ``theta_excl`` or the opening is out of range.
     """
     at = alpha_tilde(spec)
@@ -377,13 +396,15 @@ def select_sector(
     sect_r = np.logspace(math.log10(1e-3 * rho), math.log10(100.0 * rho), n_radii)
     sect_tau, sect_img = _exp_image(spec, at, requested_d, ho, sect_r, n_rays)
 
-    delta1, _, _ = _min_distance(
-        ratio, np.concatenate([disc_img, sect_img]), np.concatenate([disc_tau, sect_tau])
+    taus = np.concatenate([disc_tau, sect_tau])
+    delta1, i, j = _min_distance(
+        ratio, np.concatenate([disc_img, sect_img]), taus, spec.space.m
     )
     if delta1 < delta_floor:
         raise SmallDelta(
             f"measured separation {delta1:.3e} below floor {delta_floor:.1e}; "
-            "the symbol ratio meets the q-exponential image"
+            "the symbol ratio meets the q-exponential image",
+            witness=(complex(taus[j]), float(spec.space.m[i])),
         )
 
     return SectorConfig(
@@ -420,8 +441,8 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
     Raises:
         BoundViolation: a sample lands below ``delta1 |R_D|``; the witness
             carries the offending ``(tau, m)``.
-        OverflowFailure: a sampled q-exponential image point is not finite;
-            the witness is its tau.
+        OverflowFailure: a sampled q-exponential image point or a symbol
+            ratio value is not finite; the witness is its tau or its m.
     """
     at = config.alpha_tilde_D
     ratio = spec.q_symbol() / spec.rd_symbol()
@@ -442,7 +463,7 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
     min_margin = math.inf
     for taus in tau_sets:
         img = exp_q(at * taus ** spec.d_D, spec.params)
-        dist, i, j = _min_distance(ratio, img, taus)
+        dist, i, j = _min_distance(ratio, img, taus, m_grid)
         margin = dist / config.delta1
         if dist < config.delta1 * (1.0 - 1e-9):
             raise BoundViolation(
@@ -457,14 +478,14 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
         config.d - config.half_opening, config.d + config.half_opening, 8
     )
     fit = math.inf
+    uniq = np.unique(ratio)
     for phi in far_phis:
         taus = far_r * np.exp(1j * phi)
         img = exp_q(at * taus ** spec.d_D, spec.params)
         # per-tau distance to the ratio curve, normalised by the envelope
-        for jt, tau in enumerate(taus):
-            d = float(np.min(np.abs(ratio - img[jt])))
-            envv = math.exp(mu_growth(at * abs(tau) ** spec.d_D, spec.params))
-            fit = min(fit, d / envv)
+        d = np.abs(uniq[None, :] - img[:, None]).min(axis=1)
+        envv = [math.exp(mu_growth(at * abs(tau) ** spec.d_D, spec.params)) for tau in taus]
+        fit = min(fit, float(np.min(d / envv)))
 
     # corridor gap: the ratio must sit below both the disc floor and the
     # sector floor of |exp_q|

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import build_spec, gaussian_profile
 from qsum.errors import (
@@ -159,10 +161,14 @@ class TestSectorSelection:
         # ratio pinned on the real q-exponential image; the measured gap is
         # set by sampling resolution, so demand a margin well above it
         spec = tiny_scalar_spec(Q=2.3842310290313717, R_D=1.0)
-        with pytest.raises(SmallDelta):
+        with pytest.raises(SmallDelta) as exc:
             select_sector(spec, 0.0, delta_floor=0.05)
         cfg = select_sector(spec, 0.0)
         assert cfg.delta1 < 0.05
+        # the witness is the nearest pair: |P_m(tau)| / |R_D(im)| there is delta1
+        tau, m = exc.value.witness
+        assert isinstance(tau, complex) and m in spec.space.m
+        assert abs(eval_Pm(tau, m, spec)) == pytest.approx(cfg.delta1, rel=1e-9)
 
     def test_delta_stable_under_refinement(self, basic_spec):
         c1 = select_sector(basic_spec, 0.0, n_rays=64, n_radii=64)
@@ -175,12 +181,76 @@ class TestSectorSelection:
         curve = np.array([0.05 + 0j])
         points = np.array([0.5] * 600 + [0.0501] * 10, dtype=complex)
         taus = np.arange(points.size + 1) * (1 + 1j)
-        dist, i, j = _min_distance(curve, points, taus[:-1])
+        dist, i, j = _min_distance(curve, points, taus[:-1], np.zeros(1))
         assert dist == pytest.approx(1e-4, rel=1e-9) and (i, j) == (0, 600)
         points = np.insert(points, 600, complex(math.nan, 0.0))
         with pytest.raises(OverflowFailure) as exc:
-            _min_distance(curve, points, taus)
+            _min_distance(curve, points, taus, np.zeros(1))
         assert exc.value.witness == taus[600]
+
+    def test_min_distance_refuses_non_finite_curve_value(self):
+        # np.unique would merge the NaNs, and a NaN row would leave every
+        # chunk's minimum NaN, so the scan would certify delta1 = inf
+        curve = np.array([0.05, math.nan, math.nan, 0.07], dtype=complex)
+        ms = np.array([-1.5, -0.5, 0.5, 1.5])
+        points = np.linspace(0.0, 1.0, 700).astype(complex)
+        with pytest.raises(OverflowFailure) as exc:
+            _min_distance(curve, points, points, ms)
+        assert exc.value.witness == -0.5
+        spec = tiny_scalar_spec(Q=complex(math.nan, 0.0))
+        with pytest.raises(OverflowFailure) as exc:
+            select_sector(spec, 0.0)
+        assert exc.value.witness == spec.space.m[0]
+
+
+def _all_pairs(curve, points):
+    """Every pair, 512 points at a time: the scan `_min_distance` must equal."""
+    best, bi, bj = math.inf, 0, 0
+    for start in range(0, points.size, 512):
+        d = np.abs(curve[:, None] - points[None, start : start + 512])
+        i, j = np.unravel_index(np.argmin(d), d.shape)
+        if d[i, j] < best:
+            best, bi, bj = float(d[i, j]), int(i), int(start + j)
+    return best, bi, bj
+
+
+def _cloud(rng, n, step):
+    """``n`` complex points, rounded to multiples of ``step`` (ties) if given."""
+    z = rng.standard_normal(n) * rng.uniform(0.1, 3.0) + 1j * rng.standard_normal(n)
+    z += rng.uniform(-2.0, 2.0, size=n) if rng.random() < 0.5 else 0.0
+    return np.round(z / step) * step if step else z
+
+
+class TestMinDistance:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_curve=st.integers(1, 40),
+        n_points=st.integers(1, 1700),
+        step=st.sampled_from([None, 0.25, 1.0]),
+        distinct=st.integers(1, 6),
+    )
+    @example(seed=0, n_curve=1, n_points=1, step=None, distinct=6)
+    @example(seed=1, n_curve=30, n_points=1100, step=1.0, distinct=2)
+    @settings(deadline=None, max_examples=200)
+    def test_equals_all_pairs_scan(self, seed, n_curve, n_points, step, distinct):
+        rng = np.random.default_rng(seed)
+        curve = _cloud(rng, n_curve, step)
+        if distinct < 6:  # few distinct values, repeated in random order
+            curve = rng.choice(curve[:distinct], size=n_curve)
+        points = _cloud(rng, n_points, step)
+        got = _min_distance(curve, points, points, np.zeros(n_curve))
+        want = _all_pairs(curve, points)
+        assert got == want and got[0].hex() == want[0].hex()
+
+    def test_equal_minima_in_two_chunks_go_to_the_first(self):
+        # chunk 1's box holds the curve point, so it is visited first; chunk
+        # 0 has the same minimum 1 and still wins, as in the sequential scan
+        curve = np.array([0j, 0j, 3.0 + 0j])
+        points = np.concatenate([
+            np.linspace(1.0, 2.0, 512), np.full(511, 1j), [-1j, 5.0 + 5.0j, 6.0 + 5.0j],
+        ])
+        assert _min_distance(curve, points, points, np.zeros(3)) == (1.0, 0, 0)
+        assert _all_pairs(curve, points) == (1.0, 0, 0)
 
 
 class TestPmBounds:

@@ -121,6 +121,14 @@ MUTANTS = [
         "        delta1=delta1,",
         "        delta1=1.01 * delta1,",
     ),
+    # the separation scan keeps the last chunk that attains the minimum, not
+    # the first, so equal minima report another nearest pair
+    Mutant(
+        "scan-tie",
+        "qsum/geometry.py",
+        "(d[i, j] == best and c < bc)",
+        "(d[i, j] == best and c > bc)",
+    ),
     # the Laplace kernel's Gaussian width, off by 1e-9 relative
     Mutant(
         "kernel-kappa",
