@@ -462,14 +462,16 @@ class ContinuedOmega:
     Inside ``r0`` (where the series' top order falls to 1e-13 of its
     coefficient scale) the truncated series is machine accurate and is used
     directly.  Outside, the value is the right-hand side of the continued
-    fixed-point equation (`rhs_at`), every coupling row taken from
-    `_term_rows`, the ray integrand's own brackets: shift terms read the
-    ladder at ``c u``, ``c = q^{l1 - l0/k} < 1``, Mahler terms are the
-    closed-form `decelerated_bracket` of the truncated series (their
-    brackets only see arguments inside ``r0``), and the forcing over the
-    denominator symbol is closed form.  Rungs are memoised; ray nodes on
-    ``s_lattice`` multiples make the ladders collide, so the cost is nodes
-    plus depth, not nodes times depth.
+    fixed-point equation (`rhs_at`).  Shift terms take the ray integrand's
+    own rows (`_term_rows`), which read the ladder at ``c u``,
+    ``c = q^{l1 - l0/k} < 1``.  Mahler terms are the closed-form
+    `decelerated_bracket` of the truncated series (their brackets only see
+    arguments inside ``r0``); the bracket is linear in the series rows, so
+    those rows are convolved once, at the first wave that needs them, and a
+    wave takes the term as one ``(S, N) @ (N, G)`` product.  The forcing
+    over the denominator symbol is closed form.  Rungs are memoised; ray
+    nodes on ``s_lattice`` multiples make the ladders collide, so the cost
+    is nodes plus depth, not nodes times depth.
 
     Raises:
         ValidationError: a coupling's ``c`` is not below 1, so its ladder
@@ -501,6 +503,7 @@ class ContinuedOmega:
         self.s_lattice = self.params.log_q / (k * mstep)
         self._memo: dict = {}
         self._rungs = 0
+        self._mahler_conv: dict = {}  # see `_rhs`
         self._last_sum: list = [None]  # see `gq_sum`
 
     def _key(self, r: float, theta: float):
@@ -579,13 +582,22 @@ class ContinuedOmega:
 
     def _rhs(self, radii, theta: float, ev) -> np.ndarray:
         """`rhs_at` with the coupling rows `_term_rows` gives on ``ev``, this
-        continuation or its `ContourBracket`."""
+        continuation or its `ContourBracket`, each convolved; on this
+        continuation a Mahler term brackets its convolved series rows."""
         spec, space = self.spec, self.space
         uc = radii * cmath.exp(1j * theta)
         # math.log, as in `_key`: np.log differs in the last bit on some radii
         s = np.array([math.log(r) for r in radii.tolist()])
         acc = np.zeros((radii.size, space.size), dtype=complex)
-        for term in spec.terms:
+        for i, term in enumerate(spec.terms):
+            if ev is self and term.l2 >= 2:
+                if i not in self._mahler_conv:
+                    rows = term.symbol * self.series.coeffs
+                    self._mahler_conv[i] = INV_SQRT_2PI * convolve_values(space, term.band, rows)
+                powers = self.polynomial()[0]
+                log_h = term.l2 * (s + 1j * theta)
+                acc += decelerated_bracket(powers, self._mahler_conv[i], term, log_h, self.params)
+                continue
             rows = _term_rows(ev, s, theta, spec, term)
             acc += INV_SQRT_2PI * convolve_values(space, term.band, term.symbol * rows)
         for fc in spec.forcing:
@@ -719,11 +731,12 @@ def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=N
     """Integrand rows (S, G) for a plain or coupling-twisted evaluator.
 
     The one realisation of a coupling's bracket: `ContinuedOmega.rhs_at`
-    takes a wave's rows here too.  Plain and shift rows are the evaluator's
-    `ray_values`.  A Mahler coupling of an evaluator that exposes its
-    polynomial (``polynomial() -> (powers, rows)``) is the closed-form
-    `decelerated_bracket` at ``h = u^{l2}``; only evaluators without one
-    (callables such as `SeparableOmega`) take the deceleration contour.
+    takes a wave's shift rows here too.  Plain and shift rows are the
+    evaluator's `ray_values`.  A Mahler coupling of an evaluator that
+    exposes its polynomial (``polynomial() -> (powers, rows)``) is the
+    closed-form `decelerated_bracket` at ``h = u^{l2}``; only evaluators
+    without one (callables such as `SeparableOmega`) take the deceleration
+    contour.
     """
     params = spec.params
     radii = np.exp(s)

@@ -288,6 +288,16 @@ class TestContract:
         b = rng.standard_normal((9, 130)) + 1j * rng.standard_normal((9, 130))
         assert_contracts(a[:, ::2], b.T[::2], _contract(a[:, ::2], b.T[::2]))
 
+    @pytest.mark.parametrize("S", [78, 1000])
+    def test_batch_rows_match_one_row_calls(self, rng, S):
+        # a ladder wave's Mahler bracket: N = 12 powers against G = 601 rows;
+        # unchunked, BLAS gave most rows of such a batch other last bits
+        a = np.exp(rng.standard_normal((S, 12)) + 1j * rng.standard_normal((S, 12)))
+        b = rng.standard_normal((12, 601)) + 1j * rng.standard_normal((12, 601))
+        batch = _contract(a, b)
+        for i in range(S):
+            assert np.array_equal(batch[i], _contract(a[i], b))
+
 
 class TestSeriesNorms:
     def test_norm_1R_geometric(self):

@@ -719,6 +719,41 @@ def test_ray_values_match_one_node_requests(fx_full, kind):
     assert np.array_equal(got, want)
 
 
+def _bracket_then_convolve(om, radii, theta):
+    """The continued equation's right-hand side with every coupling row
+    bracketed first and convolved after, as the ray integrand does."""
+    spec = om.spec
+    s, uc = np.log(radii), radii * np.exp(1j * theta)
+    acc = sum(fc.F.values * uc[:, None] ** fc.j for fc in spec.forcing)
+    for term in spec.terms:
+        rows = _term_rows(om, s, theta, spec, term)
+        acc = acc + INV_SQRT_2PI * convolve_values(spec.space, term.band, term.symbol * rows)
+    return acc / geometry.eval_Pm(uc[:, None], spec.space.m, spec)
+
+
+@pytest.mark.parametrize("terms", ["basic", "mahler only"])
+def test_ladder_convolves_mahler_rows_first(terms):
+    # the wave takes the Mahler coupling as the bracket of convolved series
+    # rows; the bracket is linear in its rows, so that is the bracket of
+    # the series convolved.  Mahler only, all 40 rungs fall in one wave
+    _, spec, _ = load_problem("basic.json")
+    if terms == "mahler only":
+        spec = dataclasses.replace(spec, terms=(spec.terms[1],))
+    assert spec.terms[-1].l2 >= 2
+    cfg = select_sector(spec, 0.0)
+    om = ContinuedOmega(solve_fixed_point(spec, cfg, 12), spec, cfg)
+    j0 = math.ceil(math.log(om.r0) / om.s_lattice) + 1
+    # the radii the rungs' keys name
+    radii = np.array([math.exp(j * om.s_lattice) for j in range(j0, j0 + 40)])
+    rungs = om.ray_values(radii, 0.1)
+    got = om.rhs_at(radii, 0.1)
+    want = _bracket_then_convolve(om, radii, 0.1)
+    w = spec.space.decay_weight()
+    assert np.array_equal(got, rungs)
+    for g, r in zip(got, want):
+        assert np.max(w * np.abs(g - r)) <= 1e-14 * np.max(w * np.abs(r))
+
+
 def _count(monkeypatch, name):
     calls = []
     fn = getattr(transforms, name)

@@ -70,6 +70,13 @@ MUTANTS = [
         "params.q ** float(borel_exponent(l0, params.k))",
         "params.q ** float(borel_exponent(l0 + 1, params.k))",
     ),
+    # the continuation's convolved Mahler rows lose the coupling's symbol R(im)
+    Mutant(
+        "ladder-mahler-rows",
+        "qsum/transforms.py",
+        "rows = term.symbol * self.series.coeffs",
+        "rows = self.series.coeffs",
+    ),
     # the continuation's forcing term, off by 1e-6 relative
     Mutant(
         "continuation-forcing",
