@@ -147,11 +147,11 @@ def enorm_values(space: FourierSpace, values: np.ndarray) -> float:
 # is half the size, (G + 3 _BLOCK) _BLOCK doubles; a batched G=2001 solve
 # is about 5% slower.
 _BLOCK = 64
-# `_contract` runs a batch in fixed chunks of _ROWS rows of its left operand.
 # At one thread OpenBLAS 0.3.31 gave a row the bits of a one-row call while
 # the real product's M N K stayed within 1e6 (its small-matrix kernel) and
-# K < 16.  With K = 12 and G = 601, 32 complex rows stay within that bound
-# and 35 do not; with K = 12 and G = 2001 only 10 do.
+# K < 16.  `_contract` runs C complex rows against a (K, G) operand, a
+# (2 C) x K x (2 G) product, so C = 1e6 // (4 K G), at most _ROWS: 32 rows
+# at K = 12 and G = 601, 10 at G = 2001.
 _ROWS = 32
 # Operands are lifted by powers of two so that n * max|X| * max|E| stays below
 # 2**_LIFT_BITS: far from overflow, and high enough that no nonzero operand
@@ -313,14 +313,15 @@ def _contract(a, b) -> np.ndarray:
     right operand is read as interleaved float64, so it is not copied.  As
     in `convolve_values`, the sum over ``K`` runs in fixed _BLOCK-point
     pieces added in a fixed order, so its bits do not depend on the BLAS
-    thread count, and a batch runs in fixed chunks of _ROWS rows, so a
-    row's bits do not depend on the other rows of its call.
+    thread count, and a batch runs in chunks sized from ``b`` (``K < 16``:
+    see _ROWS), so a row's bits do not depend on the other rows of its call.
     """
     a, b = np.asarray(a), np.ascontiguousarray(b)
     shape = a.shape[:-1] + b.shape[1:]
     rows = a.reshape(-1, a.shape[-1])
-    if len(rows) > _ROWS:
-        parts = [_contract(rows[i : i + _ROWS], b) for i in range(0, len(rows), _ROWS)]
+    chunk = max(1, min(_ROWS, 10**6 // (4 * b.size or 1)))
+    if len(rows) > chunk:
+        parts = [_contract(rows[i : i + chunk], b) for i in range(0, len(rows), chunk)]
         return np.concatenate(parts).reshape(shape)
     x = np.concatenate([rows.real, rows.imag]) if rows.dtype.kind == "c" else rows
     e = b.reshape(len(b), -1)

@@ -98,7 +98,8 @@ class ProblemSpec:
     ``Q`` and ``R_D`` are the left and dominant-right symbols (low-to-high
     coefficients), ``alpha_D > 0`` and ``d_D >= 1`` shape the infinite
     order operator, ``terms`` the Mahler couplings, ``forcing`` the
-    inhomogeneity. All grid functions must share ``space``.
+    inhomogeneity. All grid functions must share ``space``.  Derived once:
+    the symbols ``q_symbol = Q(im)`` and ``rd_symbol = R_D(im)`` on the grid.
     """
 
     Q: np.ndarray
@@ -109,10 +110,14 @@ class ProblemSpec:
     forcing: tuple
     params: QParams
     space: FourierSpace
+    q_symbol: np.ndarray = field(init=False, repr=False, compare=False)
+    rd_symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _frozen_array(self.Q))
         object.__setattr__(self, "R_D", _frozen_array(self.R_D))
+        for name, coeffs in (("q_symbol", self.Q), ("rd_symbol", self.R_D)):
+            object.__setattr__(self, name, _frozen_array(poly_eval_im(coeffs, self.space.m)))
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "forcing", tuple(self.forcing))
         if self.alpha_D <= 0:
@@ -126,11 +131,11 @@ class ProblemSpec:
             if not f.F.space.same_grid(self.space):
                 raise ValidationError("a forcing profile lives on a foreign grid")
 
-    def q_symbol(self) -> np.ndarray:
-        return poly_eval_im(self.Q, self.space.m)
-
-    def rd_symbol(self) -> np.ndarray:
-        return poly_eval_im(self.R_D, self.space.m)
+    def _symbols(self, m):
+        """``Q(im)`` and ``R_D(im)``: on the spec's own grid ``m``, its own."""
+        if m is self.space.m:
+            return self.q_symbol, self.rd_symbol
+        return poly_eval_im(self.Q, m), poly_eval_im(self.R_D, m)
 
 
 def _frozen_array(x):
@@ -214,7 +219,7 @@ def validate_spec(spec: ProblemSpec) -> ValidationReport:
     except ValidationError as exc:
         conds.append(ConditionReport("polynomial degrees", False, str(exc)))
 
-    qv, rv = spec.q_symbol(), spec.rd_symbol()
+    qv, rv = spec.q_symbol, spec.rd_symbol
     min_q, min_r = float(np.min(np.abs(qv))), float(np.min(np.abs(rv)))
     conds.append(
         ConditionReport("Q(im) nonvanishing", min_q > 1e-12, f"min |Q(im)| = {min_q:.3g}")
@@ -285,7 +290,8 @@ def eval_Pm(tau, m, spec: ProblemSpec):
     at = alpha_tilde(spec)
     tarr = np.asarray(tau, dtype=complex)
     e = exp_q(at * tarr ** spec.d_D, spec.params)
-    out = poly_eval_im(spec.Q, m) - np.asarray(e) * poly_eval_im(spec.R_D, m)
+    qv, rv = spec._symbols(m)
+    out = qv - np.asarray(e) * rv
     return complex(out) if np.ndim(out) == 0 else out
 
 
@@ -387,7 +393,7 @@ def select_sector(
             f"(image sector keeps meeting the excluded cone)"
         )
 
-    ratio = spec.q_symbol() / spec.rd_symbol()
+    ratio = spec.q_symbol / spec.rd_symbol
 
     disc_r = np.linspace(0.0, rho, n_radii + 1)[1:]
     disc_phi = np.linspace(-math.pi, math.pi, n_rays, endpoint=False)
@@ -445,7 +451,7 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
             ratio value is not finite; the witness is its tau or its m.
     """
     at = config.alpha_tilde_D
-    ratio = spec.q_symbol() / spec.rd_symbol()
+    ratio = spec.q_symbol / spec.rd_symbol
     m_grid = spec.space.m
     n_rays = n_radii = 64
 
@@ -525,8 +531,7 @@ def inv_pm_taylor(m, spec: ProblemSpec, config: SectorConfig, N: int):
         raise ValidationError("need N >= 0")
     q, k = spec.params.q, spec.params.k
     at = config.alpha_tilde_D
-    qv = poly_eval_im(spec.Q, m)
-    rv = poly_eval_im(spec.R_D, m)
+    qv, rv = spec._symbols(m)
 
     # at^n / [n]_q! by recurrence: the quotient only underflows, while the
     # factorial alone overflows at moderate n

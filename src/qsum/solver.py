@@ -272,8 +272,8 @@ def main_equation_residual(
     U = U.truncated(N) if U.order > N else U.pad_to(N)
     params = spec.params
     space = spec.space
-    q_vals = spec.q_symbol()
-    rd_vals = spec.rd_symbol()
+    q_vals = spec.q_symbol
+    rd_vals = spec.rd_symbol
 
     lhs = q_vals[None, :] * U.coeffs
     rhs = rd_vals[None, :] * _expq_operator_rows(U, spec, N)
@@ -299,8 +299,8 @@ def pm_taylor_rows(spec: ProblemSpec, N: int) -> np.ndarray:
     """Taylor rows of the divisor symbol, shape (N+1, G); row 0 is the
     constant term. Only orders that are multiples of d_D are populated."""
     space = spec.space
-    q_vals = spec.q_symbol()
-    rd_vals = spec.rd_symbol()
+    q_vals = spec.q_symbol
+    rd_vals = spec.rd_symbol
     at = alpha_tilde(spec)
     out = np.zeros((N + 1, space.size), dtype=complex)
     out[0] = q_vals - rd_vals

@@ -51,7 +51,7 @@ from .errors import (
     ValidationError,
     ZeroDivision,
 )
-from .fourier import INV_SQRT_2PI, _contract, convolve_values, inverse_fourier_table
+from .fourier import _ROWS, INV_SQRT_2PI, _contract, convolve_values, inverse_fourier_table
 from .geometry import ProblemSpec, SectorConfig, eval_Pm
 from .qcore import CoveringPoint, QParams, exp_q, pi_qk, recip_kernel_log, theta_kernel_log
 from .series import TruncatedSeries, borel_exponent, coupling_exponent
@@ -467,11 +467,11 @@ class ContinuedOmega:
     ``c = q^{l1 - l0/k} < 1``.  Mahler terms are the closed-form
     `decelerated_bracket` of the truncated series (their brackets only see
     arguments inside ``r0``); the bracket is linear in the series rows, so
-    those rows are convolved once, at the first wave that needs them, and a
-    wave takes the term as one ``(S, N) @ (N, G)`` product.  The forcing
-    over the denominator symbol is closed form.  Rungs are memoised; ray
-    nodes on ``s_lattice`` multiples make the ladders collide, so the cost
-    is nodes plus depth, not nodes times depth.
+    those rows are convolved once, and a batch of rungs takes the term as
+    one ``(S, N) @ (N, G)`` product.  The forcing over the denominator
+    symbol is closed form.  Rungs are memoised; ray nodes on ``s_lattice``
+    multiples make the ladders collide, so the cost is nodes plus depth,
+    not nodes times depth.
 
     Raises:
         ValidationError: a coupling's ``c`` is not below 1, so its ladder
@@ -503,7 +503,7 @@ class ContinuedOmega:
         self.s_lattice = self.params.log_q / (k * mstep)
         self._memo: dict = {}
         self._rungs = 0
-        self._mahler_conv: dict = {}  # see `_rhs`
+        self._mahler_conv: dict = {}  # see `_node_rows`
         self._last_sum: list = [None]  # see `gq_sum`
 
     def _key(self, r: float, theta: float):
@@ -524,7 +524,9 @@ class ContinuedOmega:
         Nodes inside ``r0`` take one series evaluation.  The rungs missing
         beyond it are found by following each shift coupling's ``r -> r c``
         down to the disc, then filled in ascending waves that span less than
-        one shift factor, so that each wave reads only earlier ones.  Past
+        one shift factor, so that each wave reads only earlier ones.  What
+        reads the nodes alone comes in one `_node_rows` batch per _ROWS rungs,
+        so a wave (`_wave`) pays only for its shift couplings.  Past
         ``max_rungs`` it raises `DomainTooLarge` before any wave runs, with
         the rung where that walk crossed the cap, and keeps no rung.
         """
@@ -555,14 +557,20 @@ class ContinuedOmega:
         # a rung reads rungs at least one factor c below it, never its own wave
         width = -math.log(max(self._shifts)) - 1e-9 if self._shifts else math.inf
         rungs = sorted(new, key=new.get)
-        while rungs:
-            top = math.log(new[rungs[0]]) + width
-            n = next((i for i, k in enumerate(rungs) if math.log(new[k]) >= top), len(rungs))
-            wave, rungs = rungs[:n], rungs[n:]
-            rows = self.rhs_at(np.array([new[k] for k in wave]), theta)
+        radii = np.array([new[k] for k in rungs])
+        logs = [math.log(r) for r in radii.tolist()]
+        a = hi = 0
+        while a < len(rungs):
+            end = min(a + _ROWS, len(rungs))
+            b = next((i for i in range(a, end) if logs[i] >= logs[a] + width), end)
+            if b > hi:
+                lo, hi = a, end
+                node = self._node_rows(radii[lo:hi], theta, self)
+            rows = self._wave([x[a - lo : b - lo] for x in node], theta)
             rows.setflags(write=False)
-            self._memo.update(zip(wave, rows))
-            self._rungs += n
+            self._memo.update(zip(rungs[a:b], rows))
+            self._rungs += b - a
+            a = b
         for i, key in far:
             out[i] = self._memo[key]
         return out
@@ -576,34 +584,49 @@ class ContinuedOmega:
         raise DomainViolation("batch evaluation is restricted to the series disc")
 
     def rhs_at(self, radii, theta: float) -> np.ndarray:
-        """One application of the continued equation's right-hand side at
-        the ray nodes ``radii * e^{i theta}``: (S, G)."""
-        return self._rhs(radii, theta, self)
+        """One application of the continued equation's right-hand side at the
+        ray nodes ``radii * e^{i theta}``: (S, G), the `_wave` of `_node_rows`."""
+        return self._wave(self._node_rows(radii, theta, self), theta)
 
-    def _rhs(self, radii, theta: float, ev) -> np.ndarray:
-        """`rhs_at` with the coupling rows `_term_rows` gives on ``ev``, this
-        continuation or its `ContourBracket`, each convolved; on this
-        continuation a Mahler term brackets its convolved series rows."""
+    def _node_rows(self, radii, theta: float, ev) -> list:
+        """What `rhs_at` reads of the nodes alone: their log radii (S,), then
+        (S, G) rows: the Mahler couplings in term order, the forcing, and
+        the denominator.  A Mahler row is that of `_term_rows` on ``ev``,
+        convolved; on this continuation, the bracket of its convolved series."""
         spec, space = self.spec, self.space
         uc = radii * cmath.exp(1j * theta)
         # math.log, as in `_key`: np.log differs in the last bit on some radii
-        s = np.array([math.log(r) for r in radii.tolist()])
-        acc = np.zeros((radii.size, space.size), dtype=complex)
+        out = [np.array([math.log(r) for r in radii.tolist()])]
         for i, term in enumerate(spec.terms):
-            if ev is self and term.l2 >= 2:
+            if term.l2 >= 2 and ev is not self:
+                rows = _term_rows(ev, out[0], theta, spec, term)
+                out.append(INV_SQRT_2PI * convolve_values(space, term.band, term.symbol * rows))
+            elif term.l2 >= 2:
                 if i not in self._mahler_conv:
                     rows = term.symbol * self.series.coeffs
                     self._mahler_conv[i] = INV_SQRT_2PI * convolve_values(space, term.band, rows)
-                powers = self.polynomial()[0]
-                log_h = term.l2 * (s + 1j * theta)
-                acc += decelerated_bracket(powers, self._mahler_conv[i], term, log_h, self.params)
-                continue
-            rows = _term_rows(ev, s, theta, spec, term)
-            acc += INV_SQRT_2PI * convolve_values(space, term.band, term.symbol * rows)
+                log_h = term.l2 * (out[0] + 1j * theta)
+                out.append(decelerated_bracket(
+                    self.polynomial()[0], self._mahler_conv[i], term, log_h, self.params))
         for fc in spec.forcing:
             # Python's complex power, one node at a time: numpy's differs in the last bits
-            acc += fc.F.values * np.array([u**fc.j for u in uc.tolist()])[:, None]
-        return acc / eval_Pm(uc[:, None], space.m, spec)
+            out.append(fc.F.values * np.array([u**fc.j for u in uc.tolist()])[:, None])
+        return out + [eval_Pm(uc[:, None], space.m, spec)]
+
+    def _wave(self, node: list, theta: float) -> np.ndarray:
+        """`rhs_at` from `_node_rows`: the shift couplings, which read earlier
+        rungs, added in term order among the Mahler rows, the forcing, the division."""
+        s, *parts, pm = node
+        parts, acc = iter(parts), np.zeros_like(pm)
+        for term in self.spec.terms:
+            if term.l2 >= 2:
+                acc += next(parts)
+                continue
+            rows = _term_rows(self, s, theta, self.spec, term)
+            acc += INV_SQRT_2PI * convolve_values(self.space, term.band, term.symbol * rows)
+        for row in parts:
+            acc += row
+        return acc / pm
 
     def polynomial(self):
         """The truncated series as ``(powers, rows)``.
@@ -730,7 +753,7 @@ class _ExpqNodes:
 def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=None) -> np.ndarray:
     """Integrand rows (S, G) for a plain or coupling-twisted evaluator.
 
-    The one realisation of a coupling's bracket: `ContinuedOmega.rhs_at`
+    The one realisation of a coupling's bracket: `ContinuedOmega._wave`
     takes a wave's shift rows here too.  Plain and shift rows are the
     evaluator's `ray_values`.  A Mahler coupling of an evaluator that
     exposes its polynomial (``polynomial() -> (powers, rows)``) is the
@@ -961,8 +984,8 @@ def theorem2_residual(
         omega = ContinuedOmega(sol, spec, config)
     expq = _ExpqNodes(spec, config)
     # terms: (name, evaluator, ell, exp_q memo, m multiplier)
-    jobs = [("lhs", omega, None, expq, spec.q_symbol()),
-            ("dominant", omega, None, None, spec.rd_symbol())]
+    jobs = [("lhs", omega, None, expq, spec.q_symbol),
+            ("dominant", omega, None, None, spec.rd_symbol)]
     for i, term in enumerate(spec.terms):
         jobs.append((f"coupling{i}", omega, term, expq, None))
     if spec.forcing:
@@ -1035,7 +1058,8 @@ def eaux2_sector_residual(
         else:
             lhs = val
             mode = "stability"
-            rhs = omega._rhs(np.array([tau.r]), tau.theta, ContourBracket(omega))[0]
+            node = omega._node_rows(np.array([tau.r]), tau.theta, ContourBracket(omega))
+            rhs = omega._wave(node, tau.theta)[0]
         diff = float(np.max(np.abs(lhs - rhs)))
         scale = float(np.max(np.abs(rhs))) or 1.0
         num = float(np.max(np.abs(val) * wgt))

@@ -288,12 +288,17 @@ class TestContract:
         b = rng.standard_normal((9, 130)) + 1j * rng.standard_normal((9, 130))
         assert_contracts(a[:, ::2], b.T[::2], _contract(a[:, ::2], b.T[::2]))
 
-    @pytest.mark.parametrize("S", [78, 1000])
-    def test_batch_rows_match_one_row_calls(self, rng, S):
-        # a ladder wave's Mahler bracket: N = 12 powers against G = 601 rows;
-        # unchunked, BLAS gave most rows of such a batch other last bits
-        a = np.exp(rng.standard_normal((S, 12)) + 1j * rng.standard_normal((S, 12)))
-        b = rng.standard_normal((12, 601)) + 1j * rng.standard_normal((12, 601))
+    @pytest.mark.parametrize(
+        "S, K, G",
+        [(78, 12, 601), (1000, 12, 601), (78, 12, 1001), (78, 12, 2001), (78, 8, 2001)],
+        ids=["78", "1000", "78-K12-G1001", "78-K12-G2001", "78-K8-G2001"],
+    )
+    def test_batch_rows_match_one_row_calls(self, rng, S, K, G):
+        # a ladder's Mahler bracket: N = K powers against G grid rows;
+        # unchunked, or in chunks of a fixed 32 rows at G >= 1001, BLAS gave
+        # many rows of such a batch other last bits
+        a = np.exp(rng.standard_normal((S, K)) + 1j * rng.standard_normal((S, K)))
+        b = rng.standard_normal((K, G)) + 1j * rng.standard_normal((K, G))
         batch = _contract(a, b)
         for i in range(S):
             assert np.array_equal(batch[i], _contract(a[i], b))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.optimize import brentq
 
 from conftest import build_spec, gaussian_profile
 from qsum import checks, fourier, geometry, transforms
-from qsum.cli import load_problem
+from qsum.cli import load_problem, resolve_input
 from qsum.errors import (
     DomainTooLarge,
     DomainViolation,
@@ -682,37 +683,55 @@ def test_continued_batch_outside_disc_raises(fx_full):
         om.values_batch(np.array([om.r0 * 3.0 + 0.0j]))
 
 
-def _mixed_request(om):
-    """Radii inside ``r0``, on the lattice beyond it, on the refined
-    half-lattice, with duplicates, in shuffled order."""
+def _mixed_request(om, start=0, count=14):
+    """Radii inside ``r0``, on ``count`` lattice nodes from ``start`` nodes
+    beyond it, on the refined half-lattice, with duplicates, in shuffled
+    order."""
     h = om.s_lattice
-    j0 = math.ceil(math.log(om.r0) / h)
+    j0 = math.ceil(math.log(om.r0) / h) + start
     radii = [0.3 * om.r0, 0.9 * om.r0]
-    radii += [math.exp(j * h) for j in range(j0, j0 + 14)]
-    radii += [math.exp((j + 0.5) * h) for j in range(j0, j0 + 14, 3)]
+    radii += [math.exp(j * h) for j in range(j0, j0 + count)]
+    radii += [math.exp((j + 0.5) * h) for j in range(j0, j0 + count, 3)]
     radii += radii[3:9]
     return np.random.default_rng(0).permutation(radii)
 
 
-@pytest.mark.parametrize("kind", ["continued", "contour", "separable", "polynomial"])
-def test_ray_values_match_one_node_requests(fx_full, kind):
+@pytest.fixture(scope="module")
+def fx_basic_g2001(tmp_path_factory):
+    """``basic.json`` on the library's default grid (G = 2001), order 12."""
+    raw = json.loads(resolve_input("basic.json").read_text())
+    raw["space"] = {"beta": raw["space"]["beta"], "mu": raw["space"]["mu"]}
+    path = tmp_path_factory.mktemp("g2001") / "basic.json"
+    path.write_text(json.dumps(raw))
+    _, spec, _ = load_problem(str(path))
+    cfg = select_sector(spec, 0.0)
+    return spec, cfg, solve_fixed_point(spec, cfg, 12)
+
+
+@pytest.mark.parametrize(
+    "kind", ["continued", "contour", "separable", "polynomial", "continued g2001"])
+def test_ray_values_match_one_node_requests(fx_full, request, kind):
     # one request equals, bit for bit, the same nodes asked one at a time of
-    # a fresh evaluator, and fills the same ladder
-    spec, cfg, sol = fx_full
+    # a fresh evaluator, and fills the same ladder; at G = 2001 the request
+    # brackets more rungs at once than one `_contract` chunk holds
+    spec, cfg, sol = request.getfixturevalue("fx_basic_g2001") if kind.endswith("g2001") else fx_full
     g = gaussian_profile(spec.space, 1.0).values
     make = {
         "continued": lambda: ContinuedOmega(sol, spec, cfg),
+        "continued g2001": lambda: ContinuedOmega(sol, spec, cfg),
         "contour": lambda: checks.ContourBracket(ContinuedOmega(sol, spec, cfg)),
         "separable": lambda: SeparableOmega(
             lambda u: u / (1.0 + u), g, spec.space, spec.params),
         "polynomial": lambda: PolynomialOmega([1, 3], [g, 0.5 * g], spec.space, spec.params),
     }[kind]
     ev, fresh = make(), make()
-    radii = _mixed_request(ContinuedOmega(sol, spec, cfg))
+    # deep rungs, where the Mahler rows weigh enough to show their last bits
+    depth = {"start": 24, "count": 30} if kind.endswith("g2001") else {}
+    radii = _mixed_request(ContinuedOmega(sol, spec, cfg), **depth)
     got = ev.ray_values(radii, 0.1)
-    if kind == "continued":
+    if kind.startswith("continued"):
         want = np.array([fresh.values(CoveringPoint(r, 0.1)) for r in radii.tolist()])
-        assert ev._rungs == fresh._rungs > 0
+        assert ev._rungs == fresh._rungs > (10 if kind.endswith("g2001") else 0)
     else:
         want = np.array([fresh.ray_values(np.array([r]), 0.1)[0] for r in radii.tolist()])
     assert got.shape == (radii.size, spec.space.size)

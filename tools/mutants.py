@@ -81,8 +81,15 @@ MUTANTS = [
     Mutant(
         "continuation-forcing",
         "qsum/transforms.py",
-        "            acc += fc.F.values * np.array(",
-        "            acc += (1.0 + 1e-6) * fc.F.values * np.array(",
+        "out.append(fc.F.values * np.array(",
+        "out.append((1.0 + 1e-6) * fc.F.values * np.array(",
+    ),
+    # a ladder wave reads the node rows (Mahler, forcing, denominator) one rung off
+    Mutant(
+        "ladder-node-slice",
+        "qsum/transforms.py",
+        "[x[a - lo : b - lo] for x in node]",
+        "[x[a - lo + 1 : b - lo + 1] for x in node]",
     ),
     # the ray sum kept for the next z forgets which tail sized its window
     Mutant(
