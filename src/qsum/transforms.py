@@ -362,30 +362,31 @@ class PolynomialOmega:
 
     def __init__(self, powers, rows, space, params: QParams):
         self.powers = [int(p) for p in powers]
-        self.rows = [np.asarray(r, dtype=complex) for r in rows]
+        self.rows = np.array(rows, dtype=complex)
         self.space = space
         self.params = params
 
     def ray_values(self, radii, theta: float) -> np.ndarray:
-        uc = (np.asarray(radii) * cmath.exp(1j * theta)).tolist()
-        out = np.zeros((len(uc), self.space.size), dtype=complex)
-        for p, row in zip(self.powers, self.rows):
-            out += np.array([u**p for u in uc])[:, None] * row
-        return out
+        return _power_sum(self.powers, self.rows, np.log(radii) + 1j * theta)
 
     def polynomial(self):
-        return self.powers, np.array(self.rows)
+        return self.powers, self.rows
 
 
-def _series_at(series: TruncatedSeries, pts: np.ndarray) -> np.ndarray:
-    """Horner evaluation of a grid-valued series at plane points: (n, G)."""
-    coeffs = series.coeffs
-    if coeffs.ndim == 1:
-        coeffs = coeffs[:, None]
-    acc = np.zeros((pts.size, coeffs.shape[1]), dtype=complex)
-    for row in coeffs[::-1]:
-        acc = acc * pts[:, None] + row[None, :]
-    return acc * pts[:, None]
+_PIECE = 15
+
+
+def _power_sum(powers, rows, log_u, logmag=0.0) -> np.ndarray:
+    """``sum_j rows[j] e^{logmag_j} u^{p_j}`` at the nodes ``log u``, (S,) or
+    scalar: power rows times ``rows`` through `_contract` in pieces of at most
+    _PIECE powers (a product over 16 or more gets other last bits in a batch
+    than alone), added in order, so a node's row is the same in any batch."""
+    log_u = np.asarray(log_u)[..., None]
+    terms = np.exp(logmag + np.asarray(powers, dtype=float) * log_u)
+    out = _contract(terms[..., :_PIECE], rows[:_PIECE])
+    for i in range(_PIECE, len(rows), _PIECE):
+        out += _contract(terms[..., i : i + _PIECE], rows[i : i + _PIECE])
+    return out
 
 
 def _series_radius(series: TruncatedSeries, target: float, cap: float) -> float:
@@ -432,7 +433,7 @@ def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarra
     Summed in log magnitude so deep evaluations neither overflow nor round
     through the kernel peak.  A scalar ``log_h = log h`` gives one ``(G,)``
     row; an ``(S,)`` array (``l2 (s + i theta_d)`` along a ray) gives all
-    ``(S, G)`` rows in one `_contract` of ``(S, N)`` by ``(N, G)``.
+    ``(S, G)`` rows in one `_power_sum`, bit for bit as one row at a time.
 
     Raises:
         DomainTooLarge: a monomial's log magnitude exceeds 700; the witness
@@ -441,19 +442,19 @@ def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarra
     exps, logmag = _decel_logmag(
         tuple(int(p) for p in powers), term.l0, term.l1, term.l2, params
     )
-    log_h = np.asarray(log_h)[..., None]
-    peaks = np.max(logmag + exps * log_h.real, axis=-1)
+    log_h = np.asarray(log_h)
+    peaks = np.max(logmag + exps * log_h[..., None].real, axis=-1)
     if float(np.max(peaks)) > 700.0:
         worst = np.unravel_index(np.argmax(peaks), peaks.shape)
         raise DomainTooLarge(
             "decelerated bracket overflows at this depth; "
             "the point is outside any certified range",
             witness={
-                "log_h": complex(log_h[worst][0]),
+                "log_h": complex(log_h[worst]),
                 "peak_log_magnitude": float(peaks[worst]),
             },
         )
-    return _contract(np.exp(logmag + exps * log_h), rows)
+    return _power_sum(exps, rows, log_h, logmag)
 
 
 class ContinuedOmega:
@@ -461,17 +462,17 @@ class ContinuedOmega:
 
     Inside ``r0`` (where the series' top order falls to 1e-13 of its
     coefficient scale) the truncated series is machine accurate and is used
-    directly.  Outside, the value is the right-hand side of the continued
-    fixed-point equation (`rhs_at`).  Shift terms take the ray integrand's
-    own rows (`_term_rows`), which read the ladder at ``c u``,
-    ``c = q^{l1 - l0/k} < 1``.  Mahler terms are the closed-form
+    directly, as a `_power_sum`.  Outside, the value is the right-hand side
+    of the continued fixed-point equation (`rhs_at`).  Shift terms take the
+    ray integrand's own rows (`_term_rows`), which read the ladder at
+    ``c u``, ``c = q^{l1 - l0/k} < 1``.  Mahler terms are the closed-form
     `decelerated_bracket` of the truncated series (their brackets only see
     arguments inside ``r0``); the bracket is linear in the series rows, so
     those rows are convolved once, and a batch of rungs takes the term as
     one ``(S, N) @ (N, G)`` product.  The forcing over the denominator
-    symbol is closed form.  Rungs are memoised; ray nodes on ``s_lattice``
-    multiples make the ladders collide, so the cost is nodes plus depth,
-    not nodes times depth.
+    symbol is a closed-form `_power_sum`.  Rungs are memoised; ray nodes on
+    ``s_lattice`` multiples make the ladders collide, so the cost is nodes
+    plus depth, not nodes times depth.
 
     Raises:
         ValidationError: a coupling's ``c`` is not below 1, so its ladder
@@ -504,6 +505,7 @@ class ContinuedOmega:
         self._memo: dict = {}
         self._rungs = 0
         self._mahler_conv: dict = {}  # see `_node_rows`
+        self._forcing = [f.j for f in spec.forcing], np.array([f.F.values for f in spec.forcing])
         self._last_sum: list = [None]  # see `gq_sum`
 
     def _key(self, r: float, theta: float):
@@ -521,10 +523,10 @@ class ContinuedOmega:
     def ray_values(self, radii, theta: float) -> np.ndarray:
         """Values (S, G) at the ray nodes ``radii * e^{i theta}``.
 
-        Nodes inside ``r0`` take one series evaluation.  The rungs missing
-        beyond it are found by following each shift coupling's ``r -> r c``
-        down to the disc, then filled in ascending waves that span less than
-        one shift factor, so that each wave reads only earlier ones.  What
+        Nodes inside ``r0`` take one `_power_sum` of the series.  The rungs
+        missing beyond it are found by following each shift coupling's ``r ->
+        r c`` down to the disc, then filled in ascending waves that span less
+        than one shift factor, so that each wave reads only earlier ones.  What
         reads the nodes alone comes in one `_node_rows` batch per _ROWS rungs,
         so a wave (`_wave`) pays only for its shift couplings.  Past
         ``max_rungs`` it raises `DomainTooLarge` before any wave runs, with
@@ -534,7 +536,7 @@ class ContinuedOmega:
         out = np.empty((radii.size, self.space.size), dtype=complex)
         inside = radii <= self.r0
         if inside.any():
-            out[inside] = _series_at(self.series, radii[inside] * cmath.exp(1j * theta))
+            out[inside] = _power_sum(*self.polynomial(), np.log(radii[inside]) + 1j * theta)
         far = [(i, self._key(r, theta)) for i, r in enumerate(radii.tolist()) if r > self.r0]
         new: dict = {}
         stack = radii[~inside].tolist()[::-1]
@@ -580,7 +582,7 @@ class ContinuedOmega:
         # defined where the series (univalued) branch applies
         pts = np.asarray(pts, dtype=complex)
         if np.all(np.abs(pts) <= self.r0):
-            return _series_at(self.series, pts)
+            return _power_sum(*self.polynomial(), np.log(pts))
         raise DomainViolation("batch evaluation is restricted to the series disc")
 
     def rhs_at(self, radii, theta: float) -> np.ndarray:
@@ -590,11 +592,10 @@ class ContinuedOmega:
 
     def _node_rows(self, radii, theta: float, ev) -> list:
         """What `rhs_at` reads of the nodes alone: their log radii (S,), then
-        (S, G) rows: the Mahler couplings in term order, the forcing, and
-        the denominator.  A Mahler row is that of `_term_rows` on ``ev``,
-        convolved; on this continuation, the bracket of its convolved series."""
+        (S, G) rows: the Mahler couplings in term order, the forcing (one row,
+        if any), and the denominator.  A Mahler row is that of `_term_rows` on
+        ``ev``, convolved; on this continuation, the bracket of its convolved series."""
         spec, space = self.spec, self.space
-        uc = radii * cmath.exp(1j * theta)
         # math.log, as in `_key`: np.log differs in the last bit on some radii
         out = [np.array([math.log(r) for r in radii.tolist()])]
         for i, term in enumerate(spec.terms):
@@ -608,10 +609,9 @@ class ContinuedOmega:
                 log_h = term.l2 * (out[0] + 1j * theta)
                 out.append(decelerated_bracket(
                     self.polynomial()[0], self._mahler_conv[i], term, log_h, self.params))
-        for fc in spec.forcing:
-            # Python's complex power, one node at a time: numpy's differs in the last bits
-            out.append(fc.F.values * np.array([u**fc.j for u in uc.tolist()])[:, None])
-        return out + [eval_Pm(uc[:, None], space.m, spec)]
+        if spec.forcing:
+            out.append(_power_sum(*self._forcing, out[0] + 1j * theta))
+        return out + [eval_Pm((radii * cmath.exp(1j * theta))[:, None], space.m, spec)]
 
     def _wave(self, node: list, theta: float) -> np.ndarray:
         """`rhs_at` from `_node_rows`: the shift couplings, which read earlier
@@ -807,12 +807,12 @@ def _integrand(
     expq: _ExpqNodes | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ray integrand at nodes ``s``: the kernel ``Theta(t/u)`` (S,) and the
-    rows (S, G) that `_term_rows` selects, divided by ``exp_q`` when an
-    ``expq`` memo is given."""
+    new rows (S, G) that `_term_rows` selects, divided in place by ``exp_q``
+    when an ``expq`` memo is given."""
     kern = theta_kernel_log((math.log(t.r) - s) + 1j * (t.theta - theta_d), spec.params)
     rows = _term_rows(omega_ev, s, theta_d, spec, ell)
     if expq is not None:
-        rows = rows / expq(s, theta_d)[:, None]
+        rows /= expq(s, theta_d)[:, None]
     return kern, rows
 
 
@@ -831,10 +831,9 @@ def _profile(
     as in `_integrand`)."""
     kern, rows = _integrand(omega_ev, t, quad.s_grid(), quad.theta_d, spec, ell, expq)
     if m_mult is not None:
-        rows = rows * m_mult[None, :]
+        rows *= m_mult[None, :]
     prof = pi_qk(spec.params) * _contract(quad.weights() * kern, rows)
-    lev = np.max(np.abs(kern[:, None] * rows), axis=1)
-    return prof, float(max(lev[0], lev[-1]))
+    return prof, float(np.max(np.abs(kern[[0, -1], None] * rows[[0, -1]])))
 
 
 def _auto_quad(
@@ -1052,7 +1051,7 @@ def eaux2_sector_residual(
             raise ValidationError("sector samples must have |tau| >= R")
         val = omega.values(tau)
         if tau.r <= series_radius:
-            lhs = _series_at(omega.series, np.array([tau.to_complex()]))[0]
+            lhs = _power_sum(*omega.polynomial(), complex(math.log(tau.r), tau.theta))
             mode = "overlap"
             rhs = omega.rhs_at(np.array([tau.r]), tau.theta)[0]
         else:

@@ -708,34 +708,66 @@ def fx_basic_g2001(tmp_path_factory):
     return spec, cfg, solve_fixed_point(spec, cfg, 12)
 
 
+@pytest.fixture(scope="module")
+def fx_basic_orders():
+    """``basic.json`` as shipped (G = 601), solved at orders 16 and 24."""
+    _, spec, _ = load_problem("basic.json")
+    cfg = select_sector(spec, 0.0)
+    return {n: (spec, cfg, solve_fixed_point(spec, cfg, n)) for n in (16, 24)}
+
+
 @pytest.mark.parametrize(
-    "kind", ["continued", "contour", "separable", "polynomial", "continued g2001"])
+    "kind", ["continued", "contour", "separable", "polynomial", "continued g2001",
+             "continued n16", "continued n24"])
 def test_ray_values_match_one_node_requests(fx_full, request, kind):
     # one request equals, bit for bit, the same nodes asked one at a time of
     # a fresh evaluator, and fills the same ladder; at G = 2001 the request
-    # brackets more rungs at once than one `_contract` chunk holds
-    spec, cfg, sol = request.getfixturevalue("fx_basic_g2001") if kind.endswith("g2001") else fx_full
+    # brackets more rungs at once than one `_contract` chunk holds, and at
+    # orders 16 and 24 the series and its bracket sum more powers than one
+    # `_power_sum` piece.  The basic.json cases ask for deep rungs, where
+    # the Mahler rows weigh enough to show their last bits
+    spec, cfg, sol = fx_full
+    depth = {}
+    if kind == "continued g2001":
+        spec, cfg, sol = request.getfixturevalue("fx_basic_g2001")
+        depth = {"start": 24, "count": 30}
+    elif kind in ("continued n16", "continued n24"):
+        spec, cfg, sol = request.getfixturevalue("fx_basic_orders")[int(kind[-2:])]
+        depth = {"start": 10, "count": 30}
     g = gaussian_profile(spec.space, 1.0).values
     make = {
-        "continued": lambda: ContinuedOmega(sol, spec, cfg),
-        "continued g2001": lambda: ContinuedOmega(sol, spec, cfg),
         "contour": lambda: checks.ContourBracket(ContinuedOmega(sol, spec, cfg)),
         "separable": lambda: SeparableOmega(
             lambda u: u / (1.0 + u), g, spec.space, spec.params),
         "polynomial": lambda: PolynomialOmega([1, 3], [g, 0.5 * g], spec.space, spec.params),
-    }[kind]
+    }.get(kind, lambda: ContinuedOmega(sol, spec, cfg))
     ev, fresh = make(), make()
-    # deep rungs, where the Mahler rows weigh enough to show their last bits
-    depth = {"start": 24, "count": 30} if kind.endswith("g2001") else {}
     radii = _mixed_request(ContinuedOmega(sol, spec, cfg), **depth)
     got = ev.ray_values(radii, 0.1)
     if kind.startswith("continued"):
         want = np.array([fresh.values(CoveringPoint(r, 0.1)) for r in radii.tolist()])
-        assert ev._rungs == fresh._rungs > (10 if kind.endswith("g2001") else 0)
+        assert ev._rungs == fresh._rungs > (10 if depth else 0)
     else:
         want = np.array([fresh.ray_values(np.array([r]), 0.1)[0] for r in radii.tolist()])
     assert got.shape == (radii.size, spec.space.size)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("order", [12, 16, 24, 32])
+def test_bracket_rows_do_not_depend_on_the_batch(order):
+    # the rows of a 12-node bracket equal, bit for bit, its nodes bracketed
+    # one at a time: a `_contract` over 16 or more powers would not
+    _, spec, _ = load_problem("basic.json")
+    term = spec.terms[1]
+    assert term.l2 >= 2
+    rng = np.random.default_rng(order)
+    shape = (order, spec.space.size)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    powers = range(1, order + 1)
+    log_h = term.l2 * (np.linspace(-4.0, 1.0, 12) + 0.1j)
+    batch = decelerated_bracket(powers, rows, term, log_h, spec.params)
+    for got, lh in zip(batch, log_h):
+        assert np.array_equal(got, decelerated_bracket(powers, rows, term, lh, spec.params))
 
 
 def _bracket_then_convolve(om, radii, theta):

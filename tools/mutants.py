@@ -59,7 +59,7 @@ MUTANTS = [
     Mutant(
         "profile-no-m-mult",
         "qsum/transforms.py",
-        "        rows = rows * m_mult[None, :]",
+        "        rows *= m_mult[None, :]",
         "        rows = rows",
     ),
     # every coupling bracket's q^{-e(l0)} at the wrong order: the ray rows,
@@ -81,8 +81,23 @@ MUTANTS = [
     Mutant(
         "continuation-forcing",
         "qsum/transforms.py",
-        "out.append(fc.F.values * np.array(",
-        "out.append((1.0 + 1e-6) * fc.F.values * np.array(",
+        "out.append(_power_sum(*self._forcing,",
+        "out.append((1.0 + 1e-6) * _power_sum(*self._forcing,",
+    ),
+    # the polynomial evaluator sums 16 powers per piece, where a row's last
+    # bits depend on the other rows of its batch
+    Mutant(
+        "power-rows-piece",
+        "qsum/transforms.py",
+        "_PIECE = 15\n",
+        "_PIECE = 16\n",
+    ),
+    # the series inside r0 (and its Mahler bracket) starts at u^0, not u^1
+    Mutant(
+        "series-powers",
+        "qsum/transforms.py",
+        "return np.arange(1, self.series.coeffs.shape[0] + 1), self.series.coeffs",
+        "return np.arange(0, self.series.coeffs.shape[0]), self.series.coeffs",
     ),
     # a ladder wave reads the node rows (Mahler, forcing, denominator) one rung off
     Mutant(
