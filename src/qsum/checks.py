@@ -23,6 +23,7 @@ from .transforms import (
     q_borel_analytic,
     q_laplace,
     ray_window,
+    s_lattice,
     theorem2_residual,
 )
 
@@ -170,6 +171,36 @@ def term_gate(sol, spec, cfg, points, *, beta_prime):
                 row["residual"] / max(1e-9 * smallest, 1e-300), 1.0,
             ))
     return rows
+
+
+def summation_determinism(sol, spec, cfg, points, *, beta_prime):
+    """`gq_sum` depends on its point alone: the points get the same bits in
+    two orders and each on a fresh continuation, the first ``t`` at two tails
+    in turn, and the ray nodes about it in one request and one at a time."""
+    fresh = lambda: ContinuedOmega(sol, spec, cfg)
+
+    def sums(pairs, om=None, **kw):
+        return np.array([gq_sum(om or fresh(), t, z, cfg, spec, beta_prime=beta_prime, **kw)
+                         for t, z in pairs])
+
+    (t, z), om, n = points[0], fresh(), len(points)
+    in_turn, alone = zip(*[(sums([(t, z)], om, tail=a), sums([(t, z)], tail=a))
+                           for a in (1e-11, 1e-13)])
+    h = s_lattice(spec.params) / 2.0
+    j = round(math.log(t.r) / h)
+    radii = np.exp(np.arange(j - 24, j + 9) * h)
+    given = sums(points, fresh())
+    # the error is the largest difference over the largest value
+    return [("sum-determinism", detail, float(np.max(abs(got - want)) / np.max(abs(want))), 0.0)
+            for detail, got, want in [
+        (f"{n} points in reverse order against in order", sums(points[::-1], fresh())[::-1], given),
+        (f"{n} points each on a fresh continuation", sums(points), given),
+        (f"t=({t.r:.4g},{t.theta:.4g}) at tails 1e-11 then 1e-13 against each on a fresh "
+         "continuation", np.concatenate(in_turn), np.concatenate(alone)),
+        (f"{radii.size} ray nodes about t in one request against one at a time",
+         fresh().ray_values(radii, t.theta),
+         np.concatenate([om.ray_values(radii[i : i + 1], t.theta) for i in range(radii.size)])),
+    ]]
 
 
 def gevrey_rate(omega_ev, u_n, z, points, cfg, spec, *, beta_prime):

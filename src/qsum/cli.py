@@ -234,7 +234,8 @@ def make_manifest(command: str, spec_hash: str, args, config=None, outcome=None)
     quad = {
         "tail": getattr(args, "tail", None),
         "eps_rel": getattr(args, "eps_rel", None),
-        "refinement": "node doubling splits gain between step/sqrt(2) and window*sqrt(2)",
+        "refinement": "ray nodes j*step for integers j; each level halves the step and "
+                      "widens the window by a quarter, snapped outward",
         "contour_orientation": "covering angle increasing; sign fixed by the monomial oracle",
     }
     manifest = {
@@ -447,9 +448,13 @@ def _suite_theorem2(spec, cfg, rng, args):
     pts = [(CoveringPoint(cfg.R / 8.0, th), z) for th, z in zip((0.02, -0.15, 0.3), zs)]
     # at 0.8 R every term of the equation is material
     gate = [(CoveringPoint(0.8 * cfg.R, th), z) for th, z in zip((0.1, -0.2), zs)]
+    # t sharing ladders, at an order where the series fills a `_power_sum` piece
+    ray = [(CoveringPoint(f * cfg.R, 0.1), z) for f, z in zip((0.1, 0.2, 0.4, 0.6, 0.8), zs + zs)]
+    det = solve_fixed_point(spec, cfg, max(args.order, 16), tol=args.tol)
     beta_prime = 0.5 * spec.space.beta
     return (checks.summed_equation(sol, spec, cfg, pts, beta_prime=beta_prime)
-            + checks.term_gate(sol, spec, cfg, gate, beta_prime=beta_prime))
+            + checks.term_gate(sol, spec, cfg, gate, beta_prime=beta_prime)
+            + checks.summation_determinism(det, spec, cfg, ray, beta_prime=beta_prime))
 
 
 def _suite_asymptotics(spec, cfg, rng, args):

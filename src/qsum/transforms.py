@@ -24,9 +24,9 @@ Conventions used throughout:
 * Windows are either prescribed (`RayQuadrature`, `CircleContour`) or built
   automatically from a tail target by probing the actual integrand, never
   from growth assumptions alone.
-* ``refined()`` doubles the nodes (step/sqrt(2), window*sqrt(2)) so that
-  both error sources shrink; its lattice variant halves the step and widens
-  the window by a quarter, so that the memo of `ContinuedOmega` keeps hitting.
+* Ray nodes are ``s = j * step`` for integers ``j``, probed ones on the
+  `s_lattice`; ``refined()`` halves the step and widens the window by a quarter,
+  so both error sources shrink and a node is the same float at every level.
 
 Error budgets reported by the residual drivers are documented estimates,
 not bounds: the window term is the measured edge level times the Gaussian
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -66,58 +65,47 @@ def _kappa(params: QParams, k_order: float | None = None) -> float:
 # quadrature descriptions
 
 
-def _trapezoid(lo: float, hi: float, nodes: int) -> tuple[float, np.ndarray]:
-    """Step and weights of the trapezoid rule on ``nodes`` points of ``[lo, hi]``."""
-    h = (hi - lo) / (nodes - 1)
+def _trapezoid(h: float, nodes: int) -> np.ndarray:
+    """Weights of the trapezoid rule of step ``h`` on ``nodes`` points."""
     w = np.full(nodes, h)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return h, w
+    w[[0, -1]] *= 0.5
+    return w
+
+
+def s_lattice(params: QParams) -> float:
+    """The step of every probed ray window, ``log(q)/(k m)`` about 0.25: a
+    coupling's ``log c = (l1 - l0/k) log q`` keeps a node on it, and ladders collide."""
+    mstep = max(1, int(round(params.log_q / (params.k * 0.25))))
+    return params.log_q / (params.k * mstep)
 
 
 @dataclass(frozen=True)
 class RayQuadrature:
-    """Ray ``u = e^{s + i theta_d}``, ``s in [s_min, s_max]``, trapezoid nodes."""
+    """Ray ``u = e^{s + i theta_d}``, trapezoid nodes ``s = j * step`` for the
+    integers ``j_min <= j <= j_max``."""
 
     theta_d: float
-    s_min: float
-    s_max: float
-    nodes: int
+    step: float
+    j_min: int
+    j_max: int
 
     def __post_init__(self):
-        if not self.s_min < self.s_max:
-            raise ValidationError("need s_min < s_max")
-        if self.nodes < 8:
+        if not self.step > 0:
+            raise ValidationError("need step > 0")
+        if self.j_max - self.j_min < 7:
             raise ValidationError("need at least 8 nodes")
 
     def s_grid(self) -> np.ndarray:
-        return np.linspace(self.s_min, self.s_max, self.nodes)
+        return np.arange(self.j_min, self.j_max + 1) * self.step
 
     def weights(self) -> np.ndarray:
-        return _trapezoid(self.s_min, self.s_max, self.nodes)[1]
+        return _trapezoid(self.step, self.j_max - self.j_min + 1)
 
-    @property
-    def step(self) -> float:
-        return _trapezoid(self.s_min, self.s_max, self.nodes)[0]
-
-    def refined(self, lattice: float | None = None) -> "RayQuadrature":
-        """Twice the nodes; step/sqrt(2) and window*sqrt(2) about the centre.
-
-        With ``lattice`` set, the step is halved instead (keeping every node
-        on multiples of ``lattice/2``) and the window grows by one quarter,
-        snapped outward to the lattice.
-        """
-        c = 0.5 * (self.s_min + self.s_max)
-        half = 0.5 * (self.s_max - self.s_min)
-        if lattice is None:
-            half *= math.sqrt(2.0)
-            return RayQuadrature(self.theta_d, c - half, c + half, 2 * self.nodes)
-        step = self.step / 2.0
-        pad = 0.25 * half
-        lo = math.floor((self.s_min - pad) / step) * step
-        hi = math.ceil((self.s_max + pad) / step) * step
-        n = int(round((hi - lo) / step)) + 1
-        return RayQuadrature(self.theta_d, lo, hi, n)
+    def refined(self) -> "RayQuadrature":
+        """Half the step, the window a quarter wider, snapped outward."""
+        pad = -(-(self.j_max - self.j_min) // 4)
+        return RayQuadrature(self.theta_d, self.step / 2.0, 2 * self.j_min - pad,
+                             2 * self.j_max + pad)
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,7 @@ class CircleContour:
         return np.linspace(self.theta_min, self.theta_max, self.nodes)
 
     def weights(self) -> np.ndarray:
-        return _trapezoid(self.theta_min, self.theta_max, self.nodes)[1]
+        return _trapezoid((self.theta_max - self.theta_min) / (self.nodes - 1), self.nodes)
 
     def refined(self) -> "CircleContour":
         c = 0.5 * (self.theta_min + self.theta_max)
@@ -166,8 +154,8 @@ def ray_window(
     kap = _kappa(params)
     center = math.log(T.r) + (growth - 0.5) / (2.0 * kap)
     half = math.sqrt(max(math.log(1.0 / tail), 1.0) / kap) + 0.5
-    n = max(8, int(math.ceil(2.0 * half / step)) + 1)
-    return RayQuadrature(T.theta, center - half, center + half, n)
+    return RayQuadrature(T.theta, step, math.floor((center - half) / step),
+                         math.ceil((center + half) / step))
 
 
 def contour_window(
@@ -190,24 +178,15 @@ def contour_window(
 # scalar transforms
 
 
-def _ray_value(f, T: CoveringPoint, quad: RayQuadrature, params: QParams) -> complex:
-    s = quad.s_grid()
-    log_ratio = (math.log(T.r) - s) + 1j * (T.theta - quad.theta_d)
-    kern = theta_kernel_log(log_ratio, params)
-    vals = np.broadcast_to(f(np.exp(s + 1j * quad.theta_d)), s.shape)
-    return complex(pi_qk(params) * _contract(quad.weights() * kern, vals))
-
-
-def _stabilise(value_at, quad, eps_rel: float, what: str, refine_kw=None) -> complex:
+def _stabilise(value_at, quad, eps_rel: float, what: str) -> complex:
     """Node-doubling check: accept once two consecutive levels agree."""
-    kw = refine_kw or {}
     v1 = value_at(quad)
-    q2 = quad.refined(**kw)
+    q2 = quad.refined()
     v2 = value_at(q2)
     scale = max(abs(v1), abs(v2), 1e-300)
     if abs(v1 - v2) <= eps_rel * scale:
         return v2
-    v3 = value_at(q2.refined(**kw))
+    v3 = value_at(q2.refined())
     if abs(v2 - v3) <= eps_rel * max(abs(v2), abs(v3), 1e-300):
         return v3
     raise QuadratureStall(
@@ -236,11 +215,16 @@ def q_laplace(
     Raises:
         QuadratureStall: node doubling failed to stabilise the value.
     """
+
+    def value_at(qd: RayQuadrature) -> complex:
+        s = qd.s_grid()
+        kern = theta_kernel_log((math.log(T.r) - s) + 1j * (T.theta - qd.theta_d), params)
+        vals = np.broadcast_to(f(np.exp(s + 1j * qd.theta_d)), s.shape)
+        return complex(pi_qk(params) * _contract(qd.weights() * kern, vals))
+
     if quad is None:
         quad = ray_window(T, params, growth=growth)
-    if not check:
-        return _ray_value(f, T, quad, params)
-    return _stabilise(lambda qd: _ray_value(f, T, qd, params), quad, 1e-9, "q_laplace")
+    return _stabilise(value_at, quad, 1e-9, "q_laplace") if check else value_at(quad)
 
 
 def _contour_value(vals, log_y, weights: np.ndarray, params: QParams, k_order: float | None = None):
@@ -470,9 +454,9 @@ class ContinuedOmega:
     arguments inside ``r0``); the bracket is linear in the series rows, so
     those rows are convolved once, and a batch of rungs takes the term as
     one ``(S, N) @ (N, G)`` product.  The forcing over the denominator
-    symbol is a closed-form `_power_sum`.  Rungs are memoised; ray nodes on
-    ``s_lattice`` multiples make the ladders collide, so the cost is nodes
-    plus depth, not nodes times depth.
+    symbol is a closed-form `_power_sum`.  Rungs are memoised by `_key`, so
+    their bits depend only on their node; nodes and shifts on the `s_lattice`
+    make the ladders collide, so the cost is nodes plus depth, not nodes times depth.
 
     Raises:
         ValidationError: a coupling's ``c`` is not below 1, so its ladder
@@ -485,7 +469,6 @@ class ContinuedOmega:
         self.params = spec.params
         self.space = spec.space
         self.max_rungs = max_rungs
-        k = self.params.k
         for i, term in enumerate(spec.terms):
             if _shift_factors(term.l0, term.l1, self.params)[0] >= 1.0:
                 raise ValidationError(
@@ -498,23 +481,22 @@ class ContinuedOmega:
         top = float(np.max(np.abs(self.series.coeffs[-1]))) if self.series.order else 0.0
         self._floor = top * self.r0**self.series.order
 
-        # shifts c = l1 - l0/k are integer multiples of 1/k, so a lattice of
-        # log(q)/(k*mstep), about 0.25, keeps every ladder argument on ray nodes
-        mstep = max(1, int(round(self.params.log_q / (k * 0.25))))
-        self.s_lattice = self.params.log_q / (k * mstep)
+        # rungs are keyed on the quarter lattice, the finest a shipped window
+        # reaches: gq_sum's third level and node_factor = 2's refinement
+        self._key_step = s_lattice(self.params) / 4.0
         self._memo: dict = {}
         self._rungs = 0
         self._mahler_conv: dict = {}  # see `_node_rows`
         self._forcing = [f.j for f in spec.forcing], np.array([f.F.values for f in spec.forcing])
         self._last_sum: list = [None]  # see `gq_sum`
 
-    def _key(self, r: float, theta: float):
-        s = math.log(r)
-        j = s / self.s_lattice
-        jr = round(j)
-        if abs(j - jr) < 1e-9:
-            return (int(jr), round(theta, 10))
-        return (round(s, 12), round(theta, 10))
+    def _key(self, r: float, theta: float) -> tuple[float, float]:
+        """``(radius, theta)``, the radius a rung is computed at: ``exp(j h)``
+        within 1e-9 of key-lattice node ``j``, else ``r`` itself."""
+        j = math.log(r) / self._key_step
+        if abs(j - round(j)) < 1e-9:
+            r = math.exp(round(j) * self._key_step)
+        return r, theta
 
     def values(self, u: CoveringPoint) -> np.ndarray:
         """`ray_values` at the one node ``u``."""
@@ -523,10 +505,11 @@ class ContinuedOmega:
     def ray_values(self, radii, theta: float) -> np.ndarray:
         """Values (S, G) at the ray nodes ``radii * e^{i theta}``.
 
-        Nodes inside ``r0`` take one `_power_sum` of the series.  The rungs
-        missing beyond it are found by following each shift coupling's ``r ->
-        r c`` down to the disc, then filled in ascending waves that span less
-        than one shift factor, so that each wave reads only earlier ones.  What
+        Nodes inside ``r0`` take one `_power_sum` of the series; beyond it,
+        the rung their `_key` names.  The rungs missing are found by following
+        each shift coupling's ``r -> r c`` down to the disc, then filled in
+        ascending waves that span less than one shift factor, so that each
+        wave reads only earlier ones.  What
         reads the nodes alone comes in one `_node_rows` batch per _ROWS rungs,
         so a wave (`_wave`) pays only for its shift couplings.  Past
         ``max_rungs`` it raises `DomainTooLarge` before any wave runs, with
@@ -545,9 +528,7 @@ class ContinuedOmega:
             key = self._key(r, theta) if r > self.r0 else None
             if key is None or key in self._memo or key in new:
                 continue
-            # a lattice rung sits at the radius its key names, whichever
-            # request reached it first, so its bits do not depend on history
-            r = new[key] = math.exp(key[0] * self.s_lattice) if isinstance(key[0], int) else r
+            r = new[key] = key[0]
             if self._rungs + len(new) > self.max_rungs:
                 raise DomainTooLarge(
                     f"continuation ladder exceeded {self.max_rungs} rungs; "
@@ -646,8 +627,7 @@ class ContourBracket:
 
     def __init__(self, om: ContinuedOmega):
         self.ray_values, self.values_batch = om.ray_values, om.values_batch
-        self.floor_estimate, self.s_lattice = om.floor_estimate, om.s_lattice
-        self.space, self.r0 = om.space, om.r0
+        self.floor_estimate, self.space, self.r0 = om.floor_estimate, om.space, om.r0
 
 
 # ---------------------------------------------------------------------------
@@ -671,36 +651,27 @@ def _probe_levels(level, nodes: list):
         yield from levels
 
 
-def _probe_ray(
-    level,
-    s_seed: float,
-    *,
-    tail: float,
-    lattice: float | None,
-) -> tuple[float, float]:
-    """Bracket the decayed support of ``level(s) -> list[float]`` around ``s_seed``.
+def _probe_ray(level, s_seed: float, h: float, *, tail: float) -> tuple[int, int]:
+    """The integer ends ``(j_lo, j_hi)`` of the decayed support of ``level(s)
+    -> list[float]`` on the nodes ``s = j h`` around ``s_seed``.
 
-    Walks outward in steps of about 0.5 from the seed, upward first (the
-    peak can sit away from the seed), until the level falls below ``tail``
-    times the running peak; the lower side starts from the peak the upper
-    side left.  A probe costs one request per chunk of nodes
-    (`_probe_levels`); nodes past the stopping one change neither end.
-    Raises `DomainTooLarge`, its witness the side, last node, level and
-    peak, if a side has not decayed within 40 units (the integral is then
-    not certified to converge at this point for this budget).
+    Walks outward from the seed's nearest node, ``round(0.5 / h)`` nodes at
+    a time, upward first (the peak can sit away from the seed), until the
+    level falls below ``tail`` times the running peak; the lower side starts
+    from the peak the upper side left.  A probe costs one request per chunk
+    of nodes (`_probe_levels`); nodes past the stopping one change neither
+    end.  Raises `DomainTooLarge`, its witness the side, last node, level
+    and peak, if a side has not decayed within 40 units (the integral is
+    then not certified to converge at this point for this budget).
     """
-    coarse, span = 0.5, 40.0
-    if lattice is not None:
-        coarse = max(lattice, lattice * round(coarse / lattice))
-        s_seed = lattice * round(s_seed / lattice)
-    n, peak, ends = int(span / coarse), None, []
-    for side, step in (("upper", coarse), ("lower", -coarse)):
-        # accumulated, as a one-node walk's ``s += step`` would; the seed
-        # rides in the upper side's first request and starts the peak
-        nodes = list(itertools.accumulate(itertools.repeat(step, n), initial=s_seed))
-        levels = _probe_levels(level, nodes if peak is None else nodes[1:])
+    span, stride, j_seed = 40.0, max(1, round(0.5 / h)), round(s_seed / h)
+    n, peak, ends = int(span / (stride * h)), None, []
+    for side, step in (("upper", stride), ("lower", -stride)):
+        # the seed rides in the upper side's first request and starts the peak
+        nodes = [j_seed + i * step for i in range(n + 1)]
+        levels = _probe_levels(level, [j * h for j in nodes[0 if peak is None else 1:]])
         peak = next(levels) if peak is None else peak
-        for s, nxt in zip(nodes[1:], levels):
+        for j, nxt in zip(nodes[1:], levels):
             peak = max(peak, nxt)
             if nxt < tail * max(peak, 1e-300):
                 break
@@ -708,9 +679,9 @@ def _probe_ray(
             raise DomainTooLarge(
                 f"ray integrand still at {nxt:.3g} (peak {peak:.3g}) after "
                 f"{span:.0f} units; point outside the certified domain",
-                witness={"side": side, "s": s, "level": nxt, "peak": peak},
+                witness={"side": side, "s": j * h, "level": nxt, "peak": peak},
             )
-        ends.append(s)
+        ends.append(j)
     return ends[1], ends[0]
 
 
@@ -845,24 +816,18 @@ def _auto_quad(
     expq: _ExpqNodes | None = None,
     tail: float = 1e-11,
 ) -> RayQuadrature:
-    """Probe the actual integrand to size the ray window for this term
+    """Probe the actual integrand to size the ray window on the `s_lattice`
     (``ell`` and ``expq`` as in `_integrand`).  Each chunk of the probe is
     one `_integrand` request: one `ray_values` and one batched ``exp_q``."""
-    lattice = getattr(omega_ev, "s_lattice", None)
+    h = s_lattice(spec.params)
 
     def level(sv: np.ndarray) -> list[float]:
         kern, rows = _integrand(omega_ev, t, sv, t.theta, spec, ell, expq)
         return np.max(np.abs(kern[:, None] * rows), axis=1).tolist()
 
-    lo, hi = _probe_ray(level, math.log(t.r), tail=tail, lattice=lattice)
-    if lattice is not None:
-        h = lattice
-        lo = math.floor(lo / h) * h
-        hi = math.ceil(hi / h) * h
-        n = int(round((hi - lo) / h)) + 1
-        return RayQuadrature(t.theta, lo, hi, max(8, n))
-    n = max(8, int(math.ceil((hi - lo) / 0.12)) + 1)
-    return RayQuadrature(t.theta, lo, hi, n)
+    lo, hi = _probe_ray(level, math.log(t.r), h, tail=tail)
+    # a vanishing integrand stops the probe at once; a window has 8 nodes
+    return RayQuadrature(t.theta, h, lo, max(hi, lo + 7))
 
 
 def gq_sum(
@@ -905,8 +870,7 @@ def gq_sum(
             profiles[qd] = _profile(omega_ev, t, spec, qd)[0]
         return complex(inverse_fourier_table(profiles[qd], spec.space, [z], beta_prime)[0])
 
-    lattice = getattr(omega_ev, "s_lattice", None)
-    return _stabilise(value_at, quad, eps_rel, "gq_sum", refine_kw={"lattice": lattice})
+    return _stabilise(value_at, quad, eps_rel, "gq_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -934,12 +898,11 @@ def _term_sum(
     The budget adds the refine difference, the window edge mass and the
     profile's mass at the grid ends."""
     space = spec.space
-    lattice = getattr(ev, "s_lattice", None)
     quad = _auto_quad(ev, t, spec, ell=ell, expq=expq, tail=tail)
     for _ in range(node_factor - 1):
-        quad = quad.refined(lattice=lattice)
+        quad = quad.refined()
     p1, edge1 = _profile(ev, t, spec, quad, ell=ell, expq=expq, m_mult=mult)
-    p2, _ = _profile(ev, t, spec, quad.refined(lattice=lattice), ell=ell, expq=expq, m_mult=mult)
+    p2, _ = _profile(ev, t, spec, quad.refined(), ell=ell, expq=expq, m_mult=mult)
     profs = np.stack([p1, p2])
     if ell is not None:
         # symbol under the convolution, then the profile product rule

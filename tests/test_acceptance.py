@@ -313,8 +313,9 @@ def test_c09_summed_equation_residual():
 def test_c10_gaussian_auxiliary_identity():
     """Shifted Gaussian integral on the ray weights matches the closed form."""
     worst = 0.0
-    for a in (0.0, 1.0, 2.0):
-        qd = RayQuadrature(0.0, -a / 2.0 - 9.0, -a / 2.0 + 9.0, 401)
+    for a in (0, 1, 2):
+        # s in [-9 - a/2, 9 - a/2], step 0.05
+        qd = RayQuadrature(0.0, 0.05, -180 - 10 * a, 180 - 10 * a)
         s = qd.s_grid()
         val = float(np.sum(qd.weights() * np.exp(-(s**2) - a * s)))
         want = math.sqrt(math.pi) * math.exp(a * a / 4.0)

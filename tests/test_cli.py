@@ -424,6 +424,9 @@ def test_verify_theorem2(capsys):
     assert out.count("pass  theorem2-residual") == 3
     # two points at 0.8 R, on the continuation and on the contour bracket
     assert out.count("pass  theorem2-term-gate") == 4
+    # points in two orders, on fresh continuations, one t at two tails, and
+    # ray nodes in one request and one at a time
+    assert out.count("pass  sum-determinism") == 4
     assert "FAIL" not in out
 
 
@@ -484,6 +487,42 @@ def test_sum_deterministic(tmp_path):
     run("sum", "basic.json", "--points", str(pts), "--out", str(out1))
     run("sum", "basic.json", "--points", str(pts), "--out", str(out2))
     assert (out1 / "u_values.csv").read_bytes() == (out2 / "u_values.csv").read_bytes()
+
+
+def _sum_cells(spec, rows, out):
+    """``qsum sum`` on ``rows`` of points: the cells it writes per point."""
+    pts = out.with_suffix(".csv")
+    pts.write_text("".join(",".join(map(repr, row)) + "\n" for row in rows))
+    assert run("sum", spec, "--points", str(pts), "--out", str(out)) == EXIT_OK
+    lines = (out / "u_values.csv").read_text().splitlines()[2:]
+    cells = {tuple(c[:4]): c[4:] for c in (line.split(",") for line in lines)}
+    assert len(cells) == len(rows)
+    return cells
+
+
+@pytest.mark.parametrize("problem", ["basic.json", "forcing_only.json", "shift only",
+                                     "mahler only"])
+def test_sum_cells_do_not_depend_on_point_order(tmp_path, problem):
+    # a summed value is a function of its point: the same cells whichever
+    # points come before it, in order, reversed or shuffled.  Eight t on one
+    # direction share ladders; four more t carry two z each
+    spec = problem
+    if " " in problem:
+        raw = json.loads(resolve_input("basic.json").read_text())
+        raw["terms"] = [t for t in raw["terms"] if (t["l2"] == 1) == (problem == "shift only")]
+        spec = str(tmp_path / "spec.json")
+        Path(spec).write_text(json.dumps(raw))
+    rng = np.random.default_rng(3)
+    rows = [(float(t_r), 0.1, 0.2, 0.05) for t_r in np.linspace(0.01, 0.15, 8)]
+    for _ in range(4):
+        t_r, t_theta = float(rng.uniform(0.05, 0.5)), float(rng.uniform(-0.3, 0.3))
+        rows += [(t_r, t_theta, float(rng.uniform(-1, 1)), float(rng.uniform(-0.2, 0.2)))
+                 for _ in range(2)]
+    orders = {"given": rows, "reversed": rows[::-1],
+              "shuffled": [rows[i] for i in rng.permutation(len(rows))]}
+    cells = {name: _sum_cells(spec, pts, tmp_path / name) for name, pts in orders.items()}
+    assert cells["reversed"] == cells["given"]
+    assert cells["shuffled"] == cells["given"]
 
 
 def test_sum_empty_points_rejected(tmp_path):

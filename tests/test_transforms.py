@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from conftest import build_spec, gaussian_profile
@@ -41,6 +43,7 @@ from qsum.transforms import (
     q_borel_analytic,
     q_laplace,
     ray_window,
+    s_lattice,
     theorem2_residual,
 )
 
@@ -85,7 +88,7 @@ def fx_smallq():
 
 
 def test_ray_quadrature_weights_trapezoid():
-    qd = RayQuadrature(0.0, -1.0, 1.0, 9)
+    qd = RayQuadrature(0.0, 0.25, -4, 4)
     w = qd.weights()
     assert w[0] == pytest.approx(0.5 * qd.step)
     assert w[3] == pytest.approx(qd.step)
@@ -93,37 +96,37 @@ def test_ray_quadrature_weights_trapezoid():
 
 
 def test_ray_quadrature_refined_grows_window():
-    qd = RayQuadrature(0.3, -2.0, 2.0, 33)
+    # half the step, and a quarter of the width more, snapped outward
+    qd = RayQuadrature(0.3, 0.125, -16, 18)
     r = qd.refined()
-    assert r.nodes == 66
-    assert r.s_min < qd.s_min and r.s_max > qd.s_max
+    assert (r.theta_d, r.step, r.j_min, r.j_max) == (0.3, 0.0625, -41, 45)
+    assert r.s_grid()[0] < qd.s_grid()[0] and r.s_grid()[-1] > qd.s_grid()[-1]
 
 
 def test_ray_quadrature_refined_lattice_keeps_nodes():
-    lat = 0.25
-    qd = RayQuadrature(0.0, -1.0, 1.0, 9)  # step 0.25 on the lattice
-    r = qd.refined(lattice=lat)
-    assert r.step == pytest.approx(lat / 2.0)
-    # every old node is still a node of the refinement
-    old = qd.s_grid()
-    new = r.s_grid()
-    for s in old:
-        assert np.min(np.abs(new - s)) < 1e-12
+    # every node of every level is a node of the next, as the same float
+    qd = RayQuadrature(0.0, 0.17328679513998632, -7, 5)
+    for _ in range(3):
+        r = qd.refined()
+        assert r.step == qd.step / 2.0
+        assert np.isin(qd.s_grid(), r.s_grid()).all()
+        qd = r
 
 
 def test_quadrature_validation():
     with pytest.raises(ValidationError):
-        RayQuadrature(0.0, 1.0, -1.0, 32)
+        RayQuadrature(0.0, -0.1, 0, 31)
     with pytest.raises(ValidationError):
-        RayQuadrature(0.0, -1.0, 1.0, 4)
+        RayQuadrature(0.0, 0.25, -1, 2)
     with pytest.raises(ValidationError):
         CircleContour(-0.5, -1.0, 1.0, 32)
 
 
 def test_gaussian_identity():
     # int exp(-x^2 - a x) dx = sqrt(pi) exp(a^2/4), on the quadrature weights
-    for a in (0.0, 1.0, 2.0):
-        qd = RayQuadrature(0.0, -a / 2.0 - 9.0, -a / 2.0 + 9.0, 401)
+    for a in (0, 1, 2):
+        # s in [-9 - a/2, 9 - a/2], step 0.05
+        qd = RayQuadrature(0.0, 0.05, -180 - 10 * a, 180 - 10 * a)
         s = qd.s_grid()
         val = float(np.sum(qd.weights() * np.exp(-(s**2) - a * s)))
         want = math.sqrt(math.pi) * math.exp(a * a / 4.0)
@@ -159,7 +162,7 @@ def test_q_laplace_direction_independence():
     base = q_laplace(f, T, params=P, growth=3.0)
     for dth in (-0.05, 0.05):
         w0 = ray_window(T, P, growth=3.0)
-        qd = RayQuadrature(T.theta + dth, w0.s_min, w0.s_max, w0.nodes)
+        qd = dataclasses.replace(w0, theta_d=T.theta + dth)
         v = q_laplace(f, T, quad=qd, params=P)
         assert abs(v - base) <= 1e-7 * abs(base)
 
@@ -196,7 +199,7 @@ def test_q_laplace_stall_on_kink():
         q_laplace(
             lambda u: np.abs(np.sin(3.0 * np.log(np.abs(u)))) + 1.0,
             CoveringPoint(0.1, 0.0),
-            quad=RayQuadrature(0.0, -8.0, 5.0, 40),
+            quad=RayQuadrature(0.0, 1.0 / 3.0, -24, 15),
             params=P,
         )
 
@@ -420,7 +423,10 @@ def test_expq_zero_node_raises(fx_forcing):
     P = spec.params
     root = brentq(lambda x: float(np.real(exp_q(np.array([x + 0.0j]), P)[0])), -2.3, -1.7)
     s_star = math.log(-root / cfg.alpha_tilde_D)
-    qd = RayQuadrature(math.pi, s_star - 0.4, s_star + 0.4, 9)
+    # a window with s_star as its middle node
+    h = abs(s_star) / 8.0
+    j = round(s_star / h)
+    qd = RayQuadrature(math.pi, h, j - 4, j + 4)
     g = gaussian_profile(spec.space, 1.0).values
     ev = SeparableOmega(lambda u: u, g, spec.space, P)
     with pytest.raises(ZeroDivision):
@@ -646,7 +652,7 @@ def test_one_band_per_coupling_term(monkeypatch):
 def test_continued_memoises_on_lattice(fx_full):
     spec, cfg, sol = fx_full
     om = ContinuedOmega(sol, spec, cfg)
-    u = CoveringPoint(math.exp(om.s_lattice * 6), 0.1)
+    u = CoveringPoint(math.exp(s_lattice(spec.params) * 6), 0.1)
     om.values(u)
     used = om._rungs
     om.values(u)
@@ -658,7 +664,7 @@ def test_rung_bits_do_not_depend_on_request_order(fx_full):
     # lattice rungs by radii some last bits apart; a rung is computed at the
     # radius its key names, so either order leaves bit-identical rows
     spec, cfg, sol = fx_full
-    h = ContinuedOmega(sol, spec, cfg).s_lattice
+    h = s_lattice(spec.params)
     j0 = math.ceil(math.log(cfg.R / 2.0) / h)
     s, probe = j0 * h, []
     for _ in range(16):
@@ -687,7 +693,7 @@ def _mixed_request(om, start=0, count=14):
     """Radii inside ``r0``, on ``count`` lattice nodes from ``start`` nodes
     beyond it, on the refined half-lattice, with duplicates, in shuffled
     order."""
-    h = om.s_lattice
+    h = s_lattice(om.params)
     j0 = math.ceil(math.log(om.r0) / h) + start
     radii = [0.3 * om.r0, 0.9 * om.r0]
     radii += [math.exp(j * h) for j in range(j0, j0 + count)]
@@ -793,9 +799,10 @@ def test_ladder_convolves_mahler_rows_first(terms):
     assert spec.terms[-1].l2 >= 2
     cfg = select_sector(spec, 0.0)
     om = ContinuedOmega(solve_fixed_point(spec, cfg, 12), spec, cfg)
-    j0 = math.ceil(math.log(om.r0) / om.s_lattice) + 1
+    h = s_lattice(spec.params)
+    j0 = math.ceil(math.log(om.r0) / h) + 1
     # the radii the rungs' keys name
-    radii = np.array([math.exp(j * om.s_lattice) for j in range(j0, j0 + 40)])
+    radii = np.array([math.exp(j * h) for j in range(j0, j0 + 40)])
     rungs = om.ray_values(radii, 0.1)
     got = om.rhs_at(radii, 0.1)
     want = _bracket_then_convolve(om, radii, 0.1)
@@ -844,20 +851,54 @@ def test_gq_sum_recomputes_when_the_sum_changes(fx_full, monkeypatch, change):
         "tail": {"tail": 1e-10},
         "quad": {"quad": _auto_quad(ContinuedOmega(sol, spec, cfg), t, spec, tail=1e-11)},
     }[change]
-    # ``ref`` walks the same ladder but drops the kept sum before each call
-    # (a rung keeps the radius of its first visit, so the oracle needs the
-    # same history, not a fresh continuation); one sum is kept, so going
-    # back to the first recomputes too
-    om, ref = ContinuedOmega(sol, spec, cfg), ContinuedOmega(sol, spec, cfg)
+    # the oracle is a fresh continuation; one sum is kept, so going back to
+    # the first recomputes too
+    om = ContinuedOmega(sol, spec, cfg)
     for call in [first, {**first, **other}, first]:
         kw = dict(call)
         point = kw.pop("t")
-        ref._last_sum = [None]
-        want = gq_sum(ref, point, 0.2, cfg, spec, **kw)
+        want = gq_sum(ContinuedOmega(sol, spec, cfg), point, 0.2, cfg, spec, **kw)
         profiles = _count(monkeypatch, "_profile")
         assert gq_sum(om, point, 0.2, cfg, spec, **kw) == want
         assert profiles
         monkeypatch.undo()
+
+
+# t as fractions of R and directions, z: four t on one direction, whose
+# ladders collide, and two on another
+_POINTS = [(0.05, 0.1, 0.2 + 0.1j), (0.15, 0.1, -0.4), (0.3, 0.1, 0.2 + 0.1j),
+           (0.45, 0.1, 0.7 - 0.2j), (0.2, -0.2, 0.1), (0.35, -0.2, -0.3 + 0.1j)]
+
+
+def _sums(om, cfg, spec, order):
+    """`gq_sum` at ``_POINTS`` in ``order`` on ``om``, keyed by index."""
+    return {i: gq_sum(om, CoveringPoint(_POINTS[i][0] * cfg.R, _POINTS[i][1]), _POINTS[i][2],
+                      cfg, spec, beta_prime=0.5) for i in order}
+
+
+@pytest.fixture(scope="module")
+def fx_point_sums(fx_full):
+    spec, cfg, sol = fx_full
+    return _sums(ContinuedOmega(sol, spec, cfg), cfg, spec, range(len(_POINTS)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(order=st.permutations(range(len(_POINTS))))
+def test_gq_sum_does_not_depend_on_point_order(fx_full, fx_point_sums, order):
+    # a summed value is a function of its point: any order of the points on
+    # one continuation gives each the same bits
+    spec, cfg, sol = fx_full
+    assert _sums(ContinuedOmega(sol, spec, cfg), cfg, spec, order) == fx_point_sums
+
+
+def test_warm_and_fresh_continuations_sum_the_same_bits(fx_full):
+    # a ladder that other points filled gives a point the bits of a fresh one
+    spec, cfg, sol = fx_full
+    warm = ContinuedOmega(sol, spec, cfg)
+    _sums(warm, cfg, spec, [3, 5, 1])
+    for i in (0, 2, 4):
+        want = _sums(ContinuedOmega(sol, spec, cfg), cfg, spec, [i])
+        assert _sums(warm, cfg, spec, [i]) == want
 
 
 def test_contour_bracket_never_sees_the_continuation_profiles(fx_full, monkeypatch):
@@ -900,26 +941,23 @@ def test_gq_sum_refuses_t_beyond_the_sector_radius(fx_full, monkeypatch):
 # ray probe
 
 
-def _one_node_walk(level, s_seed, *, tail, lattice):
-    """The probe as a walk of one-node requests: the reference the chunked
-    `_probe_ray` must match."""
-    coarse, span = 0.5, 40.0
-    if lattice is not None:
-        coarse = max(lattice, lattice * round(coarse / lattice))
-        s_seed = lattice * round(s_seed / lattice)
-    peak = level(np.array([s_seed]))[0]
+def _one_node_walk(level, s_seed, h, *, tail):
+    """The probe as a walk of one-node requests on the integers ``j`` of the
+    nodes ``j h``: the reference the chunked `_probe_ray` must match."""
+    stride, j_seed = max(1, round(0.5 / h)), round(s_seed / h)
+    peak = level(np.array([j_seed * h]))[0]
     ends = []
-    for step in (coarse, -coarse):
-        s = s_seed
-        for _ in range(int(span / coarse)):
-            s += step
-            nxt = level(np.array([s]))[0]
+    for step in (stride, -stride):
+        j = j_seed
+        for _ in range(int(40.0 / (stride * h))):
+            j += step
+            nxt = level(np.array([j * h]))[0]
             peak = max(peak, nxt)
             if nxt < tail * max(peak, 1e-300):
                 break
         else:
             raise DomainTooLarge("one-node walk did not decay")
-        ends.append(s)
+        ends.append(j)
     return ends[1], ends[0]
 
 
@@ -944,14 +982,18 @@ _PROBE_SHAPES = {
 }
 
 
-@pytest.mark.parametrize("lattice", [None, 0.17328679513998632])
+# the lattice step of the error cases: strides of 2 nodes, 0.5 apart
+_H = 0.25
+
+
+@pytest.mark.parametrize("h", [0.17328679513998632])
 @pytest.mark.parametrize("shape", list(_PROBE_SHAPES))
-def test_probe_ray_matches_one_node_walk(shape, lattice):
+def test_probe_ray_matches_one_node_walk(shape, h):
     level, _ = _synthetic_level(_PROBE_SHAPES[shape])
-    want = _one_node_walk(level, 0.3, tail=1e-10, lattice=lattice)
-    assert transforms._probe_ray(level, 0.3, tail=1e-10, lattice=lattice) == want
+    want = _one_node_walk(level, 0.3, h, tail=1e-10)
+    assert transforms._probe_ray(level, 0.3, h, tail=1e-10) == want
     if shape == "upper-many-chunks":
-        assert want[1] - 0.3 > 0.5 * transforms._PROBE_CHUNK
+        assert want[1] * h - 0.3 > 0.5 * transforms._PROBE_CHUNK
 
 
 @pytest.mark.parametrize("error", [DomainTooLarge, ZeroDivision])
@@ -960,10 +1002,10 @@ def test_probe_ray_ignores_errors_past_the_stopping_node(side, error):
     # a chunk that raises past the node the scan stops at is asked again one
     # node at a time, which never reaches the failing node
     shape = _PROBE_SHAPES["upper-many-chunks"]
-    lo, hi = _one_node_walk(_synthetic_level(shape)[0], 0.3, tail=1e-10, lattice=None)
-    fail_on = (lambda s: s > hi + 0.1) if side == "upper" else (lambda s: s < lo - 0.1)
+    lo, hi = _one_node_walk(_synthetic_level(shape)[0], 0.3, _H, tail=1e-10)
+    fail_on = (lambda s: s > hi * _H + 0.1) if side == "upper" else (lambda s: s < lo * _H - 0.1)
     level, raised = _synthetic_level(shape, fail_on, error)
-    assert transforms._probe_ray(level, 0.3, tail=1e-10, lattice=None) == (lo, hi)
+    assert transforms._probe_ray(level, 0.3, _H, tail=1e-10) == (lo, hi)
     assert raised
 
 
@@ -972,9 +1014,9 @@ def test_probe_ray_raises_errors_before_the_stopping_node(error):
     shape = _PROBE_SHAPES["upper-many-chunks"]
     level, _ = _synthetic_level(shape, lambda s: 4.0 < s < 4.5, error)
     with pytest.raises(error) as want:
-        _one_node_walk(level, 0.3, tail=1e-10, lattice=None)
+        _one_node_walk(level, 0.3, _H, tail=1e-10)
     with pytest.raises(error) as got:
-        transforms._probe_ray(level, 0.3, tail=1e-10, lattice=None)
+        transforms._probe_ray(level, 0.3, _H, tail=1e-10)
     assert str(got.value) == str(want.value)
 
 
@@ -985,12 +1027,11 @@ def test_probe_ray_raises_errors_before_the_stopping_node(error):
 def test_probe_ray_undecayed_side_carries_witness(side, shape):
     level, _ = _synthetic_level(shape)
     with pytest.raises(DomainTooLarge):
-        _one_node_walk(level, 0.3, tail=1e-10, lattice=None)
+        _one_node_walk(level, 0.3, _H, tail=1e-10)
     with pytest.raises(DomainTooLarge, match="after 40 units") as exc:
-        transforms._probe_ray(level, 0.3, tail=1e-10, lattice=None)
-    s = 0.3
-    for _ in range(80):
-        s += 0.5 if side == "upper" else -0.5
+        transforms._probe_ray(level, 0.3, _H, tail=1e-10)
+    # 80 strides of 2 nodes from the seed's node j = 1
+    s = (1 + (160 if side == "upper" else -160)) * _H
     assert exc.value.witness == {"side": side, "s": s, "level": shape(s), "peak": shape(s)}
 
 
@@ -999,12 +1040,12 @@ def _reference_probe(monkeypatch):
     nodes it asks for."""
     nodes = []
 
-    def walk(level, s_seed, *, tail, lattice):
+    def walk(level, s_seed, h, *, tail):
         def one(s):
             nodes.append(s.size)
             return level(s)
 
-        return _one_node_walk(one, s_seed, tail=tail, lattice=lattice)
+        return _one_node_walk(one, s_seed, h, tail=tail)
 
     monkeypatch.setattr(transforms, "_probe_ray", walk)
     return nodes
@@ -1036,9 +1077,9 @@ def _theorem2_windows(sol, spec, cfg, t):
 @pytest.mark.parametrize("t_frac, theta", [(0.25, 0.1), (0.5, -0.2), (0.8, 0.3)])
 def test_chunked_probe_keeps_theorem2_windows_and_rungs(fx_full, monkeypatch, t_frac, theta):
     # every job (lhs, dominant, both couplings, forcing) probes the same
-    # window and leaves the same ladder as the one-node walk; the terms are
-    # bit-identical, and only the budget's window-edge levels may move, as a
-    # rung first reached past a stopping node keeps that node's radius
+    # window and leaves the same ladder as the one-node walk, and the row is
+    # bit-identical: the rungs a chunk reaches past the stopping node change
+    # no other rung's bits
     spec, cfg, sol = fx_full
     t = CoveringPoint(t_frac * cfg.R, theta)
     got, got_log = _theorem2_windows(sol, spec, cfg, t)
@@ -1046,9 +1087,7 @@ def test_chunked_probe_keeps_theorem2_windows_and_rungs(fx_full, monkeypatch, t_
     want, want_log = _theorem2_windows(sol, spec, cfg, t)
     assert len(got_log) == 2 * (3 + len(spec.terms))
     assert got_log == want_log
-    for key in ("terms", "lhs", "rhs", "residual"):
-        assert got[key] == want[key]
-    assert got["budget"] == pytest.approx(want["budget"], rel=1e-14)
+    assert got == want
 
 
 def test_probe_requests_a_chunk_per_call(fx_full, monkeypatch):

@@ -106,6 +106,14 @@ MUTANTS = [
         "[x[a - lo : b - lo] for x in node]",
         "[x[a - lo + 1 : b - lo + 1] for x in node]",
     ),
+    # a ladder rung is computed at the radius of the request that reached
+    # it, not at the radius its key names, so its bits depend on history
+    Mutant(
+        "lattice-key",
+        "qsum/transforms.py",
+        "            r = new[key] = key[0]\n",
+        "            new[key] = r\n",
+    ),
     # the ray sum kept for the next z forgets which tail sized its window
     Mutant(
         "profile-key",
@@ -169,8 +177,8 @@ MUTANTS = [
     Mutant(
         "laplace-prefactor",
         "qsum/transforms.py",
-        "    return complex(pi_qk(params) * _contract(quad.weights() * kern, vals))",
-        "    return complex(pi_qk(params) * _contract(quad.weights() * kern, vals) * (1 + 1e-6))",
+        "        return complex(pi_qk(params) * _contract(qd.weights() * kern, vals))",
+        "        return complex(pi_qk(params) * _contract(qd.weights() * kern, vals) * (1 + 1e-6))",
     ),
     # the quadrature sum drops its last, partial block of nodes
     Mutant(
