@@ -143,7 +143,7 @@ def schema_errors(inst, schema, root: dict | None = None, path: tuple = ()):
         yield path, f"{reprlib.repr(inst)} is not {const!r}"
     if _is_type(inst, "number") and inst < schema.get("minimum", -math.inf):
         yield path, f"{inst!r} is below the minimum {schema['minimum']}"
-    if _is_type(inst, "number") and inst <= schema.get("exclusiveMinimum", -math.inf):
+    if _is_type(inst, "number") and inst <= schema.get("exclusiveMinimum", math.nan):
         yield path, f"{inst!r} is not above {schema['exclusiveMinimum']}"
     if isinstance(inst, list):
         if len(inst) < schema.get("minItems", 0):

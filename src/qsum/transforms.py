@@ -445,18 +445,17 @@ class ContinuedOmega:
     """Continuation of a Borel-plane fixed point beyond its series disc.
 
     Inside ``r0`` (where the series' top order falls to 1e-13 of its
-    coefficient scale) the truncated series is machine accurate and is used
-    directly, as a `_power_sum`.  Outside, the value is the right-hand side
-    of the continued fixed-point equation (`rhs_at`).  Shift terms take the
-    ray integrand's own rows (`_term_rows`), which read the ladder at
-    ``c u``, ``c = q^{l1 - l0/k} < 1``.  Mahler terms are the closed-form
-    `decelerated_bracket` of the truncated series (their brackets only see
-    arguments inside ``r0``); the bracket is linear in the series rows, so
-    those rows are convolved once, and a batch of rungs takes the term as
-    one ``(S, N) @ (N, G)`` product.  The forcing over the denominator
-    symbol is a closed-form `_power_sum`.  Rungs are memoised by `_key`, so
-    their bits depend only on their node; nodes and shifts on the `s_lattice`
-    make the ladders collide, so the cost is nodes plus depth, not nodes times depth.
+    coefficient scale) the truncated series is used directly, as a
+    `_power_sum`.  Outside, the value is the right-hand side of the continued
+    fixed-point equation (`rhs_at`).  A shift coupling reads it at ``c u``,
+    ``c = q^{l1 - l0/k} < 1``, a whole number ``d`` of key-lattice steps
+    ``h = s_lattice / 4`` below ``u``: rungs are named by integers (`_names`),
+    memoised and read by name, so their bits depend only on their node and
+    ladders collide.  Mahler terms are the closed-form `decelerated_bracket`
+    of the truncated series (whose brackets stay inside ``r0``), linear in
+    its rows: those are convolved once, and a batch of rungs takes the term
+    as one ``(S, N) @ (N, G)`` product.  The forcing over the denominator
+    symbol is a closed-form `_power_sum`.
 
     Raises:
         ValidationError: a coupling's ``c`` is not below 1, so its ladder
@@ -475,92 +474,96 @@ class ContinuedOmega:
                     f"term[{i}]: shift factor q^(l1 - l0/k) is not below 1, "
                     "so the continuation ladder never reaches the series disc"
                 )
-        self._shifts = [_shift_factors(t.l0, t.l1, self.params)[0] for t in spec.terms if t.l2 == 1]
 
         self.r0 = _series_radius(self.series, 1e-13, 0.9 * config.R)
         top = float(np.max(np.abs(self.series.coeffs[-1]))) if self.series.order else 0.0
         self._floor = top * self.r0**self.series.order
 
-        # rungs are keyed on the quarter lattice, the finest a shipped window
-        # reaches: gq_sum's third level and node_factor = 2's refinement
-        self._key_step = s_lattice(self.params) / 4.0
+        # rungs are named on the quarter lattice, the finest a shipped window
+        # reaches (gq_sum's third level, node_factor = 2's refinement); each
+        # shift coupling, in term order, drops a rung by a whole number of steps
+        self._key_step = h = s_lattice(self.params) / 4.0
+        self._log_r0 = math.log(self.r0)
+        self._drops = [round(-math.log(_shift_factors(t.l0, t.l1, self.params)[0]) / h)
+                       for t in spec.terms if t.l2 == 1]
         self._memo: dict = {}
         self._rungs = 0
         self._mahler_conv: dict = {}  # see `_node_rows`
         self._forcing = [f.j for f in spec.forcing], np.array([f.F.values for f in spec.forcing])
         self._last_sum: list = [None]  # see `gq_sum`
 
-    def _key(self, r: float, theta: float) -> tuple[float, float]:
-        """``(radius, theta)``, the radius a rung is computed at: ``exp(j h)``
-        within 1e-9 of key-lattice node ``j``, else ``r`` itself."""
-        j = math.log(r) / self._key_step
-        if abs(j - round(j)) < 1e-9:
-            r = math.exp(round(j) * self._key_step)
-        return r, theta
+    def _names(self, radii: np.ndarray, theta: float) -> list:
+        """The one rule that names a rung: ``(theta, 0.0, j)`` if ``log(r) / h`` is
+        within 1e-9 of the integer ``j``, else ``(theta, log r, 0)``.  Rung ``(theta,
+        b, j)`` sits at ``s = b + j h`` and is computed at ``r = exp(b + j h)``."""
+        s = np.log(radii)
+        j = np.rint(s / self._key_step)
+        on = np.abs(s / self._key_step - j) < 1e-9
+        return [(theta, *n) for n in zip(np.where(on, 0.0, s).tolist(),
+                                         np.where(on, j, 0.0).astype(int).tolist())]
 
     def values(self, u: CoveringPoint) -> np.ndarray:
         """`ray_values` at the one node ``u``."""
         return self.ray_values(np.array([u.r]), u.theta)[0]
 
     def ray_values(self, radii, theta: float) -> np.ndarray:
-        """Values (S, G) at the ray nodes ``radii * e^{i theta}``.
-
-        Nodes inside ``r0`` take one `_power_sum` of the series; beyond it,
-        the rung their `_key` names.  The rungs missing are found by following
-        each shift coupling's ``r -> r c`` down to the disc, then filled in
-        ascending waves that span less than one shift factor, so that each
-        wave reads only earlier ones.  What
-        reads the nodes alone comes in one `_node_rows` batch per _ROWS rungs,
-        so a wave (`_wave`) pays only for its shift couplings.  Past
-        ``max_rungs`` it raises `DomainTooLarge` before any wave runs, with
-        the rung where that walk crossed the cap, and keeps no rung.
-        """
+        """Values (S, G) at the ray nodes ``radii * e^{i theta}``: beyond ``r0``
+        the rungs `_names` gives them, filled by `_climb`; inside it the series."""
         radii = np.asarray(radii, dtype=float)
-        out = np.empty((radii.size, self.space.size), dtype=complex)
-        inside = radii <= self.r0
+        names = self._names(radii, theta)
+        self._climb(names, theta)
+        return self._rows(names, radii, theta)
+
+    def _rows(self, names: list, radii: np.ndarray, theta: float) -> np.ndarray:
+        """Rows (S, G) of the rungs ``names``: memoised beyond ``r0``, inside
+        it one `_power_sum` of the series at their float ``radii``."""
+        inside = np.array([b + j * self._key_step <= self._log_r0 for _, b, j in names], bool)
+        out = np.empty((len(names), self.space.size), dtype=complex)
         if inside.any():
             out[inside] = _power_sum(*self.polynomial(), np.log(radii[inside]) + 1j * theta)
-        far = [(i, self._key(r, theta)) for i, r in enumerate(radii.tolist()) if r > self.r0]
-        new: dict = {}
-        stack = radii[~inside].tolist()[::-1]
-        while stack:
-            r = stack.pop()
-            key = self._key(r, theta) if r > self.r0 else None
-            if key is None or key in self._memo or key in new:
-                continue
-            r = new[key] = key[0]
-            if self._rungs + len(new) > self.max_rungs:
-                raise DomainTooLarge(
-                    f"continuation ladder exceeded {self.max_rungs} rungs; "
-                    "the requested points are too deep in the sector for this budget",
-                    witness={"point": (r, theta), "rungs": self._rungs + len(new)},
-                )
-            # the radii `_term_rows` passes down, depth first in term order
-            stack.extend(float(np.exp(math.log(r))) * c for c in self._shifts[::-1])
-        # a rung reads rungs at least one factor c below it, never its own wave
-        width = -math.log(max(self._shifts)) - 1e-9 if self._shifts else math.inf
-        rungs = sorted(new, key=new.get)
-        radii = np.array([new[k] for k in rungs])
-        logs = [math.log(r) for r in radii.tolist()]
+        for i in np.flatnonzero(~inside).tolist():
+            out[i] = self._memo[names[i]]
+        return out
+
+    def _climb(self, names: list, theta: float) -> None:
+        """Memoise the rungs ``names`` beyond ``r0`` and every rung below them.
+
+        Those missing, the names ``j - sum n_i d_i`` beyond ``r0``, are found in
+        integers and filled in ascending waves, the windows ``[a, a + min d_i)``
+        of a ladder, so a wave (`_wave`) reads only earlier ones; one
+        `_node_rows` batch serves _ROWS rungs.  Past ``max_rungs`` it raises
+        `DomainTooLarge` before any wave, its witness the rung where the walk
+        down from the top crossed the cap, and keeps no rung."""
+        h, log_r0, memo = self._key_step, self._log_r0, self._memo
+        new, level = set(), set(names)
+        while level := {n for n in level if n not in memo and n[1] + n[2] * h > log_r0} - new:
+            new |= level
+            level = {(t, b, j - d) for t, b, j in level for d in self._drops}
+        if self._rungs + len(new) > self.max_rungs:
+            _, b, j = sorted(new, key=lambda n: -(n[1] + n[2] * h))[self.max_rungs - self._rungs]
+            raise DomainTooLarge(
+                f"continuation ladder exceeded {self.max_rungs} rungs; "
+                "the requested points are too deep in the sector for this budget",
+                witness={"point": (math.exp(b + j * h), theta), "rungs": self.max_rungs + 1},
+            )
+        rungs, width = sorted(new), min(self._drops, default=math.inf)
+        radii = [math.exp(b + j * h) for _, b, j in rungs]
         a = hi = 0
         while a < len(rungs):
             end = min(a + _ROWS, len(rungs))
-            b = next((i for i in range(a, end) if logs[i] >= logs[a] + width), end)
-            if b > hi:
+            t, b, j = rungs[a]
+            e = next((i for i in range(a, end) if rungs[i] >= (t, b, j + width)), end)
+            if e > hi:
                 lo, hi = a, end
-                node = self._node_rows(radii[lo:hi], theta, self)
-            rows = self._wave([x[a - lo : b - lo] for x in node], theta)
+                node = self._node_rows(np.array(radii[lo:hi]), theta, self)
+            rows = self._wave(rungs[a:e], [x[a - lo : e - lo] for x in node], theta)
             rows.setflags(write=False)
-            self._memo.update(zip(rungs[a:b], rows))
-            self._rungs += b - a
-            a = b
-        for i, key in far:
-            out[i] = self._memo[key]
-        return out
+            memo.update(zip(rungs[a:e], rows))
+            self._rungs += e - a
+            a = e
 
     def values_batch(self, pts: np.ndarray) -> np.ndarray:
-        # plane points carry no covering angle, so batch evaluation is only
-        # defined where the series (univalued) branch applies
+        """The series at plane points, which carry no covering angle: inside ``r0``."""
         pts = np.asarray(pts, dtype=complex)
         if np.all(np.abs(pts) <= self.r0):
             return _power_sum(*self.polynomial(), np.log(pts))
@@ -569,7 +572,9 @@ class ContinuedOmega:
     def rhs_at(self, radii, theta: float) -> np.ndarray:
         """One application of the continued equation's right-hand side at the
         ray nodes ``radii * e^{i theta}``: (S, G), the `_wave` of `_node_rows`."""
-        return self._wave(self._node_rows(radii, theta, self), theta)
+        names = self._names(radii, theta)
+        self._climb([(t, b, j - d) for t, b, j in names for d in self._drops], theta)
+        return self._wave(names, self._node_rows(radii, theta, self), theta)
 
     def _node_rows(self, radii, theta: float, ev) -> list:
         """What `rhs_at` reads of the nodes alone: their log radii (S,), then
@@ -577,7 +582,7 @@ class ContinuedOmega:
         if any), and the denominator.  A Mahler row is that of `_term_rows` on
         ``ev``, convolved; on this continuation, the bracket of its convolved series."""
         spec, space = self.spec, self.space
-        # math.log, as in `_key`: np.log differs in the last bit on some radii
+        # math.log: np.log differs in the last bit on some radii
         out = [np.array([math.log(r) for r in radii.tolist()])]
         for i, term in enumerate(spec.terms):
             if term.l2 >= 2 and ev is not self:
@@ -594,27 +599,27 @@ class ContinuedOmega:
             out.append(_power_sum(*self._forcing, out[0] + 1j * theta))
         return out + [eval_Pm((radii * cmath.exp(1j * theta))[:, None], space.m, spec)]
 
-    def _wave(self, node: list, theta: float) -> np.ndarray:
-        """`rhs_at` from `_node_rows`: the shift couplings, which read earlier
-        rungs, added in term order among the Mahler rows, the forcing, the division."""
+    def _wave(self, names: list, node: list, theta: float) -> np.ndarray:
+        """`rhs_at` at the rungs ``names`` from their `_node_rows`: the shift couplings, read
+        ``d`` steps below by name, in term order among the Mahler rows, then forcing, division."""
         s, *parts, pm = node
-        parts, acc = iter(parts), np.zeros_like(pm)
+        radii = np.exp(s)
+        parts, drops, acc = iter(parts), iter(self._drops), np.zeros_like(pm)
         for term in self.spec.terms:
             if term.l2 >= 2:
                 acc += next(parts)
                 continue
-            rows = _term_rows(self, s, theta, self.spec, term)
+            d, c = next(drops), _shift_factors(term.l0, term.l1, self.params)[0]
+            below = self._rows([(t, b, j - d) for t, b, j in names], radii * c, theta)
+            rows = _shift_bracket(below, radii, theta, term, self.params)
             acc += INV_SQRT_2PI * convolve_values(self.space, term.band, term.symbol * rows)
         for row in parts:
             acc += row
         return acc / pm
 
     def polynomial(self):
-        """The truncated series as ``(powers, rows)``.
-
-        This is the evaluator the Mahler bracket sees: every bracket
-        argument stays inside ``r0``, where the series is used as is.
-        """
+        """The truncated series as ``(powers, rows)``, all that the Mahler
+        bracket sees: its arguments stay inside ``r0``."""
         return np.arange(1, self.series.coeffs.shape[0] + 1), self.series.coeffs
 
     def floor_estimate(self) -> float:
@@ -724,8 +729,8 @@ class _ExpqNodes:
 def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=None) -> np.ndarray:
     """Integrand rows (S, G) for a plain or coupling-twisted evaluator.
 
-    The one realisation of a coupling's bracket: `ContinuedOmega._wave`
-    takes a wave's shift rows here too.  Plain and shift rows are the
+    The one realisation of a coupling's bracket (the shift's is `_shift_bracket`,
+    which the ladder's waves share).  Plain and shift rows read the
     evaluator's `ray_values`.  A Mahler coupling of an evaluator that
     exposes its polynomial (``polynomial() -> (powers, rows)``) is the
     closed-form `decelerated_bracket` at ``h = u^{l2}``; only evaluators
@@ -737,14 +742,18 @@ def _term_rows(omega_ev, s: np.ndarray, theta_d: float, spec: ProblemSpec, ell=N
     if ell is None:
         return omega_ev.ray_values(radii, theta_d)
     if ell.l2 == 1:
-        c, e_l0 = _shift_factors(ell.l0, ell.l1, params)
-        rows = omega_ev.ray_values(radii * c, theta_d)
-        phase = complex(np.exp(1j * ell.l0 * theta_d)) / e_l0
-        return (radii**ell.l0 * phase)[:, None] * rows
+        rows = omega_ev.ray_values(radii * _shift_factors(ell.l0, ell.l1, params)[0], theta_d)
+        return _shift_bracket(rows, radii, theta_d, ell, params)
     log_h = ell.l2 * (s + 1j * theta_d)
     if hasattr(omega_ev, "polynomial"):
         return decelerated_bracket(*omega_ev.polynomial(), ell, log_h, params)
     return _deceleration_rows(omega_ev, ell, log_h, params)
+
+
+def _shift_bracket(rows, radii, theta_d: float, ell, params: QParams) -> np.ndarray:
+    """The one shift bracket ``u^{l0} q^{-e(l0)} omega(c u)`` (S, G), given ``omega(c u)``."""
+    phase = complex(np.exp(1j * ell.l0 * theta_d)) / _shift_factors(ell.l0, ell.l1, params)[1]
+    return (radii**ell.l0 * phase)[:, None] * rows
 
 
 def _deceleration_rows(omega_ev, term, log_h, params: QParams) -> np.ndarray:
@@ -1012,29 +1021,19 @@ def eaux2_sector_residual(
     for tau in tau_samples:
         if tau.r < config.R:
             raise ValidationError("sector samples must have |tau| >= R")
-        val = omega.values(tau)
+        val = omega.values(tau)  # climbs every rung either right-hand side reads
         if tau.r <= series_radius:
-            lhs = _power_sum(*omega.polynomial(), complex(math.log(tau.r), tau.theta))
-            mode = "overlap"
+            lhs, mode = _power_sum(*omega.polynomial(), math.log(tau.r) + 1j * tau.theta), "overlap"
             rhs = omega.rhs_at(np.array([tau.r]), tau.theta)[0]
         else:
-            lhs = val
-            mode = "stability"
+            lhs, mode = val, "stability"
             node = omega._node_rows(np.array([tau.r]), tau.theta, ContourBracket(omega))
-            rhs = omega._wave(node, tau.theta)[0]
+            rhs = omega._wave(omega._names(np.array([tau.r]), tau.theta), node, tau.theta)[0]
         diff = float(np.max(np.abs(lhs - rhs)))
         scale = float(np.max(np.abs(rhs))) or 1.0
         num = float(np.max(np.abs(val) * wgt))
-        rows.append(
-            {
-                "tau_r": tau.r,
-                "tau_theta": tau.theta,
-                "mode": mode,
-                "residual": diff,
-                "scale": scale,
-                "weighted_sup": num,
-            }
-        )
+        rows.append({"tau_r": tau.r, "tau_theta": tau.theta, "mode": mode, "residual": diff,
+                     "scale": scale, "weighted_sup": num})
         if num > 0:
             lognum.append(math.log(num))
             logtau.append(math.log(tau.r))

@@ -150,6 +150,8 @@ def test_schema_walker_accepts_fixtures_and_draft07_integers():
                                   PROBLEM_SCHEMA), None) is None
     spec = json.loads(resolve_input("basic.json").read_text())
     spec["params"]["k"] = 1.0
+    # -inf is a number, and Q's items have no exclusiveMinimum to be above
+    spec["Q"] = [-math.inf, *spec["Q"]]
     assert next(schema_errors(spec, PROBLEM_SCHEMA), None) is None
     for key in ("k", "q"):
         bad = copy.deepcopy(spec)

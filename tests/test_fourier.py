@@ -196,6 +196,18 @@ class TestBandConvolution:
             assert np.any(b == 0)
             assert np.all(a[b == 0] == 0)
 
+    @pytest.mark.parametrize("G", [601, 2001])
+    def test_batch_rows_match_one_row_calls(self, rng, G):
+        # a ladder regroups its rungs into waves and batches freely: that
+        # moves no bits only if a row's convolution ignores the rows beside it
+        sp = make_space(1.0, 3.0, half_width=12.0, n_points=G)
+        band = kernel_band(sp, 0.02 * np.exp(-sp.m ** 2 / 2.0) * (1.0 + 0.3j))
+        for S in (2, 3, 12, 33, 40):
+            g = rng.standard_normal((S, G)) + 1j * rng.standard_normal((S, G))
+            batch = convolve_values(sp, band, g)
+            for i in range(S):
+                assert np.array_equal(batch[i], convolve_values(sp, band, g[i]))
+
     def test_grid_mismatch(self):
         sp = make_space(1.0, 2.0, half_width=6.0, n_points=21)
         h = np.exp(-sp.m ** 2 / 2.0)

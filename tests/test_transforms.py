@@ -76,6 +76,28 @@ def fx_shift():
 
 
 @pytest.fixture(scope="module")
+def fx_ladder_shapes():
+    """Ladders of other shapes, solved at order 16: two shift couplings whose
+    drops (24 and 36 key steps, q = 2, k = 1) are not one progression, and
+    order k = 2, whose shift coupling drops 4 key steps."""
+    shapes = {}
+    spec = build_spec(terms="full")
+    A = spec.terms[0].A
+    shapes["two shifts"] = dataclasses.replace(spec, terms=(
+        MahlerTerm(l0=3, l1=1, l2=1, R=[1.0, 0.25], A=A),
+        MahlerTerm(l0=4, l1=1, l2=1, R=[0.5, 0.125], A=A), spec.terms[1]))
+    spec = build_spec(terms="full", k=2)
+    shapes["k2"] = dataclasses.replace(spec, terms=(
+        MahlerTerm(l0=3, l1=1, l2=1, R=[1.0, 0.25], A=A),
+        MahlerTerm(l0=3, l1=1, l2=2, R=[0.5, 0.125], A=A)))
+    out = {}
+    for name, spec in shapes.items():
+        cfg = select_sector(spec, 0.0)
+        out[name] = spec, cfg, solve_fixed_point(spec, cfg, 16)
+    return out
+
+
+@pytest.fixture(scope="module")
 def fx_smallq():
     spec = build_spec(terms="full", q=1.12, ratio=1e-5)
     cfg = select_sector(spec, 0.0, R_fraction=0.2)
@@ -596,12 +618,24 @@ def test_ladder_rung_cap_carries_witness(fx_full):
     assert exc.value.witness["point"] == pytest.approx((cfg.R, 0.1))
 
 
-@pytest.mark.parametrize("max_rungs, witness_r", [(1, 2.0), (2, 1.0), (4, 0.25), (5, None)])
-def test_ladder_rung_cap_is_checked_before_any_wave(fx_full, max_rungs, witness_r):
+@pytest.mark.parametrize("max_rungs, witness_r, shape", [
+    pytest.param(1, 2.0, "full", id="1-2.0"), pytest.param(2, 1.0, "full", id="2-1.0"),
+    pytest.param(4, 0.25, "full", id="4-0.25"), pytest.param(5, None, "full", id="5-None"),
+    pytest.param(0, 4.0, "two shifts", id="two shifts-0-4.0"),
+    pytest.param(1, 1.0, "two shifts", id="two shifts-1-1.0"),
+    pytest.param(4, None, "two shifts", id="two shifts-4-None"),
+    pytest.param(1, 2.0**1.5, "k2", id="k2-1-2.83"), pytest.param(4, 1.0, "k2", id="k2-4-1.0"),
+    pytest.param(8, 0.25, "k2", id="k2-8-0.25"), pytest.param(9, None, "k2", id="k2-9-None"),
+])
+def test_ladder_rung_cap_is_checked_before_any_wave(fx_full, request, max_rungs, witness_r, shape):
     # 4R walks down by 1/2 through 2R, R, R/2 and R/4; R/8 is inside r0.
     # The witness is the rung where that walk crosses the cap, and a
-    # refused request keeps no rung
+    # refused request keeps no rung.  With two shift couplings (1/4 and
+    # 1/8) the rungs are 4R, R, R/2 and R/4; at k = 2 the ladder walks down
+    # by 2^(-1/2) through 9 rungs
     spec, cfg, sol = fx_full
+    if shape != "full":
+        spec, cfg, sol = request.getfixturevalue("fx_ladder_shapes")[shape]
     om = ContinuedOmega(sol, spec, cfg, max_rungs=max_rungs)
     u = CoveringPoint(4.0 * cfg.R, 0.1)
     assert cfg.R / 8.0 < om.r0 < cfg.R / 4.0
@@ -682,6 +716,25 @@ def test_rung_bits_do_not_depend_on_request_order(fx_full):
     assert all(np.array_equal(memos[0][k], memos[1][k]) for k in memos[0])
 
 
+def test_rung_names_do_not_collide(fx_full):
+    # an off-lattice radius is named by its own log radius and a lattice node
+    # by its index: log r = 3.0 against j = 3, one float key 3.0 if keyed
+    # naively, are two ladders.  Two floats of one lattice node are one rung,
+    # computed at the radius exp(j h) its name gives
+    spec, cfg, sol = fx_full
+    h = s_lattice(spec.params) / 4.0
+    node = math.exp(3 * h)
+    radii = np.array([math.exp(3.0), node * (1.0 + 1e-12), node])
+    om = ContinuedOmega(sol, spec, cfg)
+    assert node > om.r0 and abs(3.0 / h - round(3.0 / h)) > 0.01
+    got = om.ray_values(radii, 0.1)
+    fresh = [ContinuedOmega(sol, spec, cfg) for _ in radii]
+    want = np.array([f.values(CoveringPoint(r, 0.1)) for f, r in zip(fresh, radii.tolist())])
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[1], got[2]) and not np.array_equal(got[0], got[2])
+    assert om._rungs == fresh[0]._rungs + fresh[2]._rungs and fresh[1]._rungs == fresh[2]._rungs
+
+
 def test_continued_batch_outside_disc_raises(fx_full):
     spec, cfg, sol = fx_full
     om = ContinuedOmega(sol, spec, cfg)
@@ -724,7 +777,7 @@ def fx_basic_orders():
 
 @pytest.mark.parametrize(
     "kind", ["continued", "contour", "separable", "polynomial", "continued g2001",
-             "continued n16", "continued n24"])
+             "continued n16", "continued n24", "continued two shifts", "continued k2"])
 def test_ray_values_match_one_node_requests(fx_full, request, kind):
     # one request equals, bit for bit, the same nodes asked one at a time of
     # a fresh evaluator, and fills the same ladder; at G = 2001 the request
@@ -740,6 +793,9 @@ def test_ray_values_match_one_node_requests(fx_full, request, kind):
     elif kind in ("continued n16", "continued n24"):
         spec, cfg, sol = request.getfixturevalue("fx_basic_orders")[int(kind[-2:])]
         depth = {"start": 10, "count": 30}
+    elif kind in ("continued two shifts", "continued k2"):
+        spec, cfg, sol = request.getfixturevalue("fx_ladder_shapes")[kind[10:]]
+        depth = {"start": 4, "count": 20}
     g = gaussian_profile(spec.space, 1.0).values
     make = {
         "contour": lambda: checks.ContourBracket(ContinuedOmega(sol, spec, cfg)),

@@ -103,16 +103,25 @@ MUTANTS = [
     Mutant(
         "ladder-node-slice",
         "qsum/transforms.py",
-        "[x[a - lo : b - lo] for x in node]",
-        "[x[a - lo + 1 : b - lo + 1] for x in node]",
+        "[x[a - lo : e - lo] for x in node]",
+        "[x[a - lo + 1 : e - lo + 1] for x in node]",
     ),
-    # a ladder rung is computed at the radius of the request that reached
-    # it, not at the radius its key names, so its bits depend on history
+    # a lattice rung's name keeps the request's own log radius, so the rung
+    # is computed at the radius of the request, not at the radius its name
+    # gives, and one node gets a rung per float that asks for it
     Mutant(
         "lattice-key",
         "qsum/transforms.py",
-        "            r = new[key] = key[0]\n",
-        "            new[key] = r\n",
+        "np.where(on, 0.0, s).tolist()",
+        "np.where(on, s - j * self._key_step, s).tolist()",
+    ),
+    # a ladder wave spans one lattice step more than the smallest drop, so
+    # its top rung reads a rung of its own wave
+    Mutant(
+        "ladder-wave-width",
+        "qsum/transforms.py",
+        "min(self._drops, default=math.inf)",
+        "min(self._drops, default=math.inf) + 1",
     ),
     # the ray sum kept for the next z forgets which tail sized its window
     Mutant(
@@ -206,8 +215,8 @@ MUTANTS = [
     Mutant(
         "schema-exclusive",
         "qsum/cli.py",
-        'inst <= schema.get("exclusiveMinimum", -math.inf)',
-        'inst < schema.get("exclusiveMinimum", -math.inf)',
+        'inst <= schema.get("exclusiveMinimum", math.nan)',
+        'inst < schema.get("exclusiveMinimum", math.nan)',
     ),
     # the formal q-Laplace grows at 3/2 of the q-Gevrey rate
     Mutant(
