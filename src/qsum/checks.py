@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 
+from .fourier import series_norm_1R
 from .geometry import pm_lower_bound_report, validate_spec
 from .qcore import theta_kernel_log
 from .series import borel_exponent
+from .solver import contraction_bound, make_h1_context, picard, solve_fixed_point
 from .transforms import (
     ContinuedOmega,
     ContourBracket,
@@ -133,6 +135,26 @@ def geometry(spec, cfg):
     ]
 
 
+def contraction(spec, cfg, N):
+    """c06 at order ``N``, by Picard sweeps to 1e-12, the solve's independent
+    realisation: the largest step ratio at most 0.55 and `contraction_bound`,
+    the residual at most 1e-10 of one plus the 1R norm, and the forward pass,
+    in at most N waves, within 1e-12 relative of the iterate in the 1R norm."""
+    ctx = make_h1_context(spec, cfg, N)
+    pic = picard(ctx, 1e-12, contraction_bound(ctx))
+    fwd = solve_fixed_point(spec, cfg, N, mode="triangular")
+    ratio, norm = max(pic.contraction_history, default=0.0), series_norm_1R(pic.omega, cfg.R)
+    n = f"N={N}: {len(pic.contraction_history)} Picard steps,"
+    return [
+        ("contraction-ratio", f"{n} largest ratio", ratio, 0.55),
+        ("contraction-residual", f"{n} residual over 1 + 1R norm", pic.residual_1R / (1.0 + norm), 1e-10),
+        ("contraction-bound", f"{n} largest ratio against the bound", ratio, pic.contraction_bound),
+        ("forward-vs-picard", f"{n} 1R distance to the forward pass, relative",
+         series_norm_1R(fwd.omega - pic.omega, cfg.R) / max(norm, 1e-300), 1e-12),
+        ("forward-waves", f"N={N}: waves of the forward pass", fwd.iterations - 1.0, float(N)),
+    ]
+
+
 def summed_equation(sol, spec, cfg, points, *, beta_prime):
     """`theorem2_residual` at each ``(t, z)`` within 10x its budget (forcing
     only) or 100x (with couplings)."""
@@ -176,7 +198,8 @@ def term_gate(sol, spec, cfg, points, *, beta_prime):
 def summation_determinism(sol, spec, cfg, points, *, beta_prime):
     """`gq_sum` depends on its point alone: the points get the same bits in
     two orders and each on a fresh continuation, the first ``t`` at two tails
-    in turn, and the ray nodes about it in one request and one at a time."""
+    in turn, the ray nodes about it in one request and one at a time, and the
+    first lattice node beyond ``r0`` asked by two floats 1e-12 apart."""
     fresh = lambda: ContinuedOmega(sol, spec, cfg)
 
     def sums(pairs, om=None, **kw):
@@ -190,6 +213,7 @@ def summation_determinism(sol, spec, cfg, points, *, beta_prime):
     j = round(math.log(t.r) / h)
     radii = np.exp(np.arange(j - 24, j + 9) * h)
     given = sums(points, fresh())
+    node = math.exp((math.floor(math.log(om.r0) / h) + 1) * h)
     # the error is the largest difference over the largest value
     return [("sum-determinism", detail, float(np.max(abs(got - want)) / np.max(abs(want))), 0.0)
             for detail, got, want in [
@@ -200,6 +224,8 @@ def summation_determinism(sol, spec, cfg, points, *, beta_prime):
         (f"{radii.size} ray nodes about t in one request against one at a time",
          fresh().ray_values(radii, t.theta),
          np.concatenate([om.ray_values(radii[i : i + 1], t.theta) for i in range(radii.size)])),
+        (f"lattice node r={node:.6g} asked as r (1 + 1e-12) against r",
+         fresh().ray_values([node * (1.0 + 1e-12)], t.theta), fresh().ray_values([node], t.theta)),
     ]]
 
 

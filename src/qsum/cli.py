@@ -411,6 +411,8 @@ def cmd_solve(args) -> int:
     write_json(out / "report.json", {
         "manifest": mid,
         "mode": mode,
+        "path": sol.path,
+        "contraction_bound": sol.contraction_bound,
         "iterations": sol.iterations,
         "contraction_history": list(sol.contraction_history),
         "residual_1R": sol.residual_1R,
@@ -418,8 +420,8 @@ def cmd_solve(args) -> int:
         "R": sol.R,
     })
     write_json(out / "manifest.json", manifest)
-    print(f"solved order {sol.omega.order} in {sol.iterations} iterations "
-          f"({mode}); residual {sol.residual_1R:.3e}; artifacts in {out}")
+    print(f"solved order {sol.omega.order} in {sol.iterations} iterations ({mode}, {sol.path} "
+          f"path, bound {sol.contraction_bound:.3g}); residual {sol.residual_1R:.3e}; artifacts in {out}")
     return EXIT_OK
 
 
@@ -452,7 +454,8 @@ def _suite_theorem2(spec, cfg, rng, args):
     ray = [(CoveringPoint(f * cfg.R, 0.1), z) for f, z in zip((0.1, 0.2, 0.4, 0.6, 0.8), zs + zs)]
     det = solve_fixed_point(spec, cfg, max(args.order, 16), tol=args.tol)
     beta_prime = 0.5 * spec.space.beta
-    return (checks.summed_equation(sol, spec, cfg, pts, beta_prime=beta_prime)
+    return (checks.contraction(spec, cfg, args.order)
+            + checks.summed_equation(sol, spec, cfg, pts, beta_prime=beta_prime)
             + checks.term_gate(sol, spec, cfg, gate, beta_prime=beta_prime)
             + checks.summation_determinism(det, spec, cfg, ray, beta_prime=beta_prime))
 
@@ -700,6 +703,10 @@ def _float_between(lo: float, hi: float):
     return parse
 
 
+TOL_HELP = ("step norm at which the Picard sweeps stop; they run only where the "
+            "contraction bound is not below 1, and the forward pass is exact")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsum", description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=_int_at_least(1), default=None,
@@ -718,12 +725,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run the fixed point and write solution artifacts")
     p.add_argument("spec_file")
     p.add_argument("--order", type=_int_at_least(1), default=16)
-    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
+    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12, help=TOL_HELP)
     p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
     p.add_argument("--beta-prime", type=_float_between(0.0, math.inf), default=None)
     p.add_argument("--z-points", type=_int_at_least(1), default=21)
     p.add_argument("--force-triangular", action="store_true",
-                   help="fall back to the triangular sweep when contraction fails")
+                   help="solve by the forward pass when the Picard sweeps do not contract")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -732,7 +739,7 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True,
                    choices=tuple(SUITES))
     p.add_argument("--order", type=_int_at_least(1), default=12)
-    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
+    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12, help=TOL_HELP)
     p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_verify)
@@ -742,7 +749,7 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True,
                    help="CSV of t_r,t_theta,z_re,z_im rows")
     p.add_argument("--order", type=_int_at_least(1), default=12)
-    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12)
+    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12, help=TOL_HELP)
     p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
     p.add_argument("--beta-prime", type=_float_between(0.0, math.inf), default=None)
     p.add_argument("--tail", type=_float_between(0.0, 1.0), default=1e-11)

@@ -7,15 +7,16 @@ update operator pushes every coupling term through its Borel-plane map
 deceleration in one step; see `series.coupling_exponent`), convolves in the
 frequency variable, adds the forcing, and multiplies by the Taylor inverse
 of the divisor symbol. Every coupling raises the power-series order by at
-least one, so the order-p output coefficient depends only on input
-coefficients below p: iteration from zero reproduces the exact truncated
-coefficients after at most N sweeps whether or not the norm estimates
-contract.
+least one, so output orders up to n + d depend only on input orders up to n
+(d the smallest drop): one forward pass in waves of d orders gives the exact
+truncated coefficients, and so do at most N sweeps from zero.
 
-Contraction is measured, not assumed. The measured step ratios are the
-empirical counterpart of the smallness regime the existence statement asks
-for, and a sustained ratio above one aborts the run (or is ignored in
-triangular mode, where only the exactness argument is used).
+Contraction is bounded, and measured only where the bound cannot decide.
+`contraction_bound` bounds the operator norm of the update's coupling part
+in the 1R norm: below one, the smallness regime the existence statement asks
+for, the forward pass runs; otherwise Picard sweeps run, and a measured ratio
+above one for three consecutive sweeps aborts the run. Triangular mode takes
+the forward pass whatever the bound, using only the exactness argument.
 """
 
 from __future__ import annotations
@@ -77,16 +78,57 @@ def make_h1_context(spec: ProblemSpec, config: SectorConfig, N: int) -> H1Contex
     return H1Context(spec, config, N, inv_p, forcing, tuple(maps))
 
 
-def _coupling_image(omega: TruncatedSeries, ctx: H1Context) -> np.ndarray:
-    """Sum of all coupling contributions before the symbol inversion, (N, G)."""
+def _coupling_image(coeffs: np.ndarray, ctx: H1Context, lo: int = 0, hi: int | None = None):
+    """Sum of the coupling contributions to orders ``lo + 1 .. hi`` (default
+    all N) before the symbol inversion, (hi - lo, G), added in term order."""
     space = ctx.spec.space
-    out = np.zeros((ctx.N, space.size), dtype=complex)
+    hi = ctx.N if hi is None else hi
+    out = np.zeros((hi - lo, space.size), dtype=complex)
     for term, (src, dst, factors) in zip(ctx.spec.terms, ctx.maps):
-        rows = factors[:, None] * omega.coeffs[src - 1] * term.symbol[None, :]
+        sel = (dst > lo) & (dst <= hi)
+        rows = factors[sel, None] * coeffs[src[sel] - 1] * term.symbol[None, :]
         live = np.any(rows, axis=1)
         if np.any(live):
-            out[dst[live] - 1] += INV_SQRT_2PI * convolve_values(space, term.band, rows[live])
+            out[dst[sel][live] - 1 - lo] += INV_SQRT_2PI * convolve_values(space, term.band, rows[live])
     return out
+
+
+def _invert_symbol(out: np.ndarray, numer: np.ndarray, inv_p: np.ndarray, lo: int, hi: int):
+    """Adds rows ``lo .. hi - 1`` of the inverted symbol times ``numer`` into
+    ``out``, each order's products by ascending numerator order."""
+    for a in range(hi - 1, -1, -1):
+        s = max(lo, a)
+        out[s:hi] += inv_p[a] * numer[s - a : hi - a]
+
+
+def contraction_bound(ctx: H1Context) -> float:
+    """Bound on the norm of the coupling part of `apply_H1` in the 1R norm:
+    the largest column, over source orders p, of the sum over terms of
+    ``q^E(p) c_T R^(dst - p) sum_{a <= N - dst} max|inv_p[a]| R^a``, with
+    ``c_T = max_m w(m) sum_m1 dm1 |A(m - m1) R(i m1)| / w(m1) / sqrt(2 pi)``
+    the exact norm of the term's discrete convolution."""
+    space, R, N = ctx.spec.space, ctx.config.R, ctx.N
+    w, centre, cols = space.decay_weight(), (space.size - 1) // 2, np.zeros(N)
+    tails = np.cumsum(np.max(np.abs(ctx.inv_p), axis=1) * R ** np.arange(N + 1))
+    for term, (src, dst, factors) in zip(ctx.spec.terms, ctx.maps):
+        mass = np.convolve(np.abs(term.A.values), space.weights() * np.abs(term.symbol) / w)
+        c_T = INV_SQRT_2PI * np.max(w * mass[centre : centre + space.size])
+        cols[src - 1] += factors * c_T * R ** (dst - src) * tails[N - dst]
+    return float(np.max(cols, initial=0.0))
+
+
+def _forward(ctx: H1Context) -> tuple[TruncatedSeries, int]:
+    """The exact truncated fixed point and its wave count: a wave of as many
+    orders as the smallest drop reads only earlier waves, once per term."""
+    N, space = ctx.N, ctx.spec.space
+    width = min((int(np.min(dst - src)) for src, dst, _ in ctx.maps if src.size), default=N)
+    omega = np.zeros((N, space.size), dtype=complex)
+    numer = np.zeros_like(omega)
+    for lo in range(0, N, width):
+        hi = min(lo + width, N)
+        numer[lo:hi] = _coupling_image(omega, ctx, lo, hi) + ctx.forcing_rows[lo:hi]
+        _invert_symbol(omega, numer, ctx.inv_p, lo, hi)
+    return TruncatedSeries(omega, space), -(-N // width)
 
 
 def _dropped_mass_1R(omega: TruncatedSeries, spec: ProblemSpec, R: float) -> float:
@@ -126,20 +168,16 @@ def apply_H1(
     elif ctx.N != N or ctx.spec is not spec:
         raise ValidationError("context was built for a different problem or order")
     omega = omega.truncated(N) if omega.order > N else omega.pad_to(N)
-    numer = _coupling_image(omega, ctx) + ctx.forcing_rows
+    numer = _coupling_image(omega.coeffs, ctx) + ctx.forcing_rows
     out = np.zeros_like(numer)
-    # Cauchy product with the inverted symbol: its row a multiplies numerator
-    # order p - a.  Descending a adds each order's products in the order of
-    # ascending numerator order.
-    for a in range(N - 1, -1, -1):
-        out[a:] += ctx.inv_p[a] * numer[: N - a]
+    _invert_symbol(out, numer, ctx.inv_p, 0, N)
     return TruncatedSeries(out, spec.space)
 
 
 @dataclass(frozen=True)
 class BorelSolution:
-    """Converged (or exactly triangular) truncation of the Borel-plane
-    fixed point, with the measured contraction record."""
+    """Exact (forward) or converged (Picard) truncation of the Borel-plane
+    fixed point, with the contraction bound and measured contraction record."""
 
     omega: TruncatedSeries
     iterations: int
@@ -147,6 +185,44 @@ class BorelSolution:
     residual_1R: float
     R: float
     dropped_mass_1R: float
+    contraction_bound: float
+    path: str                  # "forward" or "picard"
+
+
+def _solution(ctx: H1Context, omega, iterations, history, bound, path) -> BorelSolution:
+    """The record of ``omega``, whose residual is the step norm of one more
+    sweep: a check that reuses nothing of the solve."""
+    step = apply_H1(omega, ctx.spec, ctx.config, ctx.N, ctx=ctx) - omega
+    R = ctx.config.R
+    return BorelSolution(omega, iterations, tuple(history), series_norm_1R(step, R), R,
+                         _dropped_mass_1R(omega, ctx.spec, R), bound, path)
+
+
+def picard(ctx: H1Context, tol: float, bound: float) -> BorelSolution:
+    """Picard iteration from zero until the step norm drops below ``tol``.
+
+    Raises :class:`NoContraction` once the measured ratio exceeds one for
+    three consecutive steps, or after ``max(4 N, 64)`` sweeps.  ``bound`` is
+    recorded as the solution's ``contraction_bound``.
+    """
+    spec, N, max_iter = ctx.spec, ctx.N, max(4 * ctx.N, 64)
+    omega = TruncatedSeries(np.zeros((N, spec.space.size), dtype=complex), spec.space)
+    history, prev_delta, rising = [], 0.0, 0
+    for iterations in range(1, max_iter + 1):
+        nxt = apply_H1(omega, spec, ctx.config, N, ctx=ctx)
+        delta = series_norm_1R(nxt - omega, ctx.config.R)
+        if prev_delta > 0.0:
+            history.append(delta / prev_delta)
+            rising = rising + 1 if history[-1] > 1.0 else 0
+            if rising >= 3:
+                raise NoContraction("step norm grew for three consecutive sweeps; coupling "
+                                    "amplitudes are outside the smallness regime",
+                                    history=tuple(history))
+        omega, prev_delta = nxt, delta
+        if delta < tol:
+            return _solution(ctx, omega, iterations, history, bound, "picard")
+    raise NoContraction(f"no convergence to {tol:g} within {max_iter} sweeps",
+                        history=tuple(history))
 
 
 def solve_fixed_point(
@@ -156,61 +232,21 @@ def solve_fixed_point(
     tol: float = 1e-12,
     mode: str = "contraction",
 ) -> BorelSolution:
-    """Picard iteration from zero until the step norm drops below ``tol``.
+    """The truncated fixed point: by the forward pass if `contraction_bound`
+    is below one or ``mode="triangular"``, else by `picard` to ``tol``.
 
-    ``mode="contraction"`` raises :class:`NoContraction` once the measured
-    ratio exceeds one for three consecutive steps, or after ``max(4 N, 64)``
-    sweeps; ``mode="triangular"`` ignores ratios and relies on exactness of
-    orders <= sweep count, which needs at most N + 1 sweeps. The returned
-    residual is the step norm of one extra sweep applied to the accepted
-    iterate.
+    ``iterations`` counts the Picard sweeps, or the forward pass's waves and
+    one sweep that confirms them; ``residual_1R`` is the step norm of one
+    more sweep, 0.0 on the forward pass, whose result it returns bit for bit.
     """
     if mode not in ("contraction", "triangular"):
         raise ValidationError("mode must be 'contraction' or 'triangular'")
-    max_iter = N + 1 if mode == "triangular" else max(4 * N, 64)
     ctx = make_h1_context(spec, config, N)
-    space = spec.space
-    omega = TruncatedSeries(np.zeros((N, space.size), dtype=complex), space)
-    history: list[float] = []
-    prev_delta = None
-    rising = 0
-    iterations = 0
-    for _ in range(max_iter):
-        nxt = apply_H1(omega, spec, config, N, ctx=ctx)
-        iterations += 1
-        delta = series_norm_1R(nxt - omega, config.R)
-        if prev_delta is not None and prev_delta > 0.0:
-            ratio = delta / prev_delta
-            history.append(ratio)
-            if mode == "contraction":
-                rising = rising + 1 if ratio > 1.0 else 0
-                if rising >= 3:
-                    raise NoContraction(
-                        "step norm grew for three consecutive sweeps; "
-                        "coupling amplitudes are outside the smallness regime",
-                        history=tuple(history),
-                    )
-        omega = nxt
-        prev_delta = delta
-        if delta < tol:
-            break
-    else:
-        if mode == "contraction":
-            raise NoContraction(
-                f"no convergence to {tol:g} within {max_iter} sweeps",
-                history=tuple(history),
-            )
-    residual = series_norm_1R(
-        apply_H1(omega, spec, config, N, ctx=ctx) - omega, config.R
-    )
-    return BorelSolution(
-        omega=omega,
-        iterations=iterations,
-        contraction_history=tuple(history),
-        residual_1R=residual,
-        R=config.R,
-        dropped_mass_1R=_dropped_mass_1R(omega, spec, config.R),
-    )
+    bound = contraction_bound(ctx)
+    if mode == "contraction" and not bound < 1.0:
+        return picard(ctx, tol, bound)
+    omega, waves = _forward(ctx)
+    return _solution(ctx, omega, waves + 1, (), bound, "forward")
 
 
 def assemble_U_hat(sol: BorelSolution, params: QParams) -> TruncatedSeries:

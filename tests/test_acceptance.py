@@ -165,10 +165,9 @@ def test_c05_expq_envelope_and_zeros():
 
 
 def test_c06_fixed_point_contraction():
-    """Seeded smallness-regime problems contract; triangular is exact in N."""
-    worst_ratio = 0.0
-    worst_res = 0.0
-    worst_tri = 0
+    """Seeded smallness-regime problems contract under their bound; the
+    forward pass is the Picard fixed point, exact in N waves."""
+    rows = []
     for seed in range(5):
         r = np.random.default_rng(seed)
         spec = build_spec(
@@ -177,19 +176,22 @@ def test_c06_fixed_point_contraction():
             cF=float(r.uniform(0.05, 0.2)),
         )
         cfg = select_sector(spec, 0.0)
-        sol = solve_fixed_point(spec, cfg, N=10)
-        worst_ratio = max(worst_ratio, max(sol.contraction_history))
-        worst_res = max(
-            worst_res,
-            sol.residual_1R / (1.0 + series_norm_1R(sol.omega, cfg.R)),
-        )
-        tri = solve_fixed_point(spec, cfg, N=10, mode="triangular")
-        # iterations counts the final confirming sweep; exact after <= N
-        worst_tri = max(worst_tri, tri.iterations - 1)
+        rows += checks.contraction(spec, cfg, N=10)
+
+    def worst(name):
+        return worst_of([row for row in rows if row[0] == name])
+
+    worst_ratio = worst("contraction-ratio")
+    worst_res = worst("contraction-residual")
+    worst_tri = worst("forward-waves")
+    worst_fwd = worst("forward-vs-picard")
+    bounded = all(m <= t for name, _, m, t in rows if name == "contraction-bound")
     report(
-        f"contraction ratio {worst_ratio:.3f} <= 0.55, scaled residual "
-        f"{worst_res:.2e} <= 1e-10, triangular sweeps {worst_tri} <= 10",
-        worst_ratio <= 0.55 and worst_res <= 1e-10 and worst_tri <= 10,
+        f"contraction ratio {worst_ratio:.3f} <= 0.55 and <= its bound ({bounded}), scaled "
+        f"residual {worst_res:.2e} <= 1e-10, triangular waves {worst_tri:.0f} <= 10, "
+        f"forward against Picard {worst_fwd:.2e} <= 1e-12",
+        worst_ratio <= 0.55 and bounded and worst_res <= 1e-10 and worst_tri <= 10
+        and worst_fwd <= 1e-12,
     )
 
 

@@ -426,9 +426,13 @@ def test_verify_theorem2(capsys):
     assert out.count("pass  theorem2-residual") == 3
     # two points at 0.8 R, on the continuation and on the contour bracket
     assert out.count("pass  theorem2-term-gate") == 4
-    # points in two orders, on fresh continuations, one t at two tails, and
-    # ray nodes in one request and one at a time
-    assert out.count("pass  sum-determinism") == 4
+    # points in two orders, on fresh continuations, one t at two tails, ray
+    # nodes in one request and one at a time, and one node by two floats
+    assert out.count("pass  sum-determinism") == 5
+    # c06: the Picard ratio, residual and bound, the forward pass against it
+    for name in ("contraction-ratio", "contraction-residual", "contraction-bound",
+                 "forward-vs-picard", "forward-waves"):
+        assert out.count(f"pass  {name}:") == 1
     assert "FAIL" not in out
 
 

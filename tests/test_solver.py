@@ -1,11 +1,14 @@
+import importlib.util
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import build_spec, gaussian_profile
+from qsum import checks
 from qsum.cli import load_problem
 from qsum.errors import GridMismatch, NoContraction, OverflowFailure, StripViolation
 from qsum.fourier import FourierSpace, enorm_values, make_space, series_norm_1R
@@ -16,8 +19,10 @@ from qsum.solver import (
     apply_H1,
     assemble_U_hat,
     assemble_u_hat,
+    contraction_bound,
     main_equation_residual,
     make_h1_context,
+    picard,
     pm_taylor_rows,
     solve_fixed_point,
 )
@@ -37,6 +42,21 @@ def random_series(spec, N, rng, scale=1.0):
         (N, spec.space.size)
     )
     return TruncatedSeries(scale * vals * g[None, :], spec.space)
+
+
+def picard_solve(spec, cfg, N, tol=1e-12):
+    ctx = make_h1_context(spec, cfg, N)
+    return picard(ctx, tol, contraction_bound(ctx))
+
+
+def g2001_spec(unit, tmp_path):
+    """Unit ``unit`` of the benchmark's seed-1 ``solve-g2001`` problems."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    problem = workloads.write_problem(tmp_path / "problem.json", workloads.solve_problem(1, unit))
+    return load_problem(str(problem))[1]
 
 
 def small_q_setup(terms="full", N=16):
@@ -144,7 +164,7 @@ class TestApplyH1:
         N = 9
         ctx = make_h1_context(basic_spec, cfg, N)
         omega = random_series(basic_spec, N, rng, scale=0.1)
-        numer = _coupling_image(omega, ctx) + ctx.forcing_rows
+        numer = _coupling_image(omega.coeffs, ctx) + ctx.forcing_rows
         want = np.zeros_like(numer)
         for p in range(1, N + 1):
             for b in range(1, p + 1):
@@ -199,7 +219,8 @@ class TestFixedPoint:
         assert np.array_equal(sol.omega.coeffs, one_step.coeffs)
 
     def test_contraction_ratios_seeded(self):
-        # smallness regime: ratio stays at or below 0.55 for every seed
+        # smallness regime: the Picard ratio stays at or below 0.55 for every
+        # seed, and at or below the contraction bound
         for seed in range(5):
             r = np.random.default_rng(seed)
             spec = build_spec(
@@ -208,12 +229,11 @@ class TestFixedPoint:
                 cF=float(r.uniform(0.05, 0.2)),
             )
             cfg = select_sector(spec, 0.0)
-            sol = solve_fixed_point(spec, cfg, N=10)
-            assert sol.contraction_history, "expected at least one measured ratio"
-            assert max(sol.contraction_history) <= 0.55
-            assert sol.residual_1R <= 1e-10 * (
-                1.0 + series_norm_1R(sol.omega, cfg.R)
-            )
+            rows = {name: (m, t) for name, _, m, t in checks.contraction(spec, cfg, N=10)}
+            ratio, bound = rows["contraction-bound"]
+            assert ratio > 0.0, "expected at least one measured ratio"
+            assert ratio <= 0.55 and ratio <= bound
+            assert rows["contraction-residual"][0] <= 1e-10
 
     def test_no_contraction_raises(self, basic_spec):
         spec = build_spec(terms="full", cA=2e4)
@@ -252,13 +272,16 @@ class TestFixedPoint:
 
     def test_dropped_mass_is_that_of_the_accepted_iterate(self):
         # every order a coupling pushes past N, shift terms included, counted
-        # once on the accepted iterate: the same at every tolerance and mode
+        # once on the accepted iterate: the Picard iterates at three
+        # tolerances (three iterates), the forward solve and the triangular one
         _, spec, _ = load_problem("basic.json")
         cfg = select_sector(spec, 0.0)
         N = 12
-        sols = [solve_fixed_point(spec, cfg, N, tol=tol) for tol in (1e-4, 1e-8, 1e-12)]
+        sols = [picard_solve(spec, cfg, N, tol=tol) for tol in (1e-4, 1e-8, 1e-12)]
+        assert len({sol.iterations for sol in sols}) == 3
+        sols.append(solve_fixed_point(spec, cfg, N))
         sols.append(solve_fixed_point(spec, cfg, N, mode="triangular"))
-        assert len({sol.iterations for sol in sols[:3]}) == 3
+        assert sols[-2].path == "forward"
         q, k = spec.params.q, spec.params.k
         for sol in sols:
             want = 0.0
@@ -273,6 +296,53 @@ class TestFixedPoint:
             assert sol.dropped_mass_1R == pytest.approx(want, rel=1e-13)
         masses = [sol.dropped_mass_1R for sol in sols]
         assert max(masses) <= min(masses) * (1.0 + 1e-9)
+
+    def test_forward_pass_is_the_picard_fixed_point(self):
+        # the forward pass has the bits of the Picard iterate and of the
+        # triangular solve, and one more sweep returns them
+        _, spec, _ = load_problem("basic.json")
+        cfg = select_sector(spec, 0.0)
+        sol = solve_fixed_point(spec, cfg, 12)
+        assert sol.path == "forward" and sol.contraction_history == ()
+        assert sol.residual_1R == 0.0
+        pic = picard_solve(spec, cfg, 12)
+        assert pic.path == "picard" and pic.contraction_history
+        for other in (pic, solve_fixed_point(spec, cfg, 12, mode="triangular")):
+            assert np.array_equal(sol.omega.coeffs, other.omega.coeffs)
+
+    @pytest.mark.parametrize("case", ["basic-16", "basic-32", "g2001-0", "g2001-1", "g2001-2",
+                                      "g2001-3"])
+    def test_forward_rows_match_picard(self, case, tmp_path):
+        # each row within 1e-15 of its largest entry: Picard stops short of
+        # the fixed point only in the rows' far tails
+        name, arg = case.split("-")
+        if name == "basic":
+            spec, N = load_problem("basic.json")[1], int(arg)
+        else:
+            spec, N = g2001_spec(int(arg), tmp_path), 32
+        cfg = select_sector(spec, 0.0)
+        sol = solve_fixed_point(spec, cfg, N)
+        assert sol.path == "forward" and sol.residual_1R == 0.0
+        want = picard_solve(spec, cfg, N).omega.coeffs
+        err = np.max(np.abs(sol.omega.coeffs - want), axis=1)
+        assert np.all(err <= 1e-15 * np.max(np.abs(want), axis=1))
+
+    @pytest.mark.parametrize("case, below", [("basic.json", True), ("divergent.json", False),
+                                             ("cA=2e4", False)])
+    def test_contraction_bound_selects_the_path(self, case, below):
+        # below one the forward pass runs; at or above it Picard decides,
+        # and on these two problems it refuses them
+        if case.endswith(".json"):
+            spec = load_problem(case)[1]
+        else:
+            spec = build_spec(terms="full", cA=2e4)
+        cfg = select_sector(spec, 0.0)
+        assert (contraction_bound(make_h1_context(spec, cfg, 16)) < 1.0) == below
+        if below:
+            assert solve_fixed_point(spec, cfg, 16).path == "forward"
+        else:
+            with pytest.raises(NoContraction):
+                solve_fixed_point(spec, cfg, 16)
 
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
     def test_high_order_solve_is_finite(self, q):

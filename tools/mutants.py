@@ -225,6 +225,21 @@ MUTANTS = [
         "W, [borel_exponent(n, k) for n in range(1, W.order + 1)], params.q",
         "W, [borel_exponent(n, k) * 3 / 2 for n in range(1, W.order + 1)], params.q",
     ),
+    # a forward wave spans one order more than the smallest drop, so its top
+    # order reads a source of its own wave before that source is filled
+    Mutant(
+        "wave-width",
+        "qsum/solver.py",
+        "for src, dst, _ in ctx.maps if src.size), default=N)",
+        "for src, dst, _ in ctx.maps if src.size), default=N) + 1",
+    ),
+    # the contraction bound 1e-3 of its value: below the measured step ratio
+    Mutant(
+        "bound-scale",
+        "qsum/solver.py",
+        "    return float(np.max(cols, initial=0.0))",
+        "    return 1e-3 * float(np.max(cols, initial=0.0))",
+    ),
 ]
 
 
