@@ -202,8 +202,10 @@ def picard(ctx: H1Context, tol: float, bound: float) -> BorelSolution:
     """Picard iteration from zero until the step norm drops below ``tol``.
 
     Raises :class:`NoContraction` once the measured ratio exceeds one for
-    three consecutive steps, or after ``max(4 N, 64)`` sweeps.  ``bound`` is
-    recorded as the solution's ``contraction_bound``.
+    three consecutive steps, on converging after any ratio above one (the
+    truncated update is nilpotent, so the sweeps reach its fixed point however
+    they grow first), or after ``max(4 N, 64)`` sweeps.
+    ``bound`` is recorded as the solution's ``contraction_bound``.
     """
     spec, N, max_iter = ctx.spec, ctx.N, max(4 * ctx.N, 64)
     omega = TruncatedSeries(np.zeros((N, spec.space.size), dtype=complex), spec.space)
@@ -220,6 +222,10 @@ def picard(ctx: H1Context, tol: float, bound: float) -> BorelSolution:
                                     history=tuple(history))
         omega, prev_delta = nxt, delta
         if delta < tol:
+            if max(history, default=0.0) > 1.0:
+                raise NoContraction("step norm grew before the sweeps converged; coupling "
+                                    "amplitudes are outside the smallness regime",
+                                    history=tuple(history))
             return _solution(ctx, omega, iterations, history, bound, "picard")
     raise NoContraction(f"no convergence to {tol:g} within {max_iter} sweeps",
                         history=tuple(history))

@@ -36,6 +36,7 @@ evaluator floor is the series truncation estimate of the continuation.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -451,11 +452,14 @@ class ContinuedOmega:
     ``c = q^{l1 - l0/k} < 1``, a whole number ``d`` of key-lattice steps
     ``h = s_lattice / 4`` below ``u``: rungs are named by integers (`_names`),
     memoised and read by name, so their bits depend only on their node and
-    ladders collide.  Mahler terms are the closed-form `decelerated_bracket`
-    of the truncated series (whose brackets stay inside ``r0``), linear in
-    its rows: those are convolved once, and a batch of rungs takes the term
-    as one ``(S, N) @ (N, G)`` product.  The forcing over the denominator
-    symbol is a closed-form `_power_sum`.
+    ladders collide.  A ray's rungs on the half lattice (even ``j``) are one
+    run up from ``r0``, filled in waves of ``min d / 2`` rungs (`_climb`);
+    ``_rungs`` and ``_waves`` count the rungs and waves filled.  Mahler terms
+    are the closed-form `decelerated_bracket` of the truncated series (whose
+    brackets stay inside ``r0``), linear in its rows: those are convolved
+    once, and a batch of rungs takes the term as one ``(S, N) @ (N, G)``
+    product.  The forcing over the denominator symbol is a closed-form
+    `_power_sum`.
 
     Raises:
         ValidationError: a coupling's ``c`` is not below 1, so its ladder
@@ -487,7 +491,7 @@ class ContinuedOmega:
         self._drops = [round(-math.log(_shift_factors(t.l0, t.l1, self.params)[0]) / h)
                        for t in spec.terms if t.l2 == 1]
         self._memo: dict = {}
-        self._rungs = 0
+        self._rungs = self._waves = 0
         self._mahler_conv: dict = {}  # see `_node_rows`
         self._forcing = [f.j for f in spec.forcing], np.array([f.F.values for f in spec.forcing])
         self._last_sum: list = [None]  # see `gq_sum`
@@ -528,14 +532,24 @@ class ContinuedOmega:
     def _climb(self, names: list, theta: float) -> None:
         """Memoise the rungs ``names`` beyond ``r0`` and every rung below them.
 
-        Those missing, the names ``j - sum n_i d_i`` beyond ``r0``, are found in
-        integers and filled in ascending waves, the windows ``[a, a + min d_i)``
-        of a ladder, so a wave (`_wave`) reads only earlier ones; one
-        `_node_rows` batch serves _ROWS rungs.  Past ``max_rungs`` it raises
-        `DomainTooLarge` before any wave, its witness the rung where the walk
-        down from the top crossed the cap, and keeps no rung."""
+        With a shift coupling, the even ``j`` of the key lattice are one run
+        from ``r0`` up to the highest even name: the half lattice every shipped
+        window evaluates, closed under the drops ``d_i``, all multiples of 4.
+        Other names (odd ``j``, off the lattice) bring their ladders
+        ``j - sum n_i d_i`` beyond ``r0``.  The missing rungs, found in integers, are filled in ascending
+        waves, the windows ``[a, a + min d_i)`` of a ladder, so a wave (`_wave`)
+        reads only earlier ones; one `_node_rows` batch serves the whole waves
+        that fit in _ROWS rungs.  Past ``max_rungs`` it raises `DomainTooLarge`
+        before any wave, its witness the rung where the walk down from the top
+        crossed the cap, and keeps no rung."""
         h, log_r0, memo = self._key_step, self._log_r0, self._memo
-        new, level = set(), set(names)
+        even = {n for n in names if n[1] == 0.0 and n[2] % 2 == 0} if self._drops else set()
+        new, level = set(), set(names) - even
+        # waves ascend, so the memoised part of the run reaches down to r0
+        j = max((n[2] for n in even), default=-math.inf)
+        while j * h > log_r0 and (theta, 0.0, j) not in memo:
+            new.add((theta, 0.0, j))
+            j -= 2
         while level := {n for n in level if n not in memo and n[1] + n[2] * h > log_r0} - new:
             new |= level
             level = {(t, b, j - d) for t, b, j in level for d in self._drops}
@@ -548,19 +562,20 @@ class ContinuedOmega:
             )
         rungs, width = sorted(new), min(self._drops, default=math.inf)
         radii = [math.exp(b + j * h) for _, b, j in rungs]
-        a = hi = 0
-        while a < len(rungs):
-            end = min(a + _ROWS, len(rungs))
+        cuts = [0]
+        while (a := cuts[-1]) < len(rungs):
             t, b, j = rungs[a]
-            e = next((i for i in range(a, end) if rungs[i] >= (t, b, j + width)), end)
+            cuts.append(bisect.bisect_left(rungs, (t, b, j + width), a, min(a + _ROWS, len(rungs))))
+        hi = 0
+        for a, e in zip(cuts, cuts[1:]):
             if e > hi:
-                lo, hi = a, end
+                lo, hi = a, cuts[bisect.bisect_right(cuts, a + _ROWS) - 1]
                 node = self._node_rows(np.array(radii[lo:hi]), theta, self)
             rows = self._wave(rungs[a:e], [x[a - lo : e - lo] for x in node], theta)
             rows.setflags(write=False)
             memo.update(zip(rungs[a:e], rows))
             self._rungs += e - a
-            a = e
+            self._waves += 1
 
     def values_batch(self, pts: np.ndarray) -> np.ndarray:
         """The series at plane points, which carry no covering angle: inside ``r0``."""

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,15 @@ def p32():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
+
+
+def benchmark_workloads():
+    """``perfbench/workloads.py``, whose seeded generators some tests replay."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def gaussian_profile(space, scale, center=0.0):

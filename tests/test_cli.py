@@ -352,6 +352,17 @@ def test_solve_divergent_exits_regime(tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("order, code", [("2", EXIT_OK)] + [
+    (n, EXIT_REGIME) for n in ("4", "6", "8", "10", "12", "16", "32")])
+def test_solve_divergent_exits_regime_at_every_order(tmp_path, order, code):
+    # the truncated update is nilpotent, so from order 4 to 10 the Picard
+    # sweeps reach a fixed point before three ratios rise; a ratio above 1
+    # still refuses it.  At order 2 no coupling reaches the truncation
+    out = tmp_path / "div"
+    assert run("solve", "divergent.json", "--order", order, "--out", str(out)) == code
+    assert (out / "report.json").exists() == (code == EXIT_OK)
+
+
 def test_solve_divergent_forced_triangular(tmp_path):
     out = tmp_path / "div"
     code = run("solve", "divergent.json", "--force-triangular", "--out", str(out))

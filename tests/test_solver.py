@@ -1,13 +1,11 @@
-import importlib.util
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import build_spec, gaussian_profile
+from conftest import benchmark_workloads, build_spec, gaussian_profile
 from qsum import checks
 from qsum.cli import load_problem
 from qsum.errors import GridMismatch, NoContraction, OverflowFailure, StripViolation
@@ -51,10 +49,7 @@ def picard_solve(spec, cfg, N, tol=1e-12):
 
 def g2001_spec(unit, tmp_path):
     """Unit ``unit`` of the benchmark's seed-1 ``solve-g2001`` problems."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = benchmark_workloads()
     problem = workloads.write_problem(tmp_path / "problem.json", workloads.solve_problem(1, unit))
     return load_problem(str(problem))[1]
 

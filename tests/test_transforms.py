@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import build_spec, gaussian_profile
+from conftest import benchmark_workloads, build_spec, gaussian_profile
 from qsum import checks, fourier, geometry, transforms
 from qsum.cli import load_problem, resolve_input
 from qsum.errors import (
@@ -693,6 +693,17 @@ def test_continued_memoises_on_lattice(fx_full):
     assert om._rungs == used
 
 
+def test_no_run_without_a_shift_coupling(fx_forcing):
+    # no rung reads another without a shift coupling, so a deep request
+    # fills its own rung alone, not a half-lattice run down from it to r0
+    spec, cfg = fx_forcing
+    om = ContinuedOmega(solve_fixed_point(spec, cfg, 12), spec, cfg)
+    h = s_lattice(spec.params) / 4.0
+    j = 2 * math.ceil(math.log(om.r0) / (2 * h)) + 20
+    om.ray_values(np.array([math.exp(j * h)]), 0.1)
+    assert om._drops == [] and om._rungs == om._waves == 1
+
+
 def test_rung_bits_do_not_depend_on_request_order(fx_full):
     # a probe's accumulated s += h and a window's linspace name the same
     # lattice rungs by radii some last bits apart; a rung is computed at the
@@ -733,6 +744,45 @@ def test_rung_names_do_not_collide(fx_full):
     assert np.array_equal(got, want)
     assert np.array_equal(got[1], got[2]) and not np.array_equal(got[0], got[2])
     assert om._rungs == fresh[0]._rungs + fresh[2]._rungs and fresh[1]._rungs == fresh[2]._rungs
+
+
+@pytest.mark.parametrize("unit, rungs, waves", [(0, 552, 110), (1, 554, 110), (2, 550, 110)])
+def test_ladders_are_half_lattice_runs(monkeypatch, unit, rungs, waves):
+    # a seeded sum batch on basic.json (8 t by 4 z, as the benchmark's
+    # sum-g601 draws them) leaves, per ray, the even j from r0 to the top
+    # rung: the rungs the walk down each request's ladder makes, no more.
+    # A request fills the missing top of its run in ascending waves of
+    # min d / 2 rungs, all but the top one full
+    workloads = benchmark_workloads()
+    _, spec, _ = load_problem("basic.json")
+    cfg = select_sector(spec, 0.0)
+    om = ContinuedOmega(solve_fixed_point(spec, cfg, workloads.SUM_ORDER), spec, cfg)
+    asked, filled = [], []
+    climb = ContinuedOmega._climb
+
+    def logged(self, names, theta):
+        before = self._rungs, self._waves
+        climb(self, names, theta)
+        asked.extend(names)
+        filled.append((self._rungs - before[0], self._waves - before[1]))
+
+    monkeypatch.setattr(ContinuedOmega, "_climb", logged)
+    for t_r, t_theta, z_re, z_im in workloads.sum_points(1, unit, cfg.R):
+        gq_sum(om, CoveringPoint(t_r, t_theta), complex(z_re, z_im), cfg, spec,
+               beta_prime=0.5 * spec.space.beta, tail=workloads.SUM_TAIL,
+               eps_rel=workloads.SUM_EPS_REL)
+    h, log_r0 = om._key_step, om._log_r0
+    walk, level = set(), set(asked)
+    while level := {n for n in level if n[1] + n[2] * h > log_r0} - walk:
+        walk |= level
+        level = {(t, b, j - d) for t, b, j in level for d in om._drops}
+    assert set(om._memo) == walk and om._rungs == rungs and om._waves == waves
+    for theta in {t for t, _, _ in walk}:
+        js = sorted(j for t, b, j in walk if t == theta and b == 0.0)
+        assert len(js) == len([n for n in walk if n[0] == theta])
+        assert js == list(range(js[0], js[-1] + 1, 2)) and (js[0] - 2) * h <= log_r0 < js[0] * h
+    per_wave = min(om._drops) // 2
+    assert per_wave == 6 and all(w == -(-r // per_wave) for r, w in filled)
 
 
 def test_continued_batch_outside_disc_raises(fx_full):
@@ -777,17 +827,22 @@ def fx_basic_orders():
 
 @pytest.mark.parametrize(
     "kind", ["continued", "contour", "separable", "polynomial", "continued g2001",
-             "continued n16", "continued n24", "continued two shifts", "continued k2"])
+             "continued n16", "continued n24", "continued two shifts", "continued k2",
+             "continued run"])
 def test_ray_values_match_one_node_requests(fx_full, request, kind):
     # one request equals, bit for bit, the same nodes asked one at a time of
     # a fresh evaluator, and fills the same ladder; at G = 2001 the request
     # brackets more rungs at once than one `_contract` chunk holds, and at
     # orders 16 and 24 the series and its bracket sum more powers than one
     # `_power_sum` piece.  The basic.json cases ask for deep rungs, where
-    # the Mahler rows weigh enough to show their last bits
+    # the Mahler rows weigh enough to show their last bits.  The run case
+    # asks for a few deep nodes, so one request fills a long half-lattice
+    # run in full waves that the one-node requests fill in other segments
     spec, cfg, sol = fx_full
     depth = {}
-    if kind == "continued g2001":
+    if kind == "continued run":
+        depth = {"start": 16, "count": 2}
+    elif kind == "continued g2001":
         spec, cfg, sol = request.getfixturevalue("fx_basic_g2001")
         depth = {"start": 24, "count": 30}
     elif kind in ("continued n16", "continued n24"):
@@ -809,6 +864,8 @@ def test_ray_values_match_one_node_requests(fx_full, request, kind):
     if kind.startswith("continued"):
         want = np.array([fresh.values(CoveringPoint(r, 0.1)) for r in radii.tolist()])
         assert ev._rungs == fresh._rungs > (10 if depth else 0)
+        if kind == "continued run":
+            assert ev._waves == -(-ev._rungs // (min(ev._drops) // 2)) < fresh._waves
     else:
         want = np.array([fresh.ray_values(np.array([r]), 0.1)[0] for r in radii.tolist()])
     assert got.shape == (radii.size, spec.space.size)

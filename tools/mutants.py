@@ -123,6 +123,14 @@ MUTANTS = [
         "min(self._drops, default=math.inf)",
         "min(self._drops, default=math.inf) + 1",
     ),
+    # a request that extends a half-lattice run stops one rung short of the
+    # run's memoised part, so it skips the lowest missing rung
+    Mutant(
+        "ladder-fill",
+        "qsum/transforms.py",
+        "and (theta, 0.0, j) not in memo:",
+        "and (theta, 0.0, j - 2) not in memo:",
+    ),
     # the ray sum kept for the next z forgets which tail sized its window
     Mutant(
         "profile-key",
