@@ -52,10 +52,6 @@ class FourierSpace:
         return float(self.m[1] - self.m[0])
 
     @property
-    def half_width(self) -> float:
-        return float(self.m[-1])
-
-    @property
     def size(self) -> int:
         return self.m.size
 
@@ -118,9 +114,6 @@ class FourierFn:
     @classmethod
     def from_callable(cls, space: FourierSpace, fn) -> "FourierFn":
         return cls(space, np.asarray(fn(space.m), dtype=complex))
-
-    def with_values(self, values: np.ndarray) -> "FourierFn":
-        return FourierFn(self.space, values)
 
 
 def enorm(f: FourierFn) -> float:

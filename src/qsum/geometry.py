@@ -345,16 +345,17 @@ def _min_distance(
     return best, bi, bj
 
 
-def select_sector(
-    spec: ProblemSpec,
-    requested_d: float,
-    half_opening: float | None = None,
-    theta_excl: float = math.pi / 6,
-    n_rays: int = 64,
-    n_radii: int = 64,
-    delta_floor: float = 1e-8,
-    R_fraction: float = 0.75,
-) -> SectorConfig:
+# Sector scans sample _SCAN rays by _SCAN radii.  A certified sector keeps
+# the half-angle _THETA_EXCL clear of the negative axis, where exp_q has its
+# zeros, and a separation delta_1 of at least _DELTA_FLOOR; its radius R is
+# _R_FRACTION of rho.
+_SCAN = 64
+_THETA_EXCL = math.pi / 6
+_DELTA_FLOOR = 1e-8
+_R_FRACTION = 0.75
+
+
+def select_sector(spec: ProblemSpec, requested_d: float) -> SectorConfig:
     """Certify a direction: envelope on the image sector, measured delta_1.
 
     The candidate half-opening is halved until the image sector (opening
@@ -367,22 +368,22 @@ def select_sector(
 
     Raises:
         BadDirection: no opening around ``requested_d`` clears the zero cone.
-        SmallDelta: measured separation below ``delta_floor``; the witness
+        SmallDelta: measured separation below ``_DELTA_FLOOR``; the witness
             is the ``(tau, m)`` of the nearest pair.
         OverflowFailure: a sampled q-exponential image point or a symbol
             ratio value is not finite; the witness is its tau or its m.
-        ValidationError: ``theta_excl`` or the opening is out of range.
+        ValidationError: ``_THETA_EXCL`` is out of range.
     """
     at = alpha_tilde(spec)
     q = spec.params.q
     rho = (q ** 0.5 / ((q - 1.0) * at)) ** (1.0 / spec.d_D)
 
-    ho = half_opening if half_opening is not None else math.pi / (4.0 * spec.d_D)
+    ho = math.pi / (4.0 * spec.d_D)
     env = None
     for _ in range(8):
         try:
             env = envelope_check(
-                spec.d_D * requested_d, spec.d_D * ho, spec.params, theta_excl
+                spec.d_D * requested_d, spec.d_D * ho, spec.params, _THETA_EXCL
             )
             break
         except EnvelopeViolation:
@@ -395,20 +396,20 @@ def select_sector(
 
     ratio = spec.q_symbol / spec.rd_symbol
 
-    disc_r = np.linspace(0.0, rho, n_radii + 1)[1:]
-    disc_phi = np.linspace(-math.pi, math.pi, n_rays, endpoint=False)
+    disc_r = np.linspace(0.0, rho, _SCAN + 1)[1:]
+    disc_phi = np.linspace(-math.pi, math.pi, _SCAN, endpoint=False)
     disc_tau = (disc_r[:, None] * np.exp(1j * disc_phi[None, :])).ravel()
     disc_img = exp_q(at * disc_tau ** spec.d_D, spec.params)
-    sect_r = np.logspace(math.log10(1e-3 * rho), math.log10(100.0 * rho), n_radii)
-    sect_tau, sect_img = _exp_image(spec, at, requested_d, ho, sect_r, n_rays)
+    sect_r = np.logspace(math.log10(1e-3 * rho), math.log10(100.0 * rho), _SCAN)
+    sect_tau, sect_img = _exp_image(spec, at, requested_d, ho, sect_r, _SCAN)
 
     taus = np.concatenate([disc_tau, sect_tau])
     delta1, i, j = _min_distance(
         ratio, np.concatenate([disc_img, sect_img]), taus, spec.space.m
     )
-    if delta1 < delta_floor:
+    if delta1 < _DELTA_FLOOR:
         raise SmallDelta(
-            f"measured separation {delta1:.3e} below floor {delta_floor:.1e}; "
+            f"measured separation {delta1:.3e} below floor {_DELTA_FLOOR:.1e}; "
             "the symbol ratio meets the q-exponential image",
             witness=(complex(taus[j]), float(spec.space.m[i])),
         )
@@ -417,7 +418,7 @@ def select_sector(
         d=requested_d,
         half_opening=ho,
         rho=rho,
-        R=R_fraction * rho,
+        R=_R_FRACTION * rho,
         alpha_tilde_D=at,
         delta1=delta1,
         envelope=env,
@@ -440,9 +441,9 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
     """Verify ``|P_m(tau)| >= delta1 |R_D(im)|`` on fresh samples and fit
     the far-field constant in front of ``exp(mu(alpha~ |tau|^{d_D}))``.
 
-    Samples the disc and the sector (offset from the 64-by-64 selection
-    grid), and the far annulus ``[r_far, 100 r_far]``, ``r_far = max(1, rho)``,
-    along the sector.
+    Samples the disc and the sector (offset from the selection grid of
+    ``_SCAN`` rays by ``_SCAN`` radii), and the far annulus
+    ``[r_far, 100 r_far]``, ``r_far = max(1, rho)``, along the sector.
 
     Raises:
         BoundViolation: a sample lands below ``delta1 |R_D|``; the witness
@@ -453,14 +454,13 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
     at = config.alpha_tilde_D
     ratio = spec.q_symbol / spec.rd_symbol
     m_grid = spec.space.m
-    n_rays = n_radii = 64
 
     phis = np.linspace(
-        config.d - config.half_opening, config.d + config.half_opening, n_rays + 1
+        config.d - config.half_opening, config.d + config.half_opening, _SCAN + 1
     )  # +1 offsets nodes from the selection pass
-    radii = np.logspace(math.log10(2e-3 * config.rho), math.log10(90.0 * config.rho), n_radii + 1)
-    disc_r = np.linspace(0.0, config.rho, n_radii)[1:]
-    disc_phi = np.linspace(-math.pi, math.pi, n_rays + 2, endpoint=False)
+    radii = np.logspace(math.log10(2e-3 * config.rho), math.log10(90.0 * config.rho), _SCAN + 1)
+    disc_r = np.linspace(0.0, config.rho, _SCAN)[1:]
+    disc_phi = np.linspace(-math.pi, math.pi, _SCAN + 2, endpoint=False)
 
     tau_sets = [
         (radii[:, None] * np.exp(1j * phis[None, :])).ravel(),
@@ -479,7 +479,7 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
         min_margin = min(min_margin, margin)
 
     r_far = max(1.0, config.rho)
-    far_r = np.logspace(math.log10(r_far), math.log10(100.0 * r_far), n_radii)
+    far_r = np.logspace(math.log10(r_far), math.log10(100.0 * r_far), _SCAN)
     far_phis = np.linspace(
         config.d - config.half_opening, config.d + config.half_opening, 8
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, EnvelopeViolation, OverflowFailure, ValidationError
+from .errors import ConvergenceError, EnvelopeViolation, ValidationError
 
 _EXPQ_MAX_TERMS = 500
 _EXPQ_EPS = 1e-12
@@ -67,24 +67,6 @@ class CoveringPoint:
         """The (single-valued) logarithm ``log r + i theta`` of this point."""
         return complex(math.log(self.r), self.theta)
 
-    def power(self, n: int) -> "CoveringPoint":
-        """Integer power taken on the covering: angle scales with ``n``."""
-        if not isinstance(n, int):
-            raise ValidationError("covering powers must be integers")
-        return CoveringPoint(self.r ** n, n * self.theta)
-
-    @classmethod
-    def lift(cls, w: complex, branch: int = 0) -> "CoveringPoint":
-        """Lift a nonzero plane point, choosing the covering sheet.
-
-        The angle is the principal argument plus ``2*pi*branch``; callers
-        that care about the sheet must say so, there is no default guess
-        beyond the principal one.
-        """
-        if w == 0:
-            raise ValidationError("cannot lift 0 to the covering")
-        return cls(abs(w), cmath.phase(w) + 2.0 * math.pi * branch)
-
 
 def q_number(j: int, q: float) -> float:
     """The q-analog ``[j]_q = 1 + q + ... + q^(j-1)``, with ``[0]_q = 0``."""
@@ -93,23 +75,6 @@ def q_number(j: int, q: float) -> float:
     if j == 0:
         return 0.0
     return (q ** j - 1.0) / (q - 1.0)
-
-
-def q_factorial(n: int, q: float) -> float:
-    """q-factorial ``[n]_q! = [1]_q [2]_q ... [n]_q`` with ``[0]_q! = 1``.
-
-    Raises:
-        OverflowFailure: the product left the double range. Reported as an
-            error rather than ``inf`` so callers cannot propagate it.
-    """
-    if n < 0:
-        raise ValidationError("q-factorials are defined for n >= 0")
-    out = 1.0
-    for j in range(1, n + 1):
-        out *= q_number(j, q)
-        if math.isinf(out):
-            raise OverflowFailure(f"[{n}]_q! overflows for q={q} at j={j}")
-    return out
 
 
 def exp_q(z, params: QParams):
@@ -142,27 +107,6 @@ def exp_q(z, params: QParams):
         f"q-exponential did not settle within {_EXPQ_MAX_TERMS} terms "
         f"(max |z| = {float(np.max(np.abs(work))):.3g})"
     )
-
-
-def exp_q_zero(m: int, params: QParams) -> float:
-    """Locate the ``m``-th zero of the q-exponential on the negative axis.
-
-    The zeros sit at ``-q^(m+1)/(q-1)``, ``m >= 0``, and are simple; this
-    refines the closed form by bracketed root finding on the real line and
-    is used as a cross-check rather than trusting the formula.
-    """
-    # scipy is imported here, not at module level: only this cross-check
-    # needs it, and importing it would more than double every command's start-up
-    from scipy.optimize import brentq
-
-    if m < 0:
-        raise ValidationError("zero index must be >= 0")
-    q = params.q
-    center = -(q ** (m + 1)) / (q - 1.0)
-    # neighbouring zeros are a factor q away; q^(+-0.45) stays clear of both
-    lo, hi = center * q ** 0.45, center * q ** -0.45
-    f = lambda x: exp_q(x, params).real
-    return float(brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
 def mu_growth(x, params: QParams):

@@ -72,15 +72,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return self.coeffs.shape[0]
 
-    def coeff(self, n: int):
-        """Coefficient of ``t^n``; zero beyond the truncation order."""
-        if n < 1:
-            raise ValidationError("series have no constant term; n starts at 1")
-        if n > self.order:
-            return np.zeros(self.coeffs.shape[1:], dtype=complex) if self.coeffs.ndim == 2 else 0.0
-        out = self.coeffs[n - 1]
-        return complex(out) if np.ndim(out) == 0 else out
-
     def pad_to(self, n: int) -> "TruncatedSeries":
         if n < self.order:
             raise OrderOverflow(f"cannot pad order {self.order} down to {n}")

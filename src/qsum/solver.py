@@ -15,8 +15,9 @@ Contraction is bounded, and measured only where the bound cannot decide.
 `contraction_bound` bounds the operator norm of the update's coupling part
 in the 1R norm: below one, the smallness regime the existence statement asks
 for, the forward pass runs; otherwise Picard sweeps run, and a measured ratio
-above one for three consecutive sweeps aborts the run. Triangular mode takes
-the forward pass whatever the bound, using only the exactness argument.
+above one for three consecutive sweeps aborts the run, as does converging
+after any ratio above one. Triangular mode takes the forward pass whatever
+the bound, using only the exactness argument.
 """
 
 from __future__ import annotations

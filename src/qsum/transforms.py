@@ -442,6 +442,10 @@ def decelerated_bracket(powers, rows, term, log_h, params: QParams) -> np.ndarra
     return _power_sum(exps, rows, log_h, logmag)
 
 
+# the rungs one continuation may fill; a request past them is refused
+_MAX_RUNGS = 20000
+
+
 class ContinuedOmega:
     """Continuation of a Borel-plane fixed point beyond its series disc.
 
@@ -466,12 +470,11 @@ class ContinuedOmega:
             would walk away from the disc.
     """
 
-    def __init__(self, sol, spec: ProblemSpec, config: SectorConfig, *, max_rungs: int = 20000):
+    def __init__(self, sol, spec: ProblemSpec, config: SectorConfig):
         self.series = sol.omega if hasattr(sol, "omega") else sol
         self.spec = spec
         self.params = spec.params
         self.space = spec.space
-        self.max_rungs = max_rungs
         for i, term in enumerate(spec.terms):
             if _shift_factors(term.l0, term.l1, self.params)[0] >= 1.0:
                 raise ValidationError(
@@ -539,7 +542,7 @@ class ContinuedOmega:
         ``j - sum n_i d_i`` beyond ``r0``.  The missing rungs, found in integers, are filled in ascending
         waves, the windows ``[a, a + min d_i)`` of a ladder, so a wave (`_wave`)
         reads only earlier ones; one `_node_rows` batch serves the whole waves
-        that fit in _ROWS rungs.  Past ``max_rungs`` it raises `DomainTooLarge`
+        that fit in _ROWS rungs.  Past _MAX_RUNGS in all it raises `DomainTooLarge`
         before any wave, its witness the rung where the walk down from the top
         crossed the cap, and keeps no rung."""
         h, log_r0, memo = self._key_step, self._log_r0, self._memo
@@ -553,12 +556,12 @@ class ContinuedOmega:
         while level := {n for n in level if n not in memo and n[1] + n[2] * h > log_r0} - new:
             new |= level
             level = {(t, b, j - d) for t, b, j in level for d in self._drops}
-        if self._rungs + len(new) > self.max_rungs:
-            _, b, j = sorted(new, key=lambda n: -(n[1] + n[2] * h))[self.max_rungs - self._rungs]
+        if self._rungs + len(new) > _MAX_RUNGS:
+            _, b, j = sorted(new, key=lambda n: -(n[1] + n[2] * h))[_MAX_RUNGS - self._rungs]
             raise DomainTooLarge(
-                f"continuation ladder exceeded {self.max_rungs} rungs; "
+                f"continuation ladder exceeded {_MAX_RUNGS} rungs; "
                 "the requested points are too deep in the sector for this budget",
-                witness={"point": (math.exp(b + j * h), theta), "rungs": self.max_rungs + 1},
+                witness={"point": (math.exp(b + j * h), theta), "rungs": _MAX_RUNGS + 1},
             )
         rungs, width = sorted(new), min(self._drops, default=math.inf)
         radii = [math.exp(b + j * h) for _, b, j in rungs]

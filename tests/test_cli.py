@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -615,8 +616,21 @@ def test_bound_violation_carries_witness():
 # entry point
 
 
+def test_no_file_imports_scipy():
+    # numpy is the one runtime dependency; the q-exponential's zeros are
+    # checked against their closed form, with no root finder
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    pyproject = tomllib.loads((root / "pyproject.toml").read_text())
+    assert pyproject["project"]["dependencies"] == ["numpy>=1.24"]
+    files = [p for d in ("src", "tests") for p in (root / d).rglob("*.py")]
+    importers = [str(p.relative_to(root)) for p in files
+                 if re.search(r"^\s*(import|from)\s+scipy\b", p.read_text(), re.M)]
+    assert importers == []
+
+
 def test_cli_import_loads_no_scipy():
-    # scipy serves only the exp_q_zero cross-check, and importing it would
+    # no module of the package imports scipy, and a dependency that did would
     # dominate the start-up of every command
     proc = subprocess.run(
         [sys.executable, "-c",

@@ -35,9 +35,9 @@ def gaussian_fn(space):
 class TestSpace:
     def test_default_policy(self):
         sp = make_space(beta=0.5, mu=2.0)
-        assert sp.half_width == pytest.approx(80.0)
+        assert sp.m[-1] == pytest.approx(80.0)
         assert sp.size >= 2001 and sp.size % 2 == 1
-        assert math.exp(-sp.beta * sp.half_width) < 1e-10
+        assert math.exp(-sp.beta * sp.m[-1]) < 1e-10
 
     def test_rejects_uneven_grid(self):
         with pytest.raises(ValidationError):
@@ -179,7 +179,7 @@ class TestBandConvolution:
         # the subnormal range, where the direct sum loses bits to gradual
         # underflow and the lifted product does not
         sp = make_space(1.0, 3.0)
-        assert sp.size == 2001 and sp.half_width == 40.0
+        assert sp.size == 2001 and sp.m[-1] == 40.0
         h = 0.02 * np.exp(-sp.m ** 2 / 2.0) + 0j
         g = np.stack([
             np.exp(-sp.m ** 2) * (1.0 + 0.5j),
@@ -231,7 +231,7 @@ class TestInverseFourier:
     def test_product_rule(self):
         sp = gaussian_space(step=0.01)
         g = gaussian_fn(sp)
-        conv = convolve(g, g).with_values(convolve(g, g).values / SQRT2PI)
+        conv = FourierFn(sp, convolve(g, g).values / SQRT2PI)
         pts = [0.0, 0.4, -0.9 + 0.2j, 1.5 - 0.3j, 0.3 + 0.1j]
         for z in pts:
             lhs = inverse_fourier_eval(g, z, 0.5) * inverse_fourier_eval(g, z, 0.5)
@@ -241,7 +241,7 @@ class TestInverseFourier:
     def test_derivative_rule_vs_central_difference(self):
         sp = gaussian_space(step=0.01)
         g = gaussian_fn(sp)
-        deriv = g.with_values(1j * sp.m * g.values)
+        deriv = FourierFn(sp, 1j * sp.m * g.values)
         z0, h = 0.3 + 0.1j, 1e-4
         fd = (
             inverse_fourier_eval(g, z0 + h, 0.5) - inverse_fourier_eval(g, z0 - h, 0.5)

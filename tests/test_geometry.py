@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_spec, gaussian_profile
+from qsum import geometry
 from qsum.errors import (
     BadDirection,
     BoundViolation,
@@ -151,28 +152,31 @@ class TestSectorSelection:
         with pytest.raises(BadDirection):
             select_sector(basic_spec, math.pi)
 
-    def test_bad_exclusion_angle_is_not_a_bad_direction(self, basic_spec):
+    def test_bad_exclusion_angle_is_not_a_bad_direction(self, basic_spec, monkeypatch):
         # only envelope failures halve the opening; an invalid argument
         # surfaces as itself instead of as a failed direction search
+        monkeypatch.setattr(geometry, "_THETA_EXCL", 2.0)
         with pytest.raises(ValidationError, match="theta_excl"):
-            select_sector(basic_spec, 0.0, theta_excl=2.0)
+            select_sector(basic_spec, 0.0)
 
-    def test_small_delta_raises(self):
+    def test_small_delta_raises(self, monkeypatch):
         # ratio pinned on the real q-exponential image; the measured gap is
         # set by sampling resolution, so demand a margin well above it
         spec = tiny_scalar_spec(Q=2.3842310290313717, R_D=1.0)
-        with pytest.raises(SmallDelta) as exc:
-            select_sector(spec, 0.0, delta_floor=0.05)
         cfg = select_sector(spec, 0.0)
+        monkeypatch.setattr(geometry, "_DELTA_FLOOR", 0.05)
+        with pytest.raises(SmallDelta) as exc:
+            select_sector(spec, 0.0)
         assert cfg.delta1 < 0.05
         # the witness is the nearest pair: |P_m(tau)| / |R_D(im)| there is delta1
         tau, m = exc.value.witness
         assert isinstance(tau, complex) and m in spec.space.m
         assert abs(eval_Pm(tau, m, spec)) == pytest.approx(cfg.delta1, rel=1e-9)
 
-    def test_delta_stable_under_refinement(self, basic_spec):
-        c1 = select_sector(basic_spec, 0.0, n_rays=64, n_radii=64)
-        c2 = select_sector(basic_spec, 0.0, n_rays=128, n_radii=128)
+    def test_delta_stable_under_refinement(self, basic_spec, monkeypatch):
+        c1 = select_sector(basic_spec, 0.0)
+        monkeypatch.setattr(geometry, "_SCAN", 128)
+        c2 = select_sector(basic_spec, 0.0)
         assert abs(c1.delta1 - c2.delta1) < 0.01 * c1.delta1
 
     def test_min_distance_refuses_non_finite_point(self):

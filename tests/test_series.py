@@ -27,13 +27,6 @@ def S(*coeffs):
 
 
 class TestContainer:
-    def test_no_constant_term(self):
-        s = S(1.0, 2.0)
-        with pytest.raises(ValidationError):
-            s.coeff(0)
-        assert s.coeff(1) == 1.0
-        assert s.coeff(5) == 0.0
-
     def test_space_mismatch_rejected(self):
         a = TruncatedSeries(np.ones(3), space="scalar")
         b = TruncatedSeries(np.ones(3), space="other")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -56,7 +57,8 @@ def g2001_spec(unit, tmp_path):
 
 def small_q_setup(terms="full", N=16):
     spec = build_spec(terms=terms, q=1.12, ratio=1e-5)
-    cfg = select_sector(spec, 0.0, R_fraction=0.2)
+    cfg = select_sector(spec, 0.0)
+    cfg = dataclasses.replace(cfg, R=0.2 * cfg.rho)
     return spec, cfg
 
 

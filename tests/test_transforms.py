@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from conftest import benchmark_workloads, build_spec, gaussian_profile
 from qsum import checks, fourier, geometry, transforms
@@ -100,7 +99,8 @@ def fx_ladder_shapes():
 @pytest.fixture(scope="module")
 def fx_smallq():
     spec = build_spec(terms="full", q=1.12, ratio=1e-5)
-    cfg = select_sector(spec, 0.0, R_fraction=0.2)
+    cfg = select_sector(spec, 0.0)
+    cfg = dataclasses.replace(cfg, R=0.2 * cfg.rho)
     sol = solve_fixed_point(spec, cfg, 16)
     return spec, cfg, sol
 
@@ -443,7 +443,7 @@ def test_expq_zero_node_raises(fx_forcing):
     # guard must refuse rather than divide
     spec, cfg = fx_forcing
     P = spec.params
-    root = brentq(lambda x: float(np.real(exp_q(np.array([x + 0.0j]), P)[0])), -2.3, -1.7)
+    root = -P.q / (P.q - 1.0)  # the first zero -q^(m+1)/(q-1), m = 0
     s_star = math.log(-root / cfg.alpha_tilde_D)
     # a window with s_star as its middle node
     h = abs(s_star) / 8.0
@@ -608,10 +608,11 @@ def test_bracket_overflow_carries_witness(fx_full):
     assert exc.value.witness["peak_log_magnitude"] > 700.0
 
 
-def test_ladder_rung_cap_carries_witness(fx_full):
+def test_ladder_rung_cap_carries_witness(fx_full, monkeypatch):
     # 4R walks down by the shift factor 1/2: rungs at 4R, 2R, then R
     spec, cfg, sol = fx_full
-    om = ContinuedOmega(sol, spec, cfg, max_rungs=2)
+    monkeypatch.setattr(transforms, "_MAX_RUNGS", 2)
+    om = ContinuedOmega(sol, spec, cfg)
     with pytest.raises(DomainTooLarge) as exc:
         om.values(CoveringPoint(4.0 * cfg.R, 0.1))
     assert exc.value.witness["rungs"] == 3
@@ -627,7 +628,8 @@ def test_ladder_rung_cap_carries_witness(fx_full):
     pytest.param(1, 2.0**1.5, "k2", id="k2-1-2.83"), pytest.param(4, 1.0, "k2", id="k2-4-1.0"),
     pytest.param(8, 0.25, "k2", id="k2-8-0.25"), pytest.param(9, None, "k2", id="k2-9-None"),
 ])
-def test_ladder_rung_cap_is_checked_before_any_wave(fx_full, request, max_rungs, witness_r, shape):
+def test_ladder_rung_cap_is_checked_before_any_wave(fx_full, request, monkeypatch, max_rungs,
+                                                    witness_r, shape):
     # 4R walks down by 1/2 through 2R, R, R/2 and R/4; R/8 is inside r0.
     # The witness is the rung where that walk crosses the cap, and a
     # refused request keeps no rung.  With two shift couplings (1/4 and
@@ -636,7 +638,8 @@ def test_ladder_rung_cap_is_checked_before_any_wave(fx_full, request, max_rungs,
     spec, cfg, sol = fx_full
     if shape != "full":
         spec, cfg, sol = request.getfixturevalue("fx_ladder_shapes")[shape]
-    om = ContinuedOmega(sol, spec, cfg, max_rungs=max_rungs)
+    monkeypatch.setattr(transforms, "_MAX_RUNGS", max_rungs)
+    om = ContinuedOmega(sol, spec, cfg)
     u = CoveringPoint(4.0 * cfg.R, 0.1)
     assert cfg.R / 8.0 < om.r0 < cfg.R / 4.0
     if witness_r is None:
@@ -1029,10 +1032,11 @@ def test_contour_bracket_never_sees_the_continuation_profiles(fx_full, monkeypat
     assert profiles and all(a is b for a, b in zip(om._last_sum, kept))
 
 
-def test_gq_sum_domain_error_holds_for_every_z(fx_full):
+def test_gq_sum_domain_error_holds_for_every_z(fx_full, monkeypatch):
     # a refused t keeps nothing, so every z at it is refused alike
     spec, cfg, sol = fx_full
-    om = ContinuedOmega(sol, spec, cfg, max_rungs=5)
+    monkeypatch.setattr(transforms, "_MAX_RUNGS", 5)
+    om = ContinuedOmega(sol, spec, cfg)
     t = CoveringPoint(0.4 * cfg.R, 0.1)
     for z in (0.2, -0.3 + 0.1j, 0.5j, 0.9):
         with pytest.raises(DomainTooLarge):

@@ -183,6 +183,14 @@ MUTANTS = [
         "(d[i, j] == best and c < bc)",
         "(d[i, j] == best and c > bc)",
     ),
+    # each step of the q-exponential's term recurrence, off by 1e-9 relative,
+    # so the series is exp_q(z (1 + 1e-9)) and its zeros move by 1e-9 relative
+    Mutant(
+        "expq-scale",
+        "qsum/qcore.py",
+        "        term = term * work / q_number(n, params.q)\n",
+        "        term = term * work / q_number(n, params.q) * (1.0 + 1e-9)\n",
+    ),
     # the Laplace kernel's Gaussian width, off by 1e-9 relative
     Mutant(
         "kernel-kappa",
