@@ -279,7 +279,7 @@ def _complex_rows(arr: np.ndarray) -> dict:
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=1) + "\n")
+    path.write_text(json.dumps(obj) + "\n")
 
 
 def write_csv(path: Path, manifest_id: str, header: list, rows) -> None:

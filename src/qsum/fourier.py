@@ -137,9 +137,12 @@ def enorm_values(space: FourierSpace, values: np.ndarray) -> float:
 # thread count for some dgemm reductions longer than 256 (400, 500, 601 and
 # 2001 points) and for none of 256 or fewer; _BLOCK stays below that.  At 64
 # rather than 128 a single G=601 row (a ladder rung) costs less and the band
-# is half the size, (G + 3 _BLOCK) _BLOCK doubles; a batched G=2001 solve
-# is about 5% slower.
+# is half the size, (G + 3 _BLOCK) _BLOCK doubles.
 _BLOCK = 64
+# Batches run in chunks of _CHUNK // G rows (4 at G=2001, 13 at G=601), whose
+# lifted operand stays near 128 KiB: at one thread on a 2-vCPU Xeon (2 MiB L2),
+# 44 G=2001 rows cost 1.9-2.0 ms a row at once, 1.0-1.2 ms in 4-row chunks.
+_CHUNK = 8192
 # At one thread OpenBLAS 0.3.31 gave a row the bits of a one-row call while
 # the real product's M N K stayed within 1e6 (its small-matrix kernel) and
 # K < 16.  `_contract` runs C complex rows against a (K, G) operand, a
@@ -249,7 +252,16 @@ def convolve_values(space: FourierSpace, h, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g)
     if band.size != n or g.shape[-1:] != (n,):
         raise GridMismatch("convolution operands must match the grid shape")
-    rows = g.reshape(-1, n)
+    rows, chunk = g.reshape(-1, n), max(1, _CHUNK // n)
+    if len(rows) <= chunk:
+        return _convolve_rows(space, band, rows).reshape(g.shape)
+    return np.concatenate([_convolve_rows(space, band, rows[i : i + chunk])
+                           for i in range(0, len(rows), chunk)]).reshape(g.shape)
+
+
+def _convolve_rows(space: FourierSpace, band: KernelBand, rows: np.ndarray) -> np.ndarray:
+    """`convolve_values` of the ``(S, G)`` rows in one band product."""
+    n = space.size
     parts = [rows.real, rows.imag] if np.iscomplexobj(rows) else [rows]
     shift = _lift_tops(n)[1] - np.frexp(np.max(np.abs(rows), axis=1))[1] \
         - int(np.frexp(space.step)[1])
@@ -277,11 +289,11 @@ def convolve_values(space: FourierSpace, h, g: np.ndarray) -> np.ndarray:
     re, im = _recombine(y)
     back = -(shift + band.shift)[:, None]
     if im is None:
-        return np.ldexp(re, back).reshape(g.shape)
+        return np.ldexp(re, back)
     res = np.empty(re.shape, dtype=complex)
     np.ldexp(re, back, out=res.real)
     np.ldexp(im, back, out=res.imag)
-    return res.reshape(g.shape)
+    return res
 
 
 def convolve(h: FourierFn, g: FourierFn) -> FourierFn:

@@ -548,10 +548,11 @@ def inv_pm_taylor(m, spec: ProblemSpec, config: SectorConfig, N: int):
     shape = (N + 1,) + np.shape(p0)
     f = np.zeros(shape, dtype=complex)
     f[0] = 1.0 / p0
+    steps = [(j, -rv * c[j]) for j in range(spec.d_D, N + 1, spec.d_D) if c[j] != 0.0]
     for p in range(1, N + 1):
         acc = np.zeros(np.shape(p0), dtype=complex)
-        for j in range(spec.d_D, p + 1, spec.d_D):
-            if c[j] != 0.0:
-                acc = acc + (-rv * c[j]) * f[p - j]
+        for j, step in steps:
+            if j <= p:
+                acc += step * f[p - j]
         f[p] = -f[0] * acc
     return f

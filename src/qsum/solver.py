@@ -79,18 +79,24 @@ def make_h1_context(spec: ProblemSpec, config: SectorConfig, N: int) -> H1Contex
     return H1Context(spec, config, N, inv_p, forcing, tuple(maps))
 
 
-def _coupling_image(coeffs: np.ndarray, ctx: H1Context, lo: int = 0, hi: int | None = None):
+def _coupling_image(coeffs: np.ndarray, ctx: H1Context, lo: int = 0, hi: int | None = None, images=None):
     """Sum of the coupling contributions to orders ``lo + 1 .. hi`` (default
-    all N) before the symbol inversion, (hi - lo, G), added in term order."""
-    space = ctx.spec.space
+    all N) before the symbol inversion, (hi - lo, G), added in term order.
+    ``images`` maps ``(term index, source order)`` to a convolved row and its
+    image, which a bit-identical row takes: a convolution reads only its row."""
+    space, seen = ctx.spec.space, {} if images is None else images
     hi = ctx.N if hi is None else hi
     out = np.zeros((hi - lo, space.size), dtype=complex)
-    for term, (src, dst, factors) in zip(ctx.spec.terms, ctx.maps):
+    for i, (term, (src, dst, factors)) in enumerate(zip(ctx.spec.terms, ctx.maps)):
         sel = (dst > lo) & (dst <= hi)
         rows = factors[sel, None] * coeffs[src[sel] - 1] * term.symbol[None, :]
         live = np.any(rows, axis=1)
-        if np.any(live):
-            out[dst[sel][live] - 1 - lo] += INV_SQRT_2PI * convolve_values(space, term.band, rows[live])
+        rows, keys = rows[live], [(i, int(p)) for p in src[sel][live]]
+        new = [j for j, k in enumerate(keys) if k not in seen or not np.array_equal(seen[k][0], rows[j])]
+        conv = INV_SQRT_2PI * convolve_values(space, term.band, rows[new]) if new else ()
+        seen.update((keys[j], (rows[j], img)) for j, img in zip(new, conv))
+        if keys:
+            out[dst[sel][live] - 1 - lo] += np.array([seen[k][1] for k in keys])
     return out
 
 
@@ -118,18 +124,18 @@ def contraction_bound(ctx: H1Context) -> float:
     return float(np.max(cols, initial=0.0))
 
 
-def _forward(ctx: H1Context) -> tuple[TruncatedSeries, int]:
-    """The exact truncated fixed point and its wave count: a wave of as many
-    orders as the smallest drop reads only earlier waves, once per term."""
+def _forward(ctx: H1Context) -> tuple[TruncatedSeries, int, dict]:
+    """The exact truncated fixed point, its wave count and its row `images`:
+    a wave of as many orders as the smallest drop reads only earlier waves."""
     N, space = ctx.N, ctx.spec.space
     width = min((int(np.min(dst - src)) for src, dst, _ in ctx.maps if src.size), default=N)
     omega = np.zeros((N, space.size), dtype=complex)
-    numer = np.zeros_like(omega)
+    numer, images = np.zeros_like(omega), {}
     for lo in range(0, N, width):
         hi = min(lo + width, N)
-        numer[lo:hi] = _coupling_image(omega, ctx, lo, hi) + ctx.forcing_rows[lo:hi]
+        numer[lo:hi] = _coupling_image(omega, ctx, lo, hi, images) + ctx.forcing_rows[lo:hi]
         _invert_symbol(omega, numer, ctx.inv_p, lo, hi)
-    return TruncatedSeries(omega, space), -(-N // width)
+    return TruncatedSeries(omega, space), -(-N // width), images
 
 
 def _dropped_mass_1R(omega: TruncatedSeries, spec: ProblemSpec, R: float) -> float:
@@ -169,10 +175,15 @@ def apply_H1(
     elif ctx.N != N or ctx.spec is not spec:
         raise ValidationError("context was built for a different problem or order")
     omega = omega.truncated(N) if omega.order > N else omega.pad_to(N)
-    numer = _coupling_image(omega.coeffs, ctx) + ctx.forcing_rows
+    return _sweep(omega, ctx)
+
+
+def _sweep(omega: TruncatedSeries, ctx: H1Context, images: dict | None = None) -> TruncatedSeries:
+    """`apply_H1` on an order-N ``omega``, reusing ``images`` as `_coupling_image` does."""
+    numer = _coupling_image(omega.coeffs, ctx, images=images) + ctx.forcing_rows
     out = np.zeros_like(numer)
-    _invert_symbol(out, numer, ctx.inv_p, 0, N)
-    return TruncatedSeries(out, spec.space)
+    _invert_symbol(out, numer, ctx.inv_p, 0, ctx.N)
+    return TruncatedSeries(out, ctx.spec.space)
 
 
 @dataclass(frozen=True)
@@ -190,10 +201,11 @@ class BorelSolution:
     path: str                  # "forward" or "picard"
 
 
-def _solution(ctx: H1Context, omega, iterations, history, bound, path) -> BorelSolution:
+def _solution(ctx: H1Context, omega, iterations, history, bound, path, images=None) -> BorelSolution:
     """The record of ``omega``, whose residual is the step norm of one more
-    sweep: a check that reuses nothing of the solve."""
-    step = apply_H1(omega, ctx.spec, ctx.config, ctx.N, ctx=ctx) - omega
+    sweep: bit for bit a sweep from scratch, as it reuses only the solve's
+    ``images`` of bit-identical rows, and convolves a row read unfinished anew."""
+    step = _sweep(omega, ctx, images) - omega
     R = ctx.config.R
     return BorelSolution(omega, iterations, tuple(history), series_norm_1R(step, R), R,
                          _dropped_mass_1R(omega, ctx.spec, R), bound, path)
@@ -252,8 +264,8 @@ def solve_fixed_point(
     bound = contraction_bound(ctx)
     if mode == "contraction" and not bound < 1.0:
         return picard(ctx, tol, bound)
-    omega, waves = _forward(ctx)
-    return _solution(ctx, omega, waves + 1, (), bound, "forward")
+    omega, waves, images = _forward(ctx)
+    return _solution(ctx, omega, waves + 1, (), bound, "forward", images)
 
 
 def assemble_U_hat(sol: BorelSolution, params: QParams) -> TruncatedSeries:

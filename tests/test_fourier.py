@@ -207,6 +207,13 @@ class TestBandConvolution:
             batch = convolve_values(sp, band, g)
             for i in range(S):
                 assert np.array_equal(batch[i], convolve_values(sp, band, g[i]))
+        if G == 2001:
+            # leading axes that span several row chunks
+            g = rng.standard_normal((3, 5, G)) + 1j * rng.standard_normal((3, 5, G))
+            batch = convolve_values(sp, band, g)
+            assert batch.shape == g.shape
+            for i, j in np.ndindex(3, 5):
+                assert np.array_equal(batch[i, j], convolve_values(sp, band, g[i, j]))
 
     def test_grid_mismatch(self):
         sp = make_space(1.0, 2.0, half_width=6.0, n_points=21)

@@ -33,8 +33,10 @@ KEPT = {
     "errors.OverflowFailure.__init__": "error path",
     "errors.SmallDelta.__init__": "error path",
     "errors.ValidationError.__init__": "error path",
-    "fourier.FourierSpace.__hash__": "keeps a FourierSpace hashable beside its __eq__",
-    "fourier.KernelBand.__len__": "a band's kernel size; test_fourier's band test reads it",
+    "fourier.FourierSpace.__hash__": "keeps a FourierSpace hashable beside its __eq__; "
+                                     "a class that defines __eq__ alone is unhashable",
+    "fourier.KernelBand.__len__": "perfbench/tracing.py's convolve_mac hook takes len() of "
+                                  "a band",
     "fourier.convolve": "perfbench/tests calls it; acceptance c11's closed form",
     "fourier.inverse_fourier_eval": f"{PERFBENCH}; acceptance c08 and c11",
     "qcore.CoveringPoint.log": "theta_kernel's logarithm",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import benchmark_workloads, build_spec, gaussian_profile
-from qsum import checks
+from qsum import checks, solver
 from qsum.cli import load_problem
 from qsum.errors import GridMismatch, NoContraction, OverflowFailure, StripViolation
 from qsum.fourier import FourierSpace, enorm_values, make_space, series_norm_1R
@@ -15,6 +15,8 @@ from qsum.geometry import poly_eval_im, select_sector
 from qsum.series import TruncatedSeries, borel_exponent, formal_q_borel, formal_q_laplace
 from qsum.solver import (
     _coupling_image,
+    _forward,
+    _sweep,
     apply_H1,
     assemble_U_hat,
     assemble_u_hat,
@@ -323,6 +325,44 @@ class TestFixedPoint:
         want = picard_solve(spec, cfg, N).omega.coeffs
         err = np.max(np.abs(sol.omega.coeffs - want), axis=1)
         assert np.all(err <= 1e-15 * np.max(np.abs(want), axis=1))
+
+    def test_forward_path_convolves_each_row_once(self, monkeypatch):
+        # the confirming sweep takes the forward pass's image of every row
+        # that is final when the pass reads it, which is every row
+        _, spec, _ = load_problem("basic.json")
+        cfg = select_sector(spec, 0.0)
+        seen = []
+        convolve = solver.convolve_values
+
+        def counted(space, h, g):
+            seen.extend(row.tobytes() for row in np.asarray(g).reshape(-1, space.size))
+            return convolve(space, h, g)
+
+        monkeypatch.setattr(solver, "convolve_values", counted)
+        sol = solve_fixed_point(spec, cfg, 12)
+        assert sol.path == "forward" and sol.residual_1R == 0.0
+        ctx = make_h1_context(spec, cfg, 12)
+        live = []
+        for term, (src, _, factors) in zip(spec.terms, ctx.maps):
+            rows = factors[:, None] * sol.omega.coeffs[src - 1] * term.symbol[None, :]
+            live += [row.tobytes() for row in rows if np.any(row)]
+        assert len(live) > 2 * len(spec.terms)
+        assert sorted(seen) == sorted(live)
+
+    def test_sweep_recomputes_a_changed_source_row(self):
+        # a row that differs from the one the forward pass convolved gets its
+        # own image: the sweep is then bit for bit a sweep from scratch
+        _, spec, _ = load_problem("basic.json")
+        cfg = select_sector(spec, 0.0)
+        ctx = make_h1_context(spec, cfg, 12)
+        omega, _, images = _forward(ctx)
+        changed = omega.coeffs.copy()
+        changed[1] *= 1.0 + 2.0 ** -20
+        changed = TruncatedSeries(changed, spec.space)
+        assert any(p == 2 for _, p in images)
+        want = apply_H1(changed, spec, cfg, 12, ctx=ctx)
+        assert not np.array_equal(want.coeffs, apply_H1(omega, spec, cfg, 12, ctx=ctx).coeffs)
+        assert np.array_equal(_sweep(changed, ctx, images).coeffs, want.coeffs)
 
     @pytest.mark.parametrize("case, below", [("basic.json", True), ("divergent.json", False),
                                              ("cA=2e4", False)])

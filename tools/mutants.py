@@ -249,6 +249,14 @@ MUTANTS = [
         "for src, dst, _ in ctx.maps if src.size), default=N)",
         "for src, dst, _ in ctx.maps if src.size), default=N) + 1",
     ),
+    # the confirming sweep takes the forward pass's image of a row even where
+    # the row it convolves has changed since
+    Mutant(
+        "sweep-reuse",
+        "qsum/solver.py",
+        "if k not in seen or not np.array_equal(seen[k][0], rows[j])]",
+        "if k not in seen or not True]",
+    ),
     # the contraction bound 1e-3 of its value: below the measured step ratio
     Mutant(
         "bound-scale",
