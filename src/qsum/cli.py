@@ -365,15 +365,8 @@ def cmd_solve(args) -> int:
         return EXIT_SPEC
     beta_prime = _beta_prime(args, spec)
     cfg = select_sector(spec, args.direction)
-    mode = "contraction"
-    try:
-        sol = solve_fixed_point(spec, cfg, args.order, tol=args.tol)
-    except NoContraction as exc:
-        if not args.force_triangular:
-            print(f"no contraction: {exc}", file=sys.stderr)
-            return EXIT_REGIME
-        mode = "triangular"
-        sol = solve_fixed_point(spec, cfg, args.order, tol=args.tol, mode="triangular")
+    mode = "triangular" if args.force_triangular else "contraction"
+    sol = solve_fixed_point(spec, cfg, args.order, mode=mode)
 
     U = assemble_U_hat(sol, spec.params)
     z_pts = np.linspace(-1.0, 1.0, args.z_points) + 0.0j
@@ -445,14 +438,14 @@ def _suite_identities(spec, cfg, rng, args):
 
 
 def _suite_theorem2(spec, cfg, rng, args):
-    sol = solve_fixed_point(spec, cfg, args.order, tol=args.tol)
+    sol = solve_fixed_point(spec, cfg, args.order)
     zs = (0.3 + 0.1j, -0.2 + 0.05j, 0.1 - 0.2j)
     pts = [(CoveringPoint(cfg.R / 8.0, th), z) for th, z in zip((0.02, -0.15, 0.3), zs)]
     # at 0.8 R every term of the equation is material
     gate = [(CoveringPoint(0.8 * cfg.R, th), z) for th, z in zip((0.1, -0.2), zs)]
     # t sharing ladders, at an order where the series fills a `_power_sum` piece
     ray = [(CoveringPoint(f * cfg.R, 0.1), z) for f, z in zip((0.1, 0.2, 0.4, 0.6, 0.8), zs + zs)]
-    det = solve_fixed_point(spec, cfg, max(args.order, 16), tol=args.tol)
+    det = solve_fixed_point(spec, cfg, max(args.order, 16))
     beta_prime = 0.5 * spec.space.beta
     return (checks.contraction(spec, cfg, args.order)
             + checks.summed_equation(sol, spec, cfg, pts, beta_prime=beta_prime)
@@ -461,7 +454,7 @@ def _suite_theorem2(spec, cfg, rng, args):
 
 
 def _suite_asymptotics(spec, cfg, rng, args):
-    sol = solve_fixed_point(spec, cfg, max(args.order, 10), tol=args.tol)
+    sol = solve_fixed_point(spec, cfg, max(args.order, 10))
     z, beta_prime = 0.2 + 0.1j, 0.5 * spec.space.beta
     U = assemble_U_hat(sol, spec.params)
     u_n = inverse_fourier_table(U.coeffs, spec.space, [z], beta_prime)[:, 0]
@@ -569,7 +562,7 @@ def cmd_sum(args) -> int:
     pts = _read_points(resolve_input(args.points))
     beta_prime = _beta_prime(args, spec)
     cfg = select_sector(spec, args.direction)
-    sol = solve_fixed_point(spec, cfg, args.order, tol=args.tol)
+    sol = solve_fixed_point(spec, cfg, args.order)
     om = ContinuedOmega(sol, spec, cfg)
 
     rows = []
@@ -703,10 +696,6 @@ def _float_between(lo: float, hi: float):
     return parse
 
 
-TOL_HELP = ("step norm at which the Picard sweeps stop; they run only where the "
-            "contraction bound is not below 1, and the forward pass is exact")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="qsum", description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=_int_at_least(1), default=None,
@@ -725,12 +714,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", help="run the fixed point and write solution artifacts")
     p.add_argument("spec_file")
     p.add_argument("--order", type=_int_at_least(1), default=16)
-    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12, help=TOL_HELP)
     p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
     p.add_argument("--beta-prime", type=_float_between(0.0, math.inf), default=None)
     p.add_argument("--z-points", type=_int_at_least(1), default=21)
     p.add_argument("--force-triangular", action="store_true",
-                   help="solve by the forward pass when the Picard sweeps do not contract")
+                   help="solve by the forward pass whatever the contraction bound")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_solve)
 
@@ -739,7 +727,6 @@ def build_parser() -> _Parser:
     p.add_argument("--suite", required=True,
                    choices=tuple(SUITES))
     p.add_argument("--order", type=_int_at_least(1), default=12)
-    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12, help=TOL_HELP)
     p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
     p.add_argument("--out", type=Path, default=None)
     p.set_defaults(func=cmd_verify)
@@ -749,7 +736,6 @@ def build_parser() -> _Parser:
     p.add_argument("--points", required=True,
                    help="CSV of t_r,t_theta,z_re,z_im rows")
     p.add_argument("--order", type=_int_at_least(1), default=12)
-    p.add_argument("--tol", type=_float_between(0.0, math.inf), default=1e-12, help=TOL_HELP)
     p.add_argument("--direction", type=_float_between(-math.inf, math.inf), default=0.0)
     p.add_argument("--beta-prime", type=_float_between(0.0, math.inf), default=None)
     p.add_argument("--tail", type=_float_between(0.0, 1.0), default=1e-11)

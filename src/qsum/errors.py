@@ -6,15 +6,16 @@ that the CLI can map them onto exit codes without string matching.
 
 
 class QsumError(Exception):
-    """Base class for all library errors."""
-
-
-class ValidationError(QsumError):
-    """A problem description violates a structural or analytic condition."""
+    """Base class for all library errors.  Where a sample point or a limit
+    produced the failure, ``witness`` holds it."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class ValidationError(QsumError):
+    """A problem description violates a structural or analytic condition."""
 
 
 class ConvergenceError(QsumError):
@@ -28,10 +29,6 @@ class OverflowFailure(QsumError):
     propagates non-finite values.  Where a sample point produced the value,
     ``witness`` holds it.
     """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class EnvelopeViolation(QsumError):
@@ -56,17 +53,9 @@ class SmallDelta(QsumError):
     image is below tolerance; the denominator may vanish.  ``witness`` holds
     the ``(tau, m)`` of the nearest pair."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class BoundViolation(QsumError):
     """A certified lower bound failed at a sample point."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class DivergentInversion(QsumError):
@@ -95,10 +84,6 @@ class DomainTooLarge(QsumError):
     Where the limit hit is a depth measure, ``witness`` is a dict naming
     the point and the measure that exceeded it.
     """
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class DomainViolation(QsumError):

@@ -96,7 +96,7 @@ def make_space(
     return FourierSpace(np.linspace(-M, M, n), beta, mu)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierFn:
     """Grid samples of a frequency-side function with its certificate."""
 

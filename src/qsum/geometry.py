@@ -44,7 +44,7 @@ def poly_degree(coeffs) -> int:
     return int(nz[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MahlerTerm:
     """One coupling term: ``a(z) * (t^l0 shift^l1 R(d_z) u)(t^l2, z)``.
 
@@ -79,7 +79,7 @@ class MahlerTerm:
         object.__setattr__(self, "band", kernel_band(self.A.space, self.A.values))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForcingTerm:
     """Forcing monomial in ``t`` of power ``j`` with frequency profile ``F``."""
 
@@ -91,7 +91,7 @@ class ForcingTerm:
             raise ValidationError("forcing power j must be an integer >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Full problem data on one frequency grid.
 

@@ -158,9 +158,9 @@ def recip_kernel_log(log_z, params: QParams, k_order: float | None = None):
     return np.exp(kappa * l * l - 0.5 * l)
 
 
-def pi_qk(params: QParams, k_order: float | None = None) -> float:
+def pi_qk(params: QParams) -> float:
     """Normalisation ``q^(-1/(8k)) sqrt(k) / sqrt(2 pi log q)``."""
-    k = params.k if k_order is None else k_order
+    k = params.k
     return params.q ** (-1.0 / (8.0 * k)) * math.sqrt(k) / math.sqrt(2.0 * math.pi * params.log_q)
 
 

@@ -48,7 +48,7 @@ def coupling_exponent(p: int, l0: int, l1: int, l2: int, k: int) -> Fraction:
     return borel_exponent(p, k) + l1 * p - borel_exponent(l2 * (p + l0), k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedSeries:
     """Coefficients ``a_1 .. a_N`` of a series with zero constant term.
 

@@ -9,15 +9,14 @@ frequency variable, adds the forcing, and multiplies by the Taylor inverse
 of the divisor symbol. Every coupling raises the power-series order by at
 least one, so output orders up to n + d depend only on input orders up to n
 (d the smallest drop): one forward pass in waves of d orders gives the exact
-truncated coefficients, and so do at most N sweeps from zero.
+truncated coefficients, and sweep ceil(N / d) from zero has its bits.
 
 Contraction is bounded, and measured only where the bound cannot decide.
 `contraction_bound` bounds the operator norm of the update's coupling part
 in the 1R norm: below one, the smallness regime the existence statement asks
-for, the forward pass runs; otherwise Picard sweeps run, and a measured ratio
-above one for three consecutive sweeps aborts the run, as does converging
-after any ratio above one. Triangular mode takes the forward pass whatever
-the bound, using only the exactness argument.
+for, the forward pass runs; otherwise Picard sweeps run to the same omega,
+and any measured ratio above one refuses the run. Triangular mode takes the
+forward pass whatever the bound, using only the exactness argument.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ def _coupling_map(term, params: QParams, orders: np.ndarray):
     return term.l2 * (orders + term.l0), np.array(factors)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class H1Context:
     """Grid samples shared by every application of the update operator."""
 
@@ -124,11 +123,16 @@ def contraction_bound(ctx: H1Context) -> float:
     return float(np.max(cols, initial=0.0))
 
 
+def _smallest_drop(ctx: H1Context) -> int:
+    """The smallest order drop ``dst - src`` of any coupling, N if none reaches N."""
+    return min((int(np.min(dst - src)) for src, dst, _ in ctx.maps if src.size), default=ctx.N)
+
+
 def _forward(ctx: H1Context) -> tuple[TruncatedSeries, int, dict]:
     """The exact truncated fixed point, its wave count and its row `images`:
     a wave of as many orders as the smallest drop reads only earlier waves."""
     N, space = ctx.N, ctx.spec.space
-    width = min((int(np.min(dst - src)) for src, dst, _ in ctx.maps if src.size), default=N)
+    width = _smallest_drop(ctx)
     omega = np.zeros((N, space.size), dtype=complex)
     numer, images = np.zeros_like(omega), {}
     for lo in range(0, N, width):
@@ -186,10 +190,10 @@ def _sweep(omega: TruncatedSeries, ctx: H1Context, images: dict | None = None) -
     return TruncatedSeries(out, ctx.spec.space)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BorelSolution:
-    """Exact (forward) or converged (Picard) truncation of the Borel-plane
-    fixed point, with the contraction bound and measured contraction record."""
+    """Exact truncation of the Borel-plane fixed point, by either path, with
+    the contraction bound and measured contraction record."""
 
     omega: TruncatedSeries
     iterations: int
@@ -211,16 +215,20 @@ def _solution(ctx: H1Context, omega, iterations, history, bound, path, images=No
                          _dropped_mass_1R(omega, ctx.spec, R), bound, path)
 
 
-def picard(ctx: H1Context, tol: float, bound: float) -> BorelSolution:
-    """Picard iteration from zero until the step norm drops below ``tol``.
+def picard(ctx: H1Context, bound: float) -> BorelSolution:
+    """Picard iteration from zero until a sweep changes nothing.
 
-    Raises :class:`NoContraction` once the measured ratio exceeds one for
-    three consecutive steps, on converging after any ratio above one (the
-    truncated update is nilpotent, so the sweeps reach its fixed point however
-    they grow first), or after ``max(4 N, 64)`` sweeps.
+    Row m of sweep k reads only rows up to m - d of sweep k - 1, d the
+    smallest drop, and a row's convolution bits do not depend on its batch:
+    so sweep ceil(N / d) holds the forward pass's bits, and the next step is
+    exactly zero. Raises :class:`NoContraction` once the measured ratio
+    exceeds one for three consecutive steps, on converging after any ratio
+    above one (the truncated update is nilpotent, so the sweeps reach its
+    fixed point however they grow first), or if ceil(N / d) + 1 sweeps
+    leave a nonzero step, which only non-finite values can cause.
     ``bound`` is recorded as the solution's ``contraction_bound``.
     """
-    spec, N, max_iter = ctx.spec, ctx.N, max(4 * ctx.N, 64)
+    spec, N, max_iter = ctx.spec, ctx.N, -(-ctx.N // _smallest_drop(ctx)) + 1
     omega = TruncatedSeries(np.zeros((N, spec.space.size), dtype=complex), spec.space)
     history, prev_delta, rising = [], 0.0, 0
     for iterations in range(1, max_iter + 1):
@@ -229,18 +237,14 @@ def picard(ctx: H1Context, tol: float, bound: float) -> BorelSolution:
         if prev_delta > 0.0:
             history.append(delta / prev_delta)
             rising = rising + 1 if history[-1] > 1.0 else 0
-            if rising >= 3:
-                raise NoContraction("step norm grew for three consecutive sweeps; coupling "
-                                    "amplitudes are outside the smallness regime",
-                                    history=tuple(history))
         omega, prev_delta = nxt, delta
-        if delta < tol:
-            if max(history, default=0.0) > 1.0:
-                raise NoContraction("step norm grew before the sweeps converged; coupling "
-                                    "amplitudes are outside the smallness regime",
-                                    history=tuple(history))
+        if rising >= 3 or (delta == 0.0 and max(history, default=0.0) > 1.0):
+            raise NoContraction("step norm grew before the sweeps reached the fixed point; "
+                                "coupling amplitudes are outside the smallness regime",
+                                history=tuple(history))
+        if delta == 0.0:
             return _solution(ctx, omega, iterations, history, bound, "picard")
-    raise NoContraction(f"no convergence to {tol:g} within {max_iter} sweeps",
+    raise NoContraction(f"no sweep of the first {max_iter} left omega unchanged",
                         history=tuple(history))
 
 
@@ -248,22 +252,21 @@ def solve_fixed_point(
     spec: ProblemSpec,
     config: SectorConfig,
     N: int,
-    tol: float = 1e-12,
     mode: str = "contraction",
 ) -> BorelSolution:
     """The truncated fixed point: by the forward pass if `contraction_bound`
-    is below one or ``mode="triangular"``, else by `picard` to ``tol``.
+    is below one or ``mode="triangular"``, else by `picard` to the same bits.
 
     ``iterations`` counts the Picard sweeps, or the forward pass's waves and
     one sweep that confirms them; ``residual_1R`` is the step norm of one
-    more sweep, 0.0 on the forward pass, whose result it returns bit for bit.
+    more sweep, 0.0 on either path, which returns its omega bit for bit.
     """
     if mode not in ("contraction", "triangular"):
         raise ValidationError("mode must be 'contraction' or 'triangular'")
     ctx = make_h1_context(spec, config, N)
     bound = contraction_bound(ctx)
     if mode == "contraction" and not bound < 1.0:
-        return picard(ctx, tol, bound)
+        return picard(ctx, bound)
     omega, waves, images = _forward(ctx)
     return _solution(ctx, omega, waves + 1, (), bound, "forward", images)
 

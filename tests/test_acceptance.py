@@ -191,9 +191,9 @@ def test_c06_fixed_point_contraction():
     report(
         f"contraction ratio {worst_ratio:.3f} <= 0.55 and <= its bound ({bounded}), scaled "
         f"residual {worst_res:.2e} <= 1e-10, triangular waves {worst_tri:.0f} <= 10, "
-        f"forward against Picard {worst_fwd:.2e} <= 1e-12",
+        f"forward against Picard {worst_fwd:.2e} == 0",
         worst_ratio <= 0.55 and bounded and worst_res <= 1e-10 and worst_tri <= 10
-        and worst_fwd <= 1e-12,
+        and worst_fwd == 0.0,
     )
 
 

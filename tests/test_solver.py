@@ -45,9 +45,9 @@ def random_series(spec, N, rng, scale=1.0):
     return TruncatedSeries(scale * vals * g[None, :], spec.space)
 
 
-def picard_solve(spec, cfg, N, tol=1e-12):
+def picard_solve(spec, cfg, N):
     ctx = make_h1_context(spec, cfg, N)
-    return picard(ctx, tol, contraction_bound(ctx))
+    return picard(ctx, contraction_bound(ctx))
 
 
 def g2001_spec(unit, tmp_path):
@@ -271,18 +271,22 @@ class TestFixedPoint:
 
     def test_dropped_mass_is_that_of_the_accepted_iterate(self):
         # every order a coupling pushes past N, shift terms included, counted
-        # once on the accepted iterate: the Picard iterates at three
-        # tolerances (three iterates), the forward solve and the triangular one
+        # once on the iterate it is given: the iterates after 2, 3 and 4
+        # sweeps from zero, and the Picard, forward and triangular solutions
         _, spec, _ = load_problem("basic.json")
         cfg = select_sector(spec, 0.0)
         N = 12
-        sols = [picard_solve(spec, cfg, N, tol=tol) for tol in (1e-4, 1e-8, 1e-12)]
-        assert len({sol.iterations for sol in sols}) == 3
-        sols.append(solve_fixed_point(spec, cfg, N))
-        sols.append(solve_fixed_point(spec, cfg, N, mode="triangular"))
-        assert sols[-2].path == "forward"
+        ctx = make_h1_context(spec, cfg, N)
+        omega, iterates = zero_series(spec, N), []
+        for sweeps in range(1, 5):
+            omega = apply_H1(omega, spec, cfg, N, ctx=ctx)
+            if sweeps >= 2:
+                iterates.append((omega, solver._dropped_mass_1R(omega, spec, cfg.R)))
+        sols = [picard_solve(spec, cfg, N), solve_fixed_point(spec, cfg, N),
+                solve_fixed_point(spec, cfg, N, mode="triangular")]
+        assert [sol.path for sol in sols] == ["picard", "forward", "forward"]
         q, k = spec.params.q, spec.params.k
-        for sol in sols:
+        for omega, mass in iterates + [(sol.omega, sol.dropped_mass_1R) for sol in sols]:
             want = 0.0
             for term in spec.terms:
                 for p in range(1, N + 1):
@@ -290,9 +294,10 @@ class TestFixedPoint:
                     if D > N:
                         E = (Fraction(p * (p - 1), 2 * k) + term.l1 * p
                              - Fraction(D * (D - 1), 2 * k))
-                        norm = enorm_values(spec.space, sol.omega.coeffs[p - 1])
+                        norm = enorm_values(spec.space, omega.coeffs[p - 1])
                         want += q ** float(E) * norm * cfg.R ** D
-            assert sol.dropped_mass_1R == pytest.approx(want, rel=1e-13)
+            assert mass == pytest.approx(want, rel=1e-13)
+        assert len({mass for _, mass in iterates}) == 3
         masses = [sol.dropped_mass_1R for sol in sols]
         assert max(masses) <= min(masses) * (1.0 + 1e-9)
 
@@ -312,8 +317,8 @@ class TestFixedPoint:
     @pytest.mark.parametrize("case", ["basic-16", "basic-32", "g2001-0", "g2001-1", "g2001-2",
                                       "g2001-3"])
     def test_forward_rows_match_picard(self, case, tmp_path):
-        # each row within 1e-15 of its largest entry: Picard stops short of
-        # the fixed point only in the rows' far tails
+        # the sweeps run until one changes nothing, and so end on the
+        # forward pass's bits
         name, arg = case.split("-")
         if name == "basic":
             spec, N = load_problem("basic.json")[1], int(arg)
@@ -322,9 +327,7 @@ class TestFixedPoint:
         cfg = select_sector(spec, 0.0)
         sol = solve_fixed_point(spec, cfg, N)
         assert sol.path == "forward" and sol.residual_1R == 0.0
-        want = picard_solve(spec, cfg, N).omega.coeffs
-        err = np.max(np.abs(sol.omega.coeffs - want), axis=1)
-        assert np.all(err <= 1e-15 * np.max(np.abs(want), axis=1))
+        assert np.array_equal(sol.omega.coeffs, picard_solve(spec, cfg, N).omega.coeffs)
 
     def test_forward_path_convolves_each_row_once(self, monkeypatch):
         # the confirming sweep takes the forward pass's image of every row

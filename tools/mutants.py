@@ -246,8 +246,16 @@ MUTANTS = [
     Mutant(
         "wave-width",
         "qsum/solver.py",
-        "for src, dst, _ in ctx.maps if src.size), default=N)",
-        "for src, dst, _ in ctx.maps if src.size), default=N) + 1",
+        "    width = _smallest_drop(ctx)",
+        "    width = _smallest_drop(ctx) + 1",
+    ),
+    # the Picard sweeps stop at a small step instead of a zero one, short of
+    # the fixed point's bits in the far tails of the top orders
+    Mutant(
+        "picard-early-stop",
+        "qsum/solver.py",
+        "        if delta == 0.0:",
+        "        if delta < 1e-12:",
     ),
     # the confirming sweep takes the forward pass's image of a row even where
     # the row it convolves has changed since
