@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import functools
 import hashlib
@@ -30,16 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, checks
-from .errors import (
-    BadDirection,
-    DivergentInversion,
-    DomainTooLarge,
-    NoContraction,
-    QsumError,
-    SmallDelta,
-    StripViolation,
-    ValidationError,
-)
+from .errors import DomainTooLarge, QsumError, ValidationError
 from .fourier import FourierFn, inverse_fourier_table, make_space
 from .geometry import (
     ForcingTerm,
@@ -243,7 +235,7 @@ def make_manifest(command: str, spec_hash: str, args, config=None, outcome=None)
         "version": __version__,
         "command": command,
         "spec_hash": spec_hash,
-        "config": _config_jsonable(config) if config is not None else None,
+        "config": dataclasses.asdict(config) if config is not None else None,
         "quadrature": quad,
         "threads": getattr(args, "_thread_info", None),
         "seed": getattr(args, "seed", None),
@@ -254,24 +246,6 @@ def make_manifest(command: str, spec_hash: str, args, config=None, outcome=None)
         datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     )
     return manifest
-
-
-def _config_jsonable(cfg) -> dict:
-    return {
-        "d": cfg.d,
-        "half_opening": cfg.half_opening,
-        "rho": cfg.rho,
-        "R": cfg.R,
-        "alpha_tilde_D": cfg.alpha_tilde_D,
-        "delta1": cfg.delta1,
-        "envelope": {
-            "K0": cfg.envelope.K0,
-            "K1": cfg.envelope.K1,
-            "C0": cfg.envelope.C0,
-            "epsilon": cfg.envelope.epsilon,
-            "theta_excl": cfg.envelope.theta_excl,
-        },
-    }
 
 
 def _complex_rows(arr: np.ndarray) -> dict:
@@ -443,11 +417,14 @@ def _suite_theorem2(spec, cfg, rng, args):
     pts = [(CoveringPoint(cfg.R / 8.0, th), z) for th, z in zip((0.02, -0.15, 0.3), zs)]
     # at 0.8 R every term of the equation is material
     gate = [(CoveringPoint(0.8 * cfg.R, th), z) for th, z in zip((0.1, -0.2), zs)]
-    # t sharing ladders, at an order where the series fills a `_power_sum` piece
+    # t sharing ladders
     ray = [(CoveringPoint(f * cfg.R, 0.1), z) for f, z in zip((0.1, 0.2, 0.4, 0.6, 0.8), zs + zs)]
-    det = solve_fixed_point(spec, cfg, max(args.order, 16))
+    # c06 and the determinism rows at order 16 or more: the series fills a
+    # `_power_sum` piece, and a Picard sweep stopped early is not exact
+    order = max(args.order, 16)
+    det = solve_fixed_point(spec, cfg, order)
     beta_prime = 0.5 * spec.space.beta
-    return (checks.contraction(spec, cfg, args.order)
+    return (checks.contraction(spec, cfg, order)
             + checks.summed_equation(sol, spec, cfg, pts, beta_prime=beta_prime)
             + checks.term_gate(sol, spec, cfg, gate, beta_prime=beta_prime)
             + checks.summation_determinism(det, spec, cfg, ray, beta_prime=beta_prime))
@@ -770,12 +747,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"invalid problem file: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except (NoContraction, BadDirection, SmallDelta, DivergentInversion,
-            StripViolation, DomainTooLarge) as exc:
-        print(f"numeric regime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_REGIME
     except QsumError as exc:
-        print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"numeric regime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
 
 

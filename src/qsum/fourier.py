@@ -74,9 +74,6 @@ class FourierSpace:
             and bool(np.array_equal(self.m, other.m))
         )
 
-    def __hash__(self):
-        return hash((self.size, float(self.m[-1]), self.beta, self.mu))
-
     def same_grid(self, other: "FourierSpace") -> bool:
         return self.m.shape == other.m.shape and bool(
             np.allclose(self.m, other.m, rtol=1e-12, atol=1e-12)

@@ -432,7 +432,6 @@ class PmBoundReport:
     delta1: float
     min_margin: float
     far_field_constant: float
-    far_radius: float
     gap_ok: bool
     gap_detail: str
 
@@ -509,7 +508,6 @@ def pm_lower_bound_report(spec: ProblemSpec, config: SectorConfig) -> PmBoundRep
         delta1=config.delta1,
         min_margin=float(min_margin),
         far_field_constant=float(fit),
-        far_radius=float(r_far),
         gap_ok=gap_ok,
         gap_detail=gap_detail,
     )

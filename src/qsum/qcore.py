@@ -18,6 +18,8 @@ from .errors import ConvergenceError, EnvelopeViolation, ValidationError
 
 _EXPQ_MAX_TERMS = 500
 _EXPQ_EPS = 1e-12
+# envelope_check samples the image sector at about this many points
+_ENVELOPE_SAMPLES = 12000
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,6 @@ def envelope_check(
     half_opening: float,
     params: QParams,
     theta_excl: float,
-    samples: int = 12000,
 ) -> GrowthEnvelope:
     """Fit and verify the sector envelope of the q-exponential.
 
@@ -220,8 +221,8 @@ def envelope_check(
         raise ValidationError("half_opening must lie in (0, pi)")
 
     eps = math.sin(theta_excl)
-    n_phi = max(48, int(math.sqrt(samples)))
-    n_r = max(64, -(-samples // n_phi))  # ceil division
+    n_phi = max(48, int(math.sqrt(_ENVELOPE_SAMPLES)))
+    n_r = max(64, -(-_ENVELOPE_SAMPLES // n_phi))  # ceil division
     phis = np.linspace(d - half_opening, d + half_opening, n_phi)
     reduced = np.array([_reduce_angle(p) for p in phis])
     if np.any(np.abs(reduced) >= math.pi - theta_excl):

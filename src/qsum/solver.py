@@ -205,13 +205,10 @@ class BorelSolution:
     path: str                  # "forward" or "picard"
 
 
-def _solution(ctx: H1Context, omega, iterations, history, bound, path, images=None) -> BorelSolution:
-    """The record of ``omega``, whose residual is the step norm of one more
-    sweep: bit for bit a sweep from scratch, as it reuses only the solve's
-    ``images`` of bit-identical rows, and convolves a row read unfinished anew."""
-    step = _sweep(omega, ctx, images) - omega
+def _solution(ctx: H1Context, omega, iterations, history, bound, path, residual) -> BorelSolution:
+    """The record of ``omega``, whose ``residual`` is the step norm of one more sweep."""
     R = ctx.config.R
-    return BorelSolution(omega, iterations, tuple(history), series_norm_1R(step, R), R,
+    return BorelSolution(omega, iterations, tuple(history), residual, R,
                          _dropped_mass_1R(omega, ctx.spec, R), bound, path)
 
 
@@ -243,7 +240,7 @@ def picard(ctx: H1Context, bound: float) -> BorelSolution:
                                 "coupling amplitudes are outside the smallness regime",
                                 history=tuple(history))
         if delta == 0.0:
-            return _solution(ctx, omega, iterations, history, bound, "picard")
+            return _solution(ctx, omega, iterations, history, bound, "picard", delta)
     raise NoContraction(f"no sweep of the first {max_iter} left omega unchanged",
                         history=tuple(history))
 
@@ -268,7 +265,9 @@ def solve_fixed_point(
     if mode == "contraction" and not bound < 1.0:
         return picard(ctx, bound)
     omega, waves, images = _forward(ctx)
-    return _solution(ctx, omega, waves + 1, (), bound, "forward", images)
+    # bit for bit a sweep from scratch: it reuses the images of bit-identical rows only
+    step = _sweep(omega, ctx, images) - omega
+    return _solution(ctx, omega, waves + 1, (), bound, "forward", series_norm_1R(step, ctx.config.R))
 
 
 def assemble_U_hat(sol: BorelSolution, params: QParams) -> TruncatedSeries:

@@ -329,11 +329,9 @@ class SeparableOmega:
     asymptotic-rate fixtures where the radial factor is known exactly.
     """
 
-    def __init__(self, radial, profile: np.ndarray, space, params: QParams):
+    def __init__(self, radial, profile: np.ndarray):
         self.radial = radial
         self.profile = np.asarray(profile, dtype=complex)
-        self.space = space
-        self.params = params
 
     def ray_values(self, radii, theta: float) -> np.ndarray:
         return self.values_batch(np.asarray(radii) * cmath.exp(1j * theta))
@@ -345,11 +343,9 @@ class SeparableOmega:
 class PolynomialOmega:
     """Finite sum ``sum_j rows[j] u^{p_j}`` with grid-valued rows; exact."""
 
-    def __init__(self, powers, rows, space, params: QParams):
+    def __init__(self, powers, rows):
         self.powers = [int(p) for p in powers]
         self.rows = np.array(rows, dtype=complex)
-        self.space = space
-        self.params = params
 
     def ray_values(self, radii, theta: float) -> np.ndarray:
         return _power_sum(self.powers, self.rows, np.log(radii) + 1j * theta)
@@ -487,7 +483,7 @@ class ContinuedOmega:
         self._floor = top * self.r0**self.series.order
 
         # rungs are named on the quarter lattice, the finest a shipped window
-        # reaches (gq_sum's third level, node_factor = 2's refinement); each
+        # reaches (gq_sum's third level, c09's doubled `_T2_NODE_FACTOR`); each
         # shift coupling, in term order, drops a rung by a whole number of steps
         self._key_step = h = s_lattice(self.params) / 4.0
         self._log_r0 = math.log(self.r0)
@@ -650,7 +646,7 @@ class ContourBracket:
 
     def __init__(self, om: ContinuedOmega):
         self.ray_values, self.values_batch = om.ray_values, om.values_batch
-        self.floor_estimate, self.space, self.r0 = om.floor_estimate, om.space, om.r0
+        self.floor_estimate, self.r0 = om.floor_estimate, om.r0
 
 
 # ---------------------------------------------------------------------------
@@ -865,15 +861,14 @@ def gq_sum(
     spec: ProblemSpec,
     *,
     beta_prime: float,
-    quad: RayQuadrature | None = None,
     tail: float = 1e-11,
     eps_rel: float = 1e-8,
 ) -> complex:
     """The solution sum ``(pi/sqrt(2 pi)) iint Theta(t/u) omega(u, m) e^{imz}``.
 
-    The q-Laplace transform of the evaluator along ``arg t`` (or along
-    ``quad``), inverted at ``z`` and checked by node doubling.  The terms of
-    the equation it solves are summed by `_term_sum`.
+    The q-Laplace transform of the evaluator along ``arg t`` on the window
+    probed to ``tail``, inverted at ``z`` and checked by node doubling to
+    ``eps_rel``.  The terms of the equation it solves are summed by `_term_sum`.
 
     Raises:
         DomainTooLarge: ``|t|`` exceeds the sector's ``R``, or the ray
@@ -884,12 +879,10 @@ def gq_sum(
     # the window and the level profiles do not depend on z: a continuation
     # keeps those of its last sum, so the next z costs only the inversions
     kept = omega_ev._last_sum if isinstance(omega_ev, ContinuedOmega) else [None]
-    key = (t, quad, tail, id(spec))
+    key = (t, tail, id(spec))
     if kept[0] != key:
-        if quad is None:
-            quad = _auto_quad(omega_ev, t, spec, tail=tail)
         # holding spec keeps its id in the key unique
-        kept[:] = [key, spec, quad, {}]
+        kept[:] = [key, spec, _auto_quad(omega_ev, t, spec, tail=tail), {}]
     quad, profiles = kept[2:]
 
     def value_at(qd: RayQuadrature) -> complex:
@@ -946,6 +939,12 @@ class Theorem2Report:
     rows: list
 
 
+# theorem2_residual probes each term's window to _T2_TAIL and sums it refined
+# _T2_NODE_FACTOR - 1 times and once more; acceptance c09 doubles the nodes
+_T2_TAIL = 1e-10
+_T2_NODE_FACTOR = 1
+
+
 def theorem2_residual(
     sol,
     spec: ProblemSpec,
@@ -954,20 +953,17 @@ def theorem2_residual(
     *,
     beta_prime: float,
     omega=None,
-    tail: float = 1e-10,
-    node_factor: int = 1,
 ) -> Theorem2Report:
     """Evaluate every term of the summed equation and report ``|LHS - RHS|``.
 
     Each term is a `_term_sum` on its own probed window, so that tails do
     not cancel between terms.  The budget column is the documented
     estimate: the terms' budgets plus the evaluator's truncation floor; the
-    residual itself is computed from the refined values.  ``node_factor``
-    doubles (or more) every node count for the convergence probe in the
-    acceptance suite.  The Mahler coupling rows of a polynomial evaluator
-    (the continuation's truncated series, which is all its bracket sees)
-    are the closed-form `decelerated_bracket`, so that term carries only the
-    ray quadrature's error.
+    residual itself is computed from the refined values.  The Mahler
+    coupling rows of a polynomial evaluator (the continuation's truncated
+    series, which is all its bracket sees) are the closed-form
+    `decelerated_bracket`, so that term carries only the ray quadrature's
+    error.
     """
     if omega is None:
         omega = ContinuedOmega(sol, spec, config)
@@ -978,9 +974,7 @@ def theorem2_residual(
     for i, term in enumerate(spec.terms):
         jobs.append((f"coupling{i}", omega, term, expq, None))
     if spec.forcing:
-        forcing_ev = PolynomialOmega(
-            [f.j for f in spec.forcing], [f.F.values for f in spec.forcing], spec.space, spec.params
-        )
+        forcing_ev = PolynomialOmega([f.j for f in spec.forcing], [f.F.values for f in spec.forcing])
         jobs.append(("forcing", forcing_ev, None, expq, None))
     rows = []
     for t, z in sample_points:
@@ -989,7 +983,7 @@ def theorem2_residual(
         for name, ev, ell, ex, mult in jobs:
             values[name], term_budget = _term_sum(
                 ev, t, z, spec, beta_prime=beta_prime, ell=ell, expq=ex, mult=mult,
-                tail=tail, node_factor=node_factor,
+                tail=_T2_TAIL, node_factor=_T2_NODE_FACTOR,
             )
             budget += term_budget
         rhs = values["dominant"] + sum(

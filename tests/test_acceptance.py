@@ -18,7 +18,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import build_spec, gaussian_profile
 
-from qsum import checks
+from qsum import checks, transforms
 from qsum.fourier import (
     FourierFn,
     convolve,
@@ -142,7 +142,7 @@ def test_c05_expq_envelope_and_zeros():
     detail = []
     for q in (2.0, 1.5):
         P = QParams(q=q, k=1)
-        env = envelope_check(0.0, math.pi / 3, P, math.pi / 6, samples=12000)
+        env = envelope_check(0.0, math.pi / 3, P, math.pi / 6)
         phis = np.linspace(-math.pi / 3 + 1e-3, math.pi / 3 - 1e-3, 101)
         r_inner = q**0.5 / (q - 1.0)
         radii = np.logspace(math.log10(r_inner) + 1e-4, 4.0 - 1e-4, 101)
@@ -243,7 +243,7 @@ def test_c08_q_gevrey_rate():
     cfg = select_sector(spec, 0.0)
     P, space = spec.params, spec.space
     g = gaussian_profile(space, 1.0).values
-    ev = SeparableOmega(lambda u: u / (1.0 + u), g, space, P)
+    ev = SeparableOmega(lambda u: u / (1.0 + u), g)
     z = 0.2 + 0.1j
     ginv = inverse_fourier_eval(FourierFn(space, g), z, 0.5)
     u_n = [(-1.0) ** (n - 1) * P.q ** float(borel_exponent(n, 2)) * ginv for n in range(1, 8)]
@@ -271,7 +271,7 @@ def test_c08_q_gevrey_rate():
 # 9 -------------------------------------------------------------------------
 
 
-def test_c09_summed_equation_residual():
+def test_c09_summed_equation_residual(monkeypatch):
     """Summed solution satisfies the transformed equation within budget."""
     # forcing only: five points, 10x budget
     specf = build_spec(terms="none")
@@ -303,8 +303,10 @@ def test_c09_summed_equation_residual():
     # quadrature-limited regime: doubling the nodes cuts the residual to
     # half or better (at default tails it sits on the truncation floor)
     pt = [pts[0]]
-    r1 = theorem2_residual(sol, spec, cfg, pt, beta_prime=0.5, tail=3e-2)
-    r2 = theorem2_residual(sol, spec, cfg, pt, beta_prime=0.5, tail=3e-2, node_factor=2)
+    monkeypatch.setattr(transforms, "_T2_TAIL", 3e-2)
+    r1 = theorem2_residual(sol, spec, cfg, pt, beta_prime=0.5)
+    monkeypatch.setattr(transforms, "_T2_NODE_FACTOR", 2)
+    r2 = theorem2_residual(sol, spec, cfg, pt, beta_prime=0.5)
     ratio = r2.rows[0]["residual"] / r1.rows[0]["residual"]
     report(
         f"summed-equation residual: forcing {worstf:.2e} <= 1 (10x budget), "

@@ -562,6 +562,14 @@ def test_sum_empty_points_rejected(tmp_path):
     assert run("sum", "basic.json", "--points", str(pts)) == EXIT_SPEC
 
 
+def test_sum_stalled_quadrature_is_a_regime_failure(tmp_path, capsys):
+    # node doubling cannot settle to 1e-300: exit 3, named as every regime failure is
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.1,0.0,0.3,0.1\n")
+    assert run("sum", "basic.json", "--points", str(pts), "--eps-rel", "1e-300") == EXIT_REGIME
+    assert "numeric regime failure: QuadratureStall: gq_sum: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "row, message",
     [

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_spec, gaussian_profile
-from qsum import geometry
+from qsum import geometry, qcore
 from qsum.errors import (
     BadDirection,
     BoundViolation,
@@ -43,7 +44,8 @@ def tiny_scalar_spec(Q=2.0, R_D=1.0, q=2.0, k=1, d_D=1, alpha_D=1.0):
 
 
 def hand_config(spec, rho, R, delta1=0.1, d=0.0, ho=0.3):
-    env = envelope_check(d, ho, spec.params, theta_excl=math.pi / 6, samples=2000)
+    with mock.patch.object(qcore, "_ENVELOPE_SAMPLES", 2000):
+        env = envelope_check(d, ho, spec.params, theta_excl=math.pi / 6)
     return SectorConfig(
         d=d, half_opening=ho, rho=rho, R=R,
         alpha_tilde_D=alpha_tilde(spec), delta1=delta1, envelope=env,

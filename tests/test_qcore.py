@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsum import qcore
 from qsum.errors import ConvergenceError, EnvelopeViolation, ValidationError
 from qsum.qcore import (
     CoveringPoint,
@@ -170,16 +171,18 @@ class TestGrowthPieces:
 
 
 class TestEnvelope:
-    def test_positive_axis_sector(self, p2):
-        env = envelope_check(0.0, math.pi / 4, p2, theta_excl=math.pi / 6, samples=4000)
+    def test_positive_axis_sector(self, p2, monkeypatch):
+        monkeypatch.setattr(qcore, "_ENVELOPE_SAMPLES", 4000)
+        env = envelope_check(0.0, math.pi / 4, p2, theta_excl=math.pi / 6)
         assert env.epsilon == pytest.approx(0.5, abs=1e-12)
         assert env.K1 >= env.lower_factor() > 0
         # disc floor sits well below 1 but clearly away from 0 for q=2
         assert 0.05 < env.C0 < 1.0
 
-    def test_bounds_hold_on_fit_grid(self, p2):
+    def test_bounds_hold_on_fit_grid(self, p2, monkeypatch):
         # re-derive the sampling grid and check both inequalities pointwise
-        env = envelope_check(0.1, math.pi / 6, p2, theta_excl=0.4, samples=3000)
+        monkeypatch.setattr(qcore, "_ENVELOPE_SAMPLES", 3000)
+        env = envelope_check(0.1, math.pi / 6, p2, theta_excl=0.4)
         r0 = 2.0 ** 0.5 / (2.0 - 1.0)
         n_phi = max(48, int(math.sqrt(3000)))
         n_r = max(64, -(-3000 // n_phi))
@@ -191,13 +194,15 @@ class TestEnvelope:
         assert np.all(vals <= env.K1 * envl * (1 + 1e-12))
         assert np.all(vals >= env.lower_factor() * envl * (1 - 1e-12))
 
-    def test_sector_through_negative_axis_rejected(self, p2):
+    def test_sector_through_negative_axis_rejected(self, p2, monkeypatch):
+        monkeypatch.setattr(qcore, "_ENVELOPE_SAMPLES", 1000)
         with pytest.raises(EnvelopeViolation):
-            envelope_check(math.pi, 0.3, p2, theta_excl=0.3, samples=1000)
+            envelope_check(math.pi, 0.3, p2, theta_excl=0.3)
 
-    def test_wide_sector_touching_cone_rejected(self, p2):
+    def test_wide_sector_touching_cone_rejected(self, p2, monkeypatch):
+        monkeypatch.setattr(qcore, "_ENVELOPE_SAMPLES", 1000)
         with pytest.raises(EnvelopeViolation):
-            envelope_check(0.0, math.pi - 0.05, p2, theta_excl=0.2, samples=1000)
+            envelope_check(0.0, math.pi - 0.05, p2, theta_excl=0.2)
 
     def test_theta_excl_range_enforced(self, p2):
         with pytest.raises(ValidationError):

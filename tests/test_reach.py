@@ -1,17 +1,28 @@
-"""Every function in ``src/qsum`` is reached by a command or kept for a reason.
+"""Every function and keyword in ``src/qsum`` is used by a command or kept for a reason.
 
 Runs the commands of `_commands` in process under ``sys.setprofile`` and
 collects every ``src/qsum`` function they enter: ``validate``, ``solve``,
 ``sum`` and each ``verify`` suite on ``basic.json`` and ``forcing_only.json``,
-the three ``transform`` ops, and ``validate`` and ``solve`` on
-``divergent.json``.  The functions never entered must be exactly the keys
-of `KEPT`, each with the reason it stays.  So a new function that no
-command reaches fails here, and so does a `KEPT` entry that a command now
-reaches or that is gone.
+the three ``transform`` ops and a ``--p 3`` deceleration, and ``validate``
+and ``solve`` on ``divergent.json``.  The functions never entered must be
+exactly the keys of `KEPT`, each with the reason it stays.  So a new
+function that no command reaches fails here, and so does a `KEPT` entry
+that a command now reaches or that is gone.
+
+The same run records, at each entry, which parameters with a default are
+bound to something else (`_differs`).  The parameters of entered functions
+that no command ever sets must be exactly the keys of `KEPT_KEYWORDS`: a
+keyword only tests set is a knob with no caller.  The defaults come from the
+functions and methods (a cached one unwrapped) that each module and its
+classes define, dataclass ``__init__`` included; closures are out of scope,
+and a generator is read at every resume, so a parameter it rebinds counts
+as set.
 """
 
+import contextlib
 import importlib
 import inspect
+import io
 import pkgutil
 import sys
 from pathlib import Path
@@ -25,12 +36,20 @@ pytestmark = pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qua
 
 PERFBENCH = "perfbench/tracing.py reads its span"
 
+KEPT_KEYWORDS = {
+    "checks._identity(p)": "laplace and borel never read p, and the identities suite "
+                           "decelerates at p = 2",
+    "errors.QsumError.__init__(witness)": "error path: a witness comes with a failure "
+                                          "that no command here provokes",
+    "qcore.QParams.__init__(k)": "every fixture has k = 1; tests set other orders",
+    "transforms.deceleration_integral(f_disc_radius)": "every transform input is an "
+                                                       "entire polynomial, with no disc",
+}
+
 KEPT = {
     "checks.borel_monomials": "acceptance c02 runs it",
     "cli._Parser.error": "error path: a usage error",
     "cli._json_path": "error path: names the node of a schema violation",
-    "fourier.FourierSpace.__hash__": "keeps a FourierSpace hashable beside its __eq__; "
-                                     "a class that defines __eq__ alone is unhashable",
     "fourier.KernelBand.__len__": "perfbench/tracing.py's convolve_mac hook takes len() of "
                                   "a band",
     "fourier.convolve": "perfbench/tests calls it; acceptance c11's closed form",
@@ -76,6 +95,8 @@ def _commands(tmp: Path) -> list:
                 for suite in cli.SUITES]
     out += [["transform", "basic.json", "--op", op, "--coeffs", "1,0.5", "--at", "0.3,0.1"]
             for op in ("laplace", "borel", "decelerate")]
+    out += [["transform", "basic.json", "--op", "decelerate", "--p", "3", "--coeffs", "1,0.5",
+             "--at", "0.3,0.1"]]
     out += [["validate", "divergent.json"],
             ["solve", "divergent.json", "--order", "8", "--direction", "0",
              "--out", str(tmp / "solve-divergent")]]
@@ -97,33 +118,81 @@ def _functions(src: Path) -> set:
             if code.co_flags & inspect.CO_OPTIMIZED and not code.co_name.startswith("<")}
 
 
-def test_commands_reach_all_but_the_kept(tmp_path, capsys):
-    src = Path(qsum.__file__).parent
+def _keyword_defaults() -> dict:
+    """Code object -> ``(module.qualname, {parameter: default})`` of every
+    function and method defined in ``src/qsum`` that has a defaulted parameter."""
+    out = {}
+    for info in pkgutil.iter_modules(qsum.__path__):
+        module = importlib.import_module(f"qsum.{info.name}")
+        objs = [o for o in vars(module).values() if getattr(o, "__module__", None) == module.__name__]
+        objs += [m for c in objs if inspect.isclass(c) for m in vars(c).values()]
+        for obj in objs:
+            fn = inspect.unwrap(getattr(obj, "__func__", obj))
+            if not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            defaults = {name: p.default for name, p in inspect.signature(fn).parameters.items()
+                        if p.default is not p.empty}
+            if defaults:
+                out[fn.__code__] = (f"{info.name}.{fn.__qualname__}", defaults)
+    return out
+
+
+def _differs(value, default) -> bool:
+    """Not the default: not it, nor, for int/float/str/bool, equal to it."""
+    scalar = (int, float, str, bool)
+    return value is not default and not (
+        isinstance(default, scalar) and isinstance(value, scalar) and value == default)
+
+
+@pytest.fixture(scope="module")
+def traffic(tmp_path_factory):
+    """The codes the commands enter and the ``(code, parameter)`` pairs they
+    set off their defaults."""
     # a cached function is entered only on its first call
     for info in pkgutil.iter_modules(qsum.__path__):
         for obj in vars(importlib.import_module(f"qsum.{info.name}")).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
 
-    entered = set()
+    defaults, entered, set_off = _keyword_defaults(), set(), set()
 
     def profile(frame, event, arg):
         if event == "call":
-            entered.add(frame.f_code)
+            code = frame.f_code
+            entered.add(code)
+            if code in defaults:
+                bound = frame.f_locals
+                set_off.update((code, name) for name, default in defaults[code][1].items()
+                               if _differs(bound[name], default))
 
-    commands = _commands(tmp_path)
+    commands = _commands(tmp_path_factory.mktemp("reach"))
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        codes = [cli.main(argv) for argv in commands]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [cli.main(argv) for argv in commands]
     finally:
         sys.setprofile(previous)
-    capsys.readouterr()
     assert codes == [cli.EXIT_OK] * (len(commands) - 1) + [cli.EXIT_REGIME]
+    return entered, set_off, defaults
 
+
+def test_commands_reach_all_but_the_kept(traffic):
+    entered = traffic[0]
+    src = Path(qsum.__file__).parent
     reached = {f"{Path(c.co_filename).stem}.{c.co_qualname}"
                for c in entered if Path(c.co_filename).parent == src}
     unreached = _functions(src) - reached
     unkept, stale = sorted(unreached - KEPT.keys()), sorted(KEPT.keys() - unreached)
     assert not unkept, f"reached by no command and not in KEPT: {unkept}"
     assert not stale, f"in KEPT, but reached by a command or gone: {stale}"
+
+
+def test_commands_set_every_keyword_but_the_kept(traffic):
+    entered, set_off, defaults = traffic
+    never = {f"{name}({param})"
+             for code, (name, params) in defaults.items() if code in entered
+             for param in params if (code, param) not in set_off}
+    unkept, stale = sorted(never - KEPT_KEYWORDS.keys()), sorted(KEPT_KEYWORDS.keys() - never)
+    assert not unkept, f"set by no command and not in KEPT_KEYWORDS: {unkept}"
+    assert not stale, f"in KEPT_KEYWORDS, but set by a command or gone: {stale}"

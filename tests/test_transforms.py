@@ -349,14 +349,14 @@ def _term(ev, t, z, cfg, spec, *, ell=None, expq=True):
     tail and node count `theorem2_residual` uses; ``expq`` divides by exp_q."""
     ex = _ExpqNodes(spec, cfg) if expq else None
     return _term_sum(ev, t, z, spec, beta_prime=0.5, ell=ell, expq=ex, mult=None,
-                     tail=1e-10, node_factor=1)[0]
+                     tail=transforms._T2_TAIL, node_factor=transforms._T2_NODE_FACTOR)[0]
 
 
 def test_gq_sum_separable_monomial(fx_forcing):
     spec, cfg = fx_forcing
     P, space = spec.params, spec.space
     g = gaussian_profile(space, 1.0).values
-    ev = SeparableOmega(lambda u: u, g, space, P)
+    ev = SeparableOmega(lambda u: u, g)
     t = CoveringPoint(0.11, 0.2)
     z = 0.3 + 0.1j
     got = gq_sum(ev, t, z, cfg, spec, beta_prime=0.5)
@@ -367,7 +367,7 @@ def test_gq_sum_separable_monomial(fx_forcing):
 def test_gq_sum_zero_evaluator(fx_forcing):
     spec, cfg = fx_forcing
     g = np.zeros(spec.space.size)
-    ev = SeparableOmega(lambda u: 0.0 * u, g, spec.space, spec.params)
+    ev = SeparableOmega(lambda u: 0.0 * u, g)
     got = gq_sum(ev, CoveringPoint(0.1, 0.0), 0.2, cfg, spec, beta_prime=0.5)
     assert abs(got) <= 1e-14
 
@@ -375,7 +375,7 @@ def test_gq_sum_zero_evaluator(fx_forcing):
 def test_gq_sum_deterministic(fx_forcing):
     spec, cfg = fx_forcing
     g = gaussian_profile(spec.space, 1.0).values
-    ev = SeparableOmega(lambda u: u / (1.0 + u), g, spec.space, spec.params)
+    ev = SeparableOmega(lambda u: u / (1.0 + u), g)
     t = CoveringPoint(0.09, -0.3)
     a = gq_sum(ev, t, 0.1 + 0.2j, cfg, spec, beta_prime=0.5)
     b = gq_sum(ev, t, 0.1 + 0.2j, cfg, spec, beta_prime=0.5)
@@ -389,7 +389,7 @@ def test_partial_sum_gevrey_rate():
     cfg = select_sector(spec, 0.0)
     P, space = spec.params, spec.space
     g = gaussian_profile(space, 1.0).values
-    ev = SeparableOmega(lambda u: u / (1.0 + u), g, space, P)
+    ev = SeparableOmega(lambda u: u / (1.0 + u), g)
     z = 0.2 + 0.1j
     ginv = inverse_fourier_eval(FourierFn(space, g), z, 0.5)
     u_n = [(-1.0) ** (n - 1) * P.q ** be(n, P.k) * ginv for n in range(1, 8)]
@@ -407,7 +407,7 @@ def test_expq_inverse_cancellation(fx_forcing):
     def radial(u):
         return exp_q(at * u**spec.d_D, P) * u
 
-    ev = SeparableOmega(radial, g, space, P)
+    ev = SeparableOmega(radial, g)
     t = CoveringPoint(0.1, 0.15)
     z = 0.25 - 0.1j
     got = _term(ev, t, z, cfg, spec)
@@ -417,7 +417,7 @@ def test_expq_inverse_cancellation(fx_forcing):
 
 def test_expq_inverse_zero(fx_forcing):
     spec, cfg = fx_forcing
-    ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size), spec.space, spec.params)
+    ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size))
     got = _term(ev, CoveringPoint(0.1, 0.0), 0.1, cfg, spec)
     assert abs(got) <= 1e-14
 
@@ -427,10 +427,8 @@ def test_expq_inverse_consistency(fx_forcing):
     P, space = spec.params, spec.space
     g = gaussian_profile(space, 1.0).values
     at = cfg.alpha_tilde_D
-    ev = SeparableOmega(lambda u: u + 0.3 * u**2, g, space, P)
-    ev_div = SeparableOmega(
-        lambda u: (u + 0.3 * u**2) / exp_q(at * u**spec.d_D, P), g, space, P
-    )
+    ev = SeparableOmega(lambda u: u + 0.3 * u**2, g)
+    ev_div = SeparableOmega(lambda u: (u + 0.3 * u**2) / exp_q(at * u**spec.d_D, P), g)
     t = CoveringPoint(0.08, -0.2)
     z = 0.1 + 0.05j
     a = _term(ev, t, z, cfg, spec)
@@ -450,7 +448,7 @@ def test_expq_zero_node_raises(fx_forcing):
     j = round(s_star / h)
     qd = RayQuadrature(math.pi, h, j - 4, j + 4)
     g = gaussian_profile(spec.space, 1.0).values
-    ev = SeparableOmega(lambda u: u, g, spec.space, P)
+    ev = SeparableOmega(lambda u: u, g)
     with pytest.raises(ZeroDivision):
         _profile(ev, CoveringPoint(0.05, math.pi), spec, qd, expq=_ExpqNodes(spec, cfg))
 
@@ -458,7 +456,7 @@ def test_expq_zero_node_raises(fx_forcing):
 def test_g_ellk_zero(fx_full):
     spec, cfg, _ = fx_full
     ell = spec.terms[1]
-    ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size), spec.space, spec.params)
+    ev = SeparableOmega(lambda u: 0.0 * u, np.zeros(spec.space.size))
     got = _term(ev, CoveringPoint(0.08, 0.1), 0.1, cfg, spec, ell=ell)
     assert abs(got) <= 1e-14
 
@@ -484,9 +482,9 @@ def test_g_ellk_monomial_oracle(fx_full, index):
             / P.q ** be(ell.l0, P.k)
             * P.q ** (be(M, P.k) - be(ell.l2 * M, P.k))
         )
-        lhs = _term(SeparableOmega(lambda u, n=n: u**n, g, space, P), t, z, cfg, spec, ell=ell)
+        lhs = _term(SeparableOmega(lambda u, n=n: u**n, g), t, z, cfg, spec, ell=ell)
         rhs = _term(
-            SeparableOmega(lambda u, f=fac, m=M: f * u ** (ell.l2 * m), coupled, space, P),
+            SeparableOmega(lambda u, f=fac, m=M: f * u ** (ell.l2 * m), coupled),
             t, z, cfg, spec,
         )
         assert abs(lhs - rhs) <= 1e-5 * abs(rhs)
@@ -502,8 +500,8 @@ def test_g_ellk_polynomial_matches_callable(fx_full, n):
     g = gaussian_profile(space, 1.0).values
     t = CoveringPoint(0.08, 0.1)
     z = 0.15 + 0.05j
-    closed = _term(PolynomialOmega([n], [g], space, P), t, z, cfg, spec, ell=ell)
-    contour = _term(SeparableOmega(lambda u: u**n, g, space, P), t, z, cfg, spec, ell=ell)
+    closed = _term(PolynomialOmega([n], [g]), t, z, cfg, spec, ell=ell)
+    contour = _term(SeparableOmega(lambda u: u**n, g), t, z, cfg, spec, ell=ell)
     assert abs(closed - contour) <= 1e-10 * abs(contour)
 
 
@@ -515,9 +513,9 @@ def test_g_ellk_linearity(fx_full):
     t = CoveringPoint(0.08, -0.15)
     z = 0.2
     a, b = 0.7, -1.3
-    ev1 = SeparableOmega(lambda u: u, g, space, P)
-    ev2 = SeparableOmega(lambda u: u**2, g, space, P)
-    ev12 = SeparableOmega(lambda u: a * u + b * u**2, g, space, P)
+    ev1 = SeparableOmega(lambda u: u, g)
+    ev2 = SeparableOmega(lambda u: u**2, g)
+    ev12 = SeparableOmega(lambda u: a * u + b * u**2, g)
     v1, v2, v12 = (_term(ev, t, z, cfg, spec, ell=ell) for ev in (ev1, ev2, ev12))
     scale = max(abs(v12), 1e-300)
     assert abs(v12 - (a * v1 + b * v2)) <= 1e-8 * scale
@@ -857,9 +855,8 @@ def test_ray_values_match_one_node_requests(fx_full, request, kind):
     g = gaussian_profile(spec.space, 1.0).values
     make = {
         "contour": lambda: checks.ContourBracket(ContinuedOmega(sol, spec, cfg)),
-        "separable": lambda: SeparableOmega(
-            lambda u: u / (1.0 + u), g, spec.space, spec.params),
-        "polynomial": lambda: PolynomialOmega([1, 3], [g, 0.5 * g], spec.space, spec.params),
+        "separable": lambda: SeparableOmega(lambda u: u / (1.0 + u), g),
+        "polynomial": lambda: PolynomialOmega([1, 3], [g, 0.5 * g]),
     }.get(kind, lambda: ContinuedOmega(sol, spec, cfg))
     ev, fresh = make(), make()
     radii = _mixed_request(ContinuedOmega(sol, spec, cfg), **depth)
@@ -957,7 +954,7 @@ def test_gq_sum_reuses_the_profile_across_z(fx_full, monkeypatch):
     assert probes == [] and profiles == []
 
 
-@pytest.mark.parametrize("change", ["t", "tail", "quad"])
+@pytest.mark.parametrize("change", ["t", "tail"])
 def test_gq_sum_recomputes_when_the_sum_changes(fx_full, monkeypatch, change):
     spec, cfg, sol = fx_full
     t = CoveringPoint(cfg.R / 4.0, 0.1)
@@ -965,7 +962,6 @@ def test_gq_sum_recomputes_when_the_sum_changes(fx_full, monkeypatch, change):
     other = {
         "t": {"t": CoveringPoint(cfg.R / 5.0, 0.1)},
         "tail": {"tail": 1e-10},
-        "quad": {"quad": _auto_quad(ContinuedOmega(sol, spec, cfg), t, spec, tail=1e-11)},
     }[change]
     # the oracle is a fresh continuation; one sum is kept, so going back to
     # the first recomputes too

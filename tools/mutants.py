@@ -135,8 +135,8 @@ MUTANTS = [
     Mutant(
         "profile-key",
         "qsum/transforms.py",
-        "    key = (t, quad, tail, id(spec))",
-        "    key = (t, quad, id(spec))",
+        "    key = (t, tail, id(spec))",
+        "    key = (t, id(spec))",
     ),
     # the ray probe's lower side starts from a fresh peak, not the one the
     # upper side left, so a peak away from the seed no longer sets its tail
