@@ -215,7 +215,8 @@ def summation_determinism(sol, spec, cfg, points, *, beta_prime):
     given = sums(points, fresh())
     node = math.exp((math.floor(math.log(om.r0) / h) + 1) * h)
     # the error is the largest difference over the largest value
-    return [("sum-determinism", detail, float(np.max(abs(got - want)) / np.max(abs(want))), 0.0)
+    return [("sum-determinism", detail,
+             float(np.max(abs(got - want)) / max(np.max(abs(want)), 1e-300)), 0.0)
             for detail, got, want in [
         (f"{n} points in reverse order against in order", sums(points[::-1], fresh())[::-1], given),
         (f"{n} points each on a fresh continuation", sums(points), given),
@@ -233,7 +234,10 @@ def gevrey_rate(omega_ev, u_n, z, points, cfg, spec, *, beta_prime):
     """q-Gevrey rate at each ``t``: the log error of the N-term partial sum
     ``sum_{n<N} u_n[n-1] t^n`` against the summed value at ``z``, fitted as
     ``c0 + c1 N + c2 N^2`` over N = 2..8, has ``c2`` within 15% of
-    ``log q / 2k``."""
+    ``log q / 2k``.  No rows for the zero solution, whose partial sums are
+    exact: there is no error to fit."""
+    if not spec.terms and not spec.forcing:
+        return []
     target = spec.params.log_q / (2.0 * spec.params.k)
     ns = np.arange(2.0, 9.0)
     rows = []

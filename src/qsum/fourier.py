@@ -158,23 +158,6 @@ def _lift_tops(n: int) -> tuple[int, int]:
     return room // 2, room - room // 2
 
 
-def _recombine(y: np.ndarray):
-    """``(re, im)`` of a product from the products of its real parts.
-
-    ``y[a, :, b]`` is part ``a`` of the left factor times part ``b`` of the
-    right factor, where a factor's parts are its real part and, if it has
-    one, its imaginary part; ``im`` is None when both factors are real.
-    """
-    re = y[0, :, 0]
-    if y.shape[0] == 2 and y.shape[2] == 2:
-        return re - y[1, :, 1], y[0, :, 1] + y[1, :, 0]
-    if y.shape[0] == 2:
-        return re, y[1, :, 0]
-    if y.shape[2] == 2:
-        return re, y[0, :, 1]
-    return re, None
-
-
 @dataclass(frozen=True, eq=False)
 class KernelBand:
     """A convolution kernel as the band blocks `convolve_values` multiplies by.
@@ -239,14 +222,15 @@ def convolve_values(space: FourierSpace, h, g: np.ndarray) -> np.ndarray:
 
     The band and every row of ``g`` are scaled by powers of two so that no
     nonzero operand is subnormal and no sum can overflow, and the result is
-    scaled back once: exact, and faster than summing subnormal tails.
+    scaled back once: exact, and faster than summing subnormal tails.  The
+    rows are complex (a real ``g`` is promoted); the kernel may be real.
 
     Raises:
         GridMismatch: ``h`` or the last axis of ``g`` is not on the grid.
     """
     band = h if isinstance(h, KernelBand) else kernel_band(space, h)
     n = space.size
-    g = np.asarray(g)
+    g = np.asarray(g, dtype=complex)
     if band.size != n or g.shape[-1:] != (n,):
         raise GridMismatch("convolution operands must match the grid shape")
     rows, chunk = g.reshape(-1, n), max(1, _CHUNK // n)
@@ -257,18 +241,17 @@ def convolve_values(space: FourierSpace, h, g: np.ndarray) -> np.ndarray:
 
 
 def _convolve_rows(space: FourierSpace, band: KernelBand, rows: np.ndarray) -> np.ndarray:
-    """`convolve_values` of the ``(S, G)`` rows in one band product."""
-    n = space.size
-    parts = [rows.real, rows.imag] if np.iscomplexobj(rows) else [rows]
+    """`convolve_values` of the complex ``(S, G)`` rows in one band product."""
+    n, S = space.size, len(rows)
     shift = _lift_tops(n)[1] - np.frexp(np.max(np.abs(rows), axis=1))[1] \
         - int(np.frexp(space.step)[1])
 
     B, width = _BLOCK, band.band.shape[2]
     n_blocks = -(-n // B)
-    n_rows = len(parts) * len(rows)
+    n_rows = 2 * S
     x = np.zeros((n_rows, n_blocks * B))
-    for i, part in enumerate(parts):
-        np.ldexp(part, shift[:, None], out=x[i * len(rows) : (i + 1) * len(rows), :n])
+    np.ldexp(rows.real, shift[:, None], out=x[:S, :n])
+    np.ldexp(rows.imag, shift[:, None], out=x[S:, :n])
     # trapezoid weights: the step, halved at both ends (exact once lifted)
     x *= space.step
     x[:, [0, n - 1]] *= 0.5
@@ -282,11 +265,13 @@ def _convolve_rows(space: FourierSpace, band: KernelBand, rows: np.ndarray) -> n
         prod = x[lo:hi].reshape(-1, B) @ block
         out[lo + off : hi + off] += prod.reshape(hi - lo, n_rows, width)
     y = out.reshape(n_blocks, n_rows, width // B, B).transpose(1, 2, 0, 3)
-    y = y.reshape(len(parts), len(rows), width // B, n_blocks * B)[..., :n]
-    re, im = _recombine(y)
+    # y[a, :, b] is part a of the rows (real, imaginary) times part b of the
+    # kernel (real, then imaginary if it has one)
+    y = y.reshape(2, S, width // B, n_blocks * B)[..., :n]
+    re, im = y[0, :, 0], y[1, :, 0]
+    if y.shape[2] == 2:
+        re, im = re - y[1, :, 1], y[0, :, 1] + im
     back = -(shift + band.shift)[:, None]
-    if im is None:
-        return np.ldexp(re, back)
     res = np.empty(re.shape, dtype=complex)
     np.ldexp(re, back, out=res.real)
     np.ldexp(im, back, out=res.imag)
@@ -308,28 +293,26 @@ def convolve(h: FourierFn, g: FourierFn) -> FourierFn:
 
 
 def _contract(a, b) -> np.ndarray:
-    """``a @ b`` for ``(S, K)`` or ``(K,)`` times ``(K, G)`` or ``(K,)``, real or complex.
+    """``a @ b`` for complex ``(S, K)`` or ``(K,)`` times ``(K, G)`` or ``(K,)``;
+    a real operand is promoted.
 
     The library's one quadrature sum.  It runs in real dgemm: the left
-    operand's real and imaginary parts are stacked as rows, and a complex
-    right operand is read as interleaved float64, so it is not copied.  As
-    in `convolve_values`, the sum over ``K`` runs in fixed _BLOCK-point
-    pieces added in a fixed order, so its bits do not depend on the BLAS
-    thread count, and a batch runs in chunks sized from ``b`` (``K < 16``:
-    see _ROWS), so a row's bits do not depend on the other rows of its call.
+    operand's real and imaginary parts are stacked as rows, and the right
+    operand is read as interleaved float64, so it is not copied.  As in
+    `convolve_values`, the sum over ``K`` runs in fixed _BLOCK-point pieces
+    added in a fixed order, so its bits do not depend on the BLAS thread
+    count, and a batch runs in chunks sized from ``b`` (``K < 16``: see
+    _ROWS), so a row's bits do not depend on the other rows of its call.
     """
-    a, b = np.asarray(a), np.ascontiguousarray(b)
+    a, b = np.asarray(a, dtype=complex), np.ascontiguousarray(b, dtype=complex)
     shape = a.shape[:-1] + b.shape[1:]
     rows = a.reshape(-1, a.shape[-1])
     chunk = max(1, min(_ROWS, 10**6 // (4 * b.size or 1)))
     if len(rows) > chunk:
         parts = [_contract(rows[i : i + chunk], b) for i in range(0, len(rows), chunk)]
         return np.concatenate(parts).reshape(shape)
-    x = np.concatenate([rows.real, rows.imag]) if rows.dtype.kind == "c" else rows
-    e = b.reshape(len(b), -1)
-    complex_b = e.dtype.kind == "c"
-    if complex_b:
-        e = e.view(np.float64)
+    x = np.concatenate([rows.real, rows.imag])
+    e = b.reshape(len(b), -1).view(np.float64)
     # the last, partial piece, then the whole pieces as one stacked product
     n = len(e) - len(e) % _BLOCK
     acc = x[:, n:] @ e[n:]
@@ -337,18 +320,11 @@ def _contract(a, b) -> np.ndarray:
         pieces = x[:, :n].reshape(len(x), -1, _BLOCK).transpose(1, 0, 2) \
             @ e[:n].reshape(-1, _BLOCK, e.shape[1])
         acc += np.add.reduce(pieces)
-    # y[p] is part p of a (real, then imaginary if any) times b
-    y = acc.reshape(len(x) // len(rows), len(rows), -1)
-    if complex_b:
-        out = y[0].view(complex)
-        if len(y) == 2:
-            out += 1j * y[1].view(complex)
-        return out.reshape(shape)
-    if len(y) == 1:
-        return y[0].reshape(shape)
-    res = np.empty(y.shape[1:], dtype=complex)
-    res.real, res.imag = y
-    return res.reshape(shape)
+    # y[p] is part p of a (real, then imaginary) times b
+    y = acc.reshape(2, len(rows), -1)
+    out = y[0].view(complex)
+    out += 1j * y[1].view(complex)
+    return out.reshape(shape)
 
 
 def inverse_fourier_eval(f: FourierFn, z: complex, beta_prime: float) -> complex:
@@ -381,19 +357,15 @@ def inverse_fourier_table(f_rows: np.ndarray, space: FourierSpace, z_points, bet
 
 
 def series_norm_1R(W: TruncatedSeries, R: float) -> float:
-    """Sum of per-order certificate norms scaled by ``R^p``.
+    """Sum of per-order certificate norms scaled by ``R^p`` of a grid-valued series.
 
     Dominates ``sup_{|tau|<R}`` of the sum, which is how fixed-point
-    contraction is certified. Scalar-space series use ``|a_p|``.
+    contraction is certified.
     """
     if R <= 0:
         raise ValidationError("radius must be positive")
+    weight = W.space.decay_weight()
     total = 0.0
-    if isinstance(W.space, FourierSpace):
-        weight = W.space.decay_weight()
-        for p in range(1, W.order + 1):
-            total += float(np.max(weight * np.abs(W.coeffs[p - 1]))) * R ** p
-    else:
-        for p in range(1, W.order + 1):
-            total += abs(complex(W.coeffs[p - 1])) * R ** p
+    for p in range(1, W.order + 1):
+        total += float(np.max(weight * np.abs(W.coeffs[p - 1]))) * R ** p
     return total

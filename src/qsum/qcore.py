@@ -74,8 +74,6 @@ def q_number(j: int, q: float) -> float:
     """The q-analog ``[j]_q = 1 + q + ... + q^(j-1)``, with ``[0]_q = 0``."""
     if j < 0:
         raise ValidationError("q-numbers are defined for j >= 0")
-    if j == 0:
-        return 0.0
     return (q ** j - 1.0) / (q - 1.0)
 
 

@@ -158,27 +158,18 @@ def _dropped_mass_1R(omega: TruncatedSeries, spec: ProblemSpec, R: float) -> flo
     return float(total)
 
 
-def apply_H1(
-    omega: TruncatedSeries,
-    spec: ProblemSpec,
-    config: SectorConfig,
-    N: int,
-    ctx: H1Context | None = None,
-) -> TruncatedSeries:
-    """One sweep of the Borel-plane update operator, truncated at order N.
+def apply_H1(omega: TruncatedSeries, ctx: H1Context) -> TruncatedSeries:
+    """One sweep of the Borel-plane update operator of ``ctx``, truncated at
+    its order N.
 
     The operator is affine in ``omega``: coupling terms are linear, the
     forcing is constant, and the inverted divisor symbol multiplies both.
     The forcing enters without the convolution prefactor 1/sqrt(2 pi); the
     coupling terms carry it.
     """
-    if not isinstance(omega.space, FourierSpace) or not omega.space.same_grid(spec.space):
+    if not isinstance(omega.space, FourierSpace) or not omega.space.same_grid(ctx.spec.space):
         raise GridMismatch("series coefficients live on a different frequency grid")
-    if ctx is None:
-        ctx = make_h1_context(spec, config, N)
-    elif ctx.N != N or ctx.spec is not spec:
-        raise ValidationError("context was built for a different problem or order")
-    omega = omega.truncated(N) if omega.order > N else omega.pad_to(N)
+    omega = omega.truncated(ctx.N) if omega.order > ctx.N else omega.pad_to(ctx.N)
     return _sweep(omega, ctx)
 
 
@@ -229,7 +220,7 @@ def picard(ctx: H1Context, bound: float) -> BorelSolution:
     omega = TruncatedSeries(np.zeros((N, spec.space.size), dtype=complex), spec.space)
     history, prev_delta, rising = [], 0.0, 0
     for iterations in range(1, max_iter + 1):
-        nxt = apply_H1(omega, spec, ctx.config, N, ctx=ctx)
+        nxt = apply_H1(omega, ctx)
         delta = series_norm_1R(nxt - omega, ctx.config.R)
         if prev_delta > 0.0:
             history.append(delta / prev_delta)

@@ -372,12 +372,10 @@ def _power_sum(powers, rows, log_u, logmag=0.0) -> np.ndarray:
 
 def _series_radius(series: TruncatedSeries, target: float, cap: float) -> float:
     """Radius where the top order of ``series`` falls to ``target`` times its
-    coefficient scale, at most ``cap``."""
-    if not series.order:
-        return cap
+    coefficient scale, at most ``cap``; ``cap`` where the top order is zero."""
     scale = float(np.max(np.abs(series.coeffs)))
     top = float(np.max(np.abs(series.coeffs[-1])))
-    if top > 0 and scale > 0:
+    if top > 0:
         return min(cap, (target * scale / top) ** (1.0 / series.order))
     return cap
 
@@ -467,7 +465,7 @@ class ContinuedOmega:
     """
 
     def __init__(self, sol, spec: ProblemSpec, config: SectorConfig):
-        self.series = sol.omega if hasattr(sol, "omega") else sol
+        self.series = sol.omega
         self.spec = spec
         self.params = spec.params
         self.space = spec.space
@@ -479,7 +477,7 @@ class ContinuedOmega:
                 )
 
         self.r0 = _series_radius(self.series, 1e-13, 0.9 * config.R)
-        top = float(np.max(np.abs(self.series.coeffs[-1]))) if self.series.order else 0.0
+        top = float(np.max(np.abs(self.series.coeffs[-1])))
         self._floor = top * self.r0**self.series.order
 
         # rungs are named on the quarter lattice, the finest a shipped window

@@ -476,6 +476,33 @@ def test_verify_asymptotics(capsys):
     assert "gevrey-rate" in capsys.readouterr().out
 
 
+def _zero_problem(tmp_path) -> str:
+    """A schema-valid problem with no terms and no forcing: its solution is 0."""
+    raw = json.loads(resolve_input("forcing_only.json").read_text())
+    raw["forcing"] = []
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def test_verify_theorem2_on_the_zero_problem(tmp_path, capsys):
+    # every sum is 0: the determinism rows compare zeros, not 0/0
+    assert run("verify", _zero_problem(tmp_path), "--suite", "theorem2") == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("pass  sum-determinism") == 5
+    assert "FAIL" not in out and "nan" not in out
+    # no coupling or forcing term to gate
+    assert "theorem2-term-gate" not in out
+
+
+def test_verify_asymptotics_on_the_zero_problem(tmp_path, capsys):
+    # every partial sum is exact, so there is no error to fit: no rows
+    assert run("verify", _zero_problem(tmp_path), "--suite", "asymptotics") == EXIT_OK
+    captured = capsys.readouterr()
+    assert "gevrey-rate" not in captured.out
+    assert "Traceback" not in captured.err
+
+
 def test_verify_seed_changes_samples(tmp_path):
     out1, out2 = tmp_path / "s1", tmp_path / "s2"
     run("verify", "basic.json", "--suite", "identities", "--out", str(out1))

@@ -68,7 +68,7 @@ class TestApplyH1:
     def test_zero_input_no_forcing(self):
         spec = build_spec(terms="full", forcing="none")
         cfg = select_sector(spec, 0.0)
-        out = apply_H1(zero_series(spec, 8), spec, cfg, 8)
+        out = apply_H1(zero_series(spec, 8), make_h1_context(spec, cfg, 8))
         assert out.max_abs() == 0.0
 
     def test_forcing_composition_single(self):
@@ -76,7 +76,7 @@ class TestApplyH1:
         spec = build_spec(terms="none", forcing="first")
         cfg = select_sector(spec, 0.0)
         ctx = make_h1_context(spec, cfg, 6)
-        out = apply_H1(zero_series(spec, 6), spec, cfg, 6, ctx=ctx)
+        out = apply_H1(zero_series(spec, 6), ctx)
         f1 = spec.forcing[0].F.values
         for p in range(1, 7):
             np.testing.assert_allclose(
@@ -86,7 +86,7 @@ class TestApplyH1:
     def test_forcing_composition_two_terms(self, forcing_spec):
         cfg = select_sector(forcing_spec, 0.0)
         ctx = make_h1_context(forcing_spec, cfg, 5)
-        out = apply_H1(zero_series(forcing_spec, 5), forcing_spec, cfg, 5, ctx=ctx)
+        out = apply_H1(zero_series(forcing_spec, 5), ctx)
         f1 = forcing_spec.forcing[0].F.values
         f2 = forcing_spec.forcing[1].F.values
         np.testing.assert_allclose(out.coeffs[0], f1 * ctx.inv_p[0], rtol=1e-13)
@@ -107,7 +107,7 @@ class TestApplyH1:
         omega = TruncatedSeries(
             np.vstack([g, np.zeros((5, space.size))]), space
         )
-        out = apply_H1(omega, spec, cfg, 6, ctx=ctx)
+        out = apply_H1(omega, ctx)
 
         r_vals = poly_eval_im(spec.terms[0].R, space.m)
         w = space.weights()
@@ -137,10 +137,8 @@ class TestApplyH1:
             np.vstack([g, np.zeros((5, space.size))]), space
         )
         spec_shift_only = build_spec(terms="shift", forcing="none")
-        out_full = apply_H1(omega, spec, cfg, 6, ctx=ctx)
-        out_shift = apply_H1(
-            omega, spec_shift_only, cfg, 6, ctx=make_h1_context(spec_shift_only, cfg, 6)
-        )
+        out_full = apply_H1(omega, ctx)
+        out_shift = apply_H1(omega, make_h1_context(spec_shift_only, cfg, 6))
         mahler_part = out_full - out_shift
 
         q = spec.params.q
@@ -168,7 +166,7 @@ class TestApplyH1:
         for p in range(1, N + 1):
             for b in range(1, p + 1):
                 want[p - 1] += ctx.inv_p[p - b] * numer[b - 1]
-        got = apply_H1(omega, basic_spec, cfg, N, ctx=ctx)
+        got = apply_H1(omega, ctx)
         assert np.array_equal(got.coeffs, want)
 
     def test_affine_in_omega(self, basic_spec, rng):
@@ -178,10 +176,10 @@ class TestApplyH1:
         w1 = random_series(basic_spec, 5, rng)
         w2 = random_series(basic_spec, 5, rng)
         mixed = w1 * a + w2 * (1.0 - a)
-        lhs = apply_H1(mixed, basic_spec, cfg, 5, ctx=ctx)
+        lhs = apply_H1(mixed, ctx)
         rhs = (
-            apply_H1(w1, basic_spec, cfg, 5, ctx=ctx) * a
-            + apply_H1(w2, basic_spec, cfg, 5, ctx=ctx) * (1.0 - a)
+            apply_H1(w1, ctx) * a
+            + apply_H1(w2, ctx) * (1.0 - a)
         )
         scale = max(lhs.max_abs(), 1e-30)
         assert (lhs - rhs).max_abs() <= 1e-12 * scale
@@ -191,7 +189,7 @@ class TestApplyH1:
         other = make_space(1.0, 3.0, half_width=8.0, n_points=201)
         bad = TruncatedSeries(np.zeros((4, other.size)), other)
         with pytest.raises(GridMismatch):
-            apply_H1(bad, basic_spec, cfg, 4)
+            apply_H1(bad, make_h1_context(basic_spec, cfg, 4))
 
     def test_context_factors_are_the_bracket_magnitudes(self):
         # the solver's coupling map and the Mahler bracket read one exponent
@@ -214,7 +212,7 @@ class TestFixedPoint:
         sol = solve_fixed_point(forcing_spec, cfg, N=8)
         assert sol.iterations == 2
         assert sol.residual_1R == 0.0
-        one_step = apply_H1(zero_series(forcing_spec, 8), forcing_spec, cfg, 8)
+        one_step = apply_H1(zero_series(forcing_spec, 8), make_h1_context(forcing_spec, cfg, 8))
         assert np.array_equal(sol.omega.coeffs, one_step.coeffs)
 
     def test_contraction_ratios_seeded(self):
@@ -262,7 +260,7 @@ class TestFixedPoint:
         omega = zero_series(basic_spec, 8)
         norms = []
         for _ in range(8):
-            omega = apply_H1(omega, basic_spec, cfg, 8, ctx=ctx)
+            omega = apply_H1(omega, ctx)
             norms.append(series_norm_1R(omega, cfg.R))
         bound = norms[-1] * 1.001 + 1e-12
         assert all(n <= bound for n in norms)
@@ -279,7 +277,7 @@ class TestFixedPoint:
         ctx = make_h1_context(spec, cfg, N)
         omega, iterates = zero_series(spec, N), []
         for sweeps in range(1, 5):
-            omega = apply_H1(omega, spec, cfg, N, ctx=ctx)
+            omega = apply_H1(omega, ctx)
             if sweeps >= 2:
                 iterates.append((omega, solver._dropped_mass_1R(omega, spec, cfg.R)))
         sols = [picard_solve(spec, cfg, N), solve_fixed_point(spec, cfg, N),
@@ -363,8 +361,8 @@ class TestFixedPoint:
         changed[1] *= 1.0 + 2.0 ** -20
         changed = TruncatedSeries(changed, spec.space)
         assert any(p == 2 for _, p in images)
-        want = apply_H1(changed, spec, cfg, 12, ctx=ctx)
-        assert not np.array_equal(want.coeffs, apply_H1(omega, spec, cfg, 12, ctx=ctx).coeffs)
+        want = apply_H1(changed, ctx)
+        assert not np.array_equal(want.coeffs, apply_H1(omega, ctx).coeffs)
         assert np.array_equal(_sweep(changed, ctx, images).coeffs, want.coeffs)
 
     @pytest.mark.parametrize("case, below", [("basic.json", True), ("divergent.json", False),
@@ -480,7 +478,7 @@ class TestMainEquation:
         _, defect = main_equation_residual(U, basic_spec, cfg, N, return_series=True)
         lhs = formal_q_borel(defect, basic_spec.params)
 
-        h1 = apply_H1(omega, basic_spec, cfg, N)
+        h1 = apply_H1(omega, make_h1_context(basic_spec, cfg, N))
         diff = omega - h1
         pm = pm_taylor_rows(basic_spec, N)
         rhs = np.zeros_like(diff.coeffs)
