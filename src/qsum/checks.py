@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
 from .fourier import series_norm_1R
 from .geometry import pm_lower_bound_report, validate_spec
 from .qcore import theta_kernel_log
@@ -19,8 +20,9 @@ from .solver import contraction_bound, make_h1_context, picard, solve_fixed_poin
 from .transforms import (
     ContinuedOmega,
     ContourBracket,
+    _power_sum,
+    _series_radius,
     deceleration_integral,
-    fit_log_quadratic,
     gq_sum,
     q_borel_analytic,
     q_laplace,
@@ -228,6 +230,52 @@ def summation_determinism(sol, spec, cfg, points, *, beta_prime):
         (f"lattice node r={node:.6g} asked as r (1 + 1e-12) against r",
          fresh().ray_values([node * (1.0 + 1e-12)], t.theta), fresh().ray_values([node], t.theta)),
     ]]
+
+
+def _polyfit(x, y, degree: int) -> np.ndarray:
+    """Least squares ``y ~ c0 + c1 x + ... + c_degree x^degree``; returns the ``c``."""
+    A = np.vander(np.asarray(x, dtype=float), degree + 1, increasing=True)
+    return np.linalg.lstsq(A, np.asarray(y, dtype=float), rcond=None)[0]
+
+
+def fit_log_quadratic(n_values, log_errors) -> tuple[float, float, float]:
+    """Least squares ``log err ~ c0 + c1 n + c2 n^2``; returns ``(c0, c1, c2)``."""
+    return tuple(map(float, _polyfit(n_values, log_errors, 2)))
+
+
+def _growth_fit(om, spec, taus) -> tuple[float, float]:
+    """``(C, alpha)`` of the sector envelope ``sup_m |omega(tau, m)| w(m) <= C
+    |tau| exp(kappa log^2|tau| + alpha log|tau|)`` of the continuation ``om``:
+    ``alpha`` fitted over the samples, ``C`` the worst constant; nan where a
+    sample's sup is 0."""
+    kap, wgt = spec.params.k / (2.0 * spec.params.log_q), spec.space.decay_weight()
+    L = np.log([tau.r for tau in taus])
+    y = np.log([np.max(np.abs(om.values(tau)) * wgt) for tau in taus]) - L - kap * L * L
+    alpha = float(_polyfit(L, y, 1)[1])
+    return float(np.exp(np.max(y - alpha * L))), alpha
+
+
+def sector(sol, spec, cfg, taus):
+    """The continuation of ``sol`` at each ``tau`` (``|tau| >= R``, else
+    `ValidationError`): inside the radius where the series' top order reaches
+    5% of its coefficient scale, the series against one `rhs_at` within 5e-2
+    of the right-hand side's size; unless the solution is zero, a finite
+    constant of the log-quadratic growth envelope (`_growth_fit`)."""
+    if any(tau.r < cfg.R for tau in taus):
+        raise ValidationError("sector samples must have |tau| >= R")
+    om, rows = ContinuedOmega(sol, spec, cfg), []
+    radius = _series_radius(sol.omega, 0.05, 0.97 * cfg.rho)
+    for tau in [tau for tau in taus if tau.r <= radius]:
+        rhs = om.rhs_at(np.array([tau.r]), tau.theta)[0]
+        diff = np.abs(_power_sum(*om.polynomial(), math.log(tau.r) + 1j * tau.theta) - rhs)
+        scale = float(np.max(np.abs(rhs))) or 1.0
+        rows.append(("sector-overlap", f"tau=({tau.r:.4g},{tau.theta:.4g}) series against one "
+                     f"right-hand side, scale {scale:.3e}", float(np.max(diff)), 5e-2 * scale))
+    if spec.terms or spec.forcing:  # else the zero solution: no growth to fit
+        C, alpha = _growth_fit(om, spec, taus)
+        rows.append(("sector-growth", f"{len(taus)} samples: C {C:.4g}, alpha {alpha:.4g}",
+                     0.0 if math.isfinite(C) else 1.0, 0.5))
+    return rows
 
 
 def gevrey_rate(omega_ev, u_n, z, points, cfg, spec, *, beta_prime):

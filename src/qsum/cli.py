@@ -419,15 +419,18 @@ def _suite_theorem2(spec, cfg, rng, args):
     gate = [(CoveringPoint(0.8 * cfg.R, th), z) for th, z in zip((0.1, -0.2), zs)]
     # t sharing ladders
     ray = [(CoveringPoint(f * cfg.R, 0.1), z) for f, z in zip((0.1, 0.2, 0.4, 0.6, 0.8), zs + zs)]
-    # c06 and the determinism rows at order 16 or more: the series fills a
-    # `_power_sum` piece, and a Picard sweep stopped early is not exact
+    # c06, the determinism and the sector rows at order 16 or more: the series
+    # fills a `_power_sum` piece, a Picard sweep stopped early is not exact,
+    # and at order 12 the series overlaps the right-hand side only to 2e-2
     order = max(args.order, 16)
     det = solve_fixed_point(spec, cfg, order)
     beta_prime = 0.5 * spec.space.beta
+    taus = [CoveringPoint(f * cfg.R, 0.03) for f in (1.05, 1.4, 1.9, 2.5)]
     return (checks.contraction(spec, cfg, order)
             + checks.summed_equation(sol, spec, cfg, pts, beta_prime=beta_prime)
             + checks.term_gate(sol, spec, cfg, gate, beta_prime=beta_prime)
-            + checks.summation_determinism(det, spec, cfg, ray, beta_prime=beta_prime))
+            + checks.summation_determinism(det, spec, cfg, ray, beta_prime=beta_prime)
+            + checks.sector(det, spec, cfg, taus))
 
 
 def _suite_asymptotics(spec, cfg, rng, args):
@@ -566,8 +569,7 @@ def cmd_sum(args) -> int:
         outcome={"points": len(rows), "flagged": sum(1 for r in rows if r[-1] != "ok")},
     )
     header = [*POINT_COLUMNS, "value_re", "value_im", "budget", "flag"]
-    out = args.out or Path(".")
-    _emit_rows(args, out, manifest, header, rows, "u_values")
+    _emit_rows(args, args.out, manifest, header, rows, "u_values")
     for row in rows:
         print(",".join(str(_cell(c)) for c in row))
     return EXIT_OK

@@ -300,20 +300,19 @@ def deceleration_integral(
     h: CoveringPoint,
     *,
     params: QParams,
-    f_disc_radius: float | None = None,
 ) -> complex:
     """Contour form of the order-``p`` deceleration of ``f``, evaluated at ``h``.
 
-    The one-value case of `_deceleration_contour` (``f`` starting at ``x^1``),
-    checked by node doubling to 1e-8.  ``f`` is called with ndarrays of plane points,
-    all within ``0.7 f_disc_radius`` when that is given.
+    The one-value case of `_deceleration_contour` (``f`` starting at ``x^1``,
+    entire: no disc caps the radius), checked by node doubling to 1e-8.  ``f``
+    is called with ndarrays of plane points.
     """
     if p < 2:
         raise ValidationError("deceleration needs p >= 2")
     log_h = [complex(math.log(h.r), h.theta)]
 
     def value_at(ct: CircleContour) -> complex:
-        return complex(_deceleration_contour(f, p, 0, log_h, params, ct, f_disc_radius)[0])
+        return complex(_deceleration_contour(f, p, 0, log_h, params, ct)[0])
 
     return _stabilise(value_at, _deceleration_window(p, params), 1e-8, "deceleration_integral")
 
@@ -567,7 +566,7 @@ class ContinuedOmega:
         for a, e in zip(cuts, cuts[1:]):
             if e > hi:
                 lo, hi = a, cuts[bisect.bisect_right(cuts, a + _ROWS) - 1]
-                node = self._node_rows(np.array(radii[lo:hi]), theta, self)
+                node = self._node_rows(np.array(radii[lo:hi]), theta)
             rows = self._wave(rungs[a:e], [x[a - lo : e - lo] for x in node], theta)
             rows.setflags(write=False)
             memo.update(zip(rungs[a:e], rows))
@@ -586,21 +585,18 @@ class ContinuedOmega:
         ray nodes ``radii * e^{i theta}``: (S, G), the `_wave` of `_node_rows`."""
         names = self._names(radii, theta)
         self._climb([(t, b, j - d) for t, b, j in names for d in self._drops], theta)
-        return self._wave(names, self._node_rows(radii, theta, self), theta)
+        return self._wave(names, self._node_rows(radii, theta), theta)
 
-    def _node_rows(self, radii, theta: float, ev) -> list:
+    def _node_rows(self, radii, theta: float) -> list:
         """What `rhs_at` reads of the nodes alone: their log radii (S,), then
         (S, G) rows: the Mahler couplings in term order, the forcing (one row,
-        if any), and the denominator.  A Mahler row is that of `_term_rows` on
-        ``ev``, convolved; on this continuation, the bracket of its convolved series."""
+        if any), and the denominator.  A Mahler row is the bracket of the
+        coupling's convolved series."""
         spec, space = self.spec, self.space
         # math.log: np.log differs in the last bit on some radii
         out = [np.array([math.log(r) for r in radii.tolist()])]
         for i, term in enumerate(spec.terms):
-            if term.l2 >= 2 and ev is not self:
-                rows = _term_rows(ev, out[0], theta, spec, term)
-                out.append(INV_SQRT_2PI * convolve_values(space, term.band, term.symbol * rows))
-            elif term.l2 >= 2:
+            if term.l2 >= 2:
                 if i not in self._mahler_conv:
                     rows = term.symbol * self.series.coeffs
                     self._mahler_conv[i] = INV_SQRT_2PI * convolve_values(space, term.band, rows)
@@ -772,8 +768,8 @@ def _deceleration_rows(omega_ev, term, log_h, params: QParams) -> np.ndarray:
     """Mahler rows (S, G) of ``omega_ev.values_batch`` by the deceleration contour.
 
     The quadrature realisation of `decelerated_bracket`: the only one for
-    callables, and the independent one `eaux2_sector_residual` checks the
-    continuation's closed-form rows against.  The bracket's disc is
+    callables, and the independent one a `ContourBracket` gives
+    `checks.term_gate` for the continuation.  The bracket's disc is
     ``r0 / c`` for an evaluator with a series radius ``r0``, so ``omega``
     is evaluated within ``0.7 r0``.
     """
@@ -991,79 +987,3 @@ def theorem2_residual(
                      "z_im": complex(z).imag, "terms": values, "lhs": values["lhs"],
                      "rhs": rhs, "residual": abs(values["lhs"] - rhs), "budget": budget})
     return Theorem2Report(rows)
-
-
-@dataclass
-class SectorResidualReport:
-    rows: list
-    growth_C: float
-    growth_alpha: float
-
-
-def eaux2_sector_residual(
-    sol,
-    spec: ProblemSpec,
-    config: SectorConfig,
-    tau_samples,
-    *,
-    omega=None,
-) -> SectorResidualReport:
-    """Self-consistency of the sector continuation, sampled at ``tau``.
-
-    Where the series is still trustworthy (``|tau|`` below the radius where
-    its own tail estimate is still a few percent of the coefficient scale),
-    the series branch is compared against one right-hand-side application:
-    this is the genuine overlap check.  Deeper in the sector the continued
-    value, whose Mahler rows are the closed-form decelerated bracket, is
-    compared against the right-hand side on its `ContourBracket`, whose
-    Mahler rows come from the deceleration contour instead: two independent
-    realisations of the same bracket, so the spread measures the
-    continuation's stability.  The growth certificate fits the
-    log-quadratic sector envelope and reports the worst constant.
-    """
-    if omega is None:
-        omega = ContinuedOmega(sol, spec, config)
-    series_radius = _series_radius(omega.series, 0.05, 0.97 * config.rho)
-    kap = _kappa(spec.params)
-    wgt = spec.space.decay_weight()
-    rows = []
-    lognum, logtau = [], []
-    for tau in tau_samples:
-        if tau.r < config.R:
-            raise ValidationError("sector samples must have |tau| >= R")
-        val = omega.values(tau)  # climbs every rung either right-hand side reads
-        if tau.r <= series_radius:
-            lhs, mode = _power_sum(*omega.polynomial(), math.log(tau.r) + 1j * tau.theta), "overlap"
-            rhs = omega.rhs_at(np.array([tau.r]), tau.theta)[0]
-        else:
-            lhs, mode = val, "stability"
-            node = omega._node_rows(np.array([tau.r]), tau.theta, ContourBracket(omega))
-            rhs = omega._wave(omega._names(np.array([tau.r]), tau.theta), node, tau.theta)[0]
-        diff = float(np.max(np.abs(lhs - rhs)))
-        scale = float(np.max(np.abs(rhs))) or 1.0
-        num = float(np.max(np.abs(val) * wgt))
-        rows.append({"tau_r": tau.r, "tau_theta": tau.theta, "mode": mode, "residual": diff,
-                     "scale": scale, "weighted_sup": num})
-        if num > 0:
-            lognum.append(math.log(num))
-            logtau.append(math.log(tau.r))
-    # fit log num ~ log C + log|tau| + kappa log^2|tau| + alpha log|tau|
-    if len(lognum) >= 2:
-        L = np.asarray(logtau)
-        y = np.asarray(lognum) - L - kap * L * L
-        A = np.stack([np.ones_like(L), L], axis=1)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        alpha = float(coef[1])
-        C = float(np.exp(np.max(y - alpha * L)))
-    else:
-        alpha, C = 0.0, float("nan")
-    return SectorResidualReport(rows, C, alpha)
-
-
-def fit_log_quadratic(n_values, log_errors) -> tuple[float, float, float]:
-    """Least squares ``log err ~ c0 + c1 n + c2 n^2``; returns ``(c0, c1, c2)``."""
-    n = np.asarray(n_values, dtype=float)
-    y = np.asarray(log_errors, dtype=float)
-    A = np.stack([np.ones_like(n), n, n * n], axis=1)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), float(coef[1]), float(coef[2])

@@ -365,3 +365,22 @@ def test_c11_fourier_layer():
         f"{worst_prod:.2e} <= 1e-6, derivative {worst_deriv:.2e} <= 1e-5",
         worst_conv <= 1e-6 and worst_prod <= 1e-6 and worst_deriv <= 1e-5,
     )
+
+
+# 12 ------------------------------------------------------------------------
+
+
+def test_c12_sector_continuation():
+    """The continuation onto the sector agrees with the series where both
+    hold, and its growth there fits a finite log-quadratic envelope."""
+    spec = build_spec(terms="full")
+    cfg = select_sector(spec, 0.0)
+    sol = solve_fixed_point(spec, cfg, 16)
+    taus = [CoveringPoint(f * cfg.R, 0.03) for f in (1.05, 1.4, 1.9, 2.5)]
+    rows = checks.sector(sol, spec, cfg, taus)
+    name, detail, measured, threshold = max(rows, key=lambda row: row[2] / row[3])
+    report(
+        f"sector continuation: worst {name} {measured:.3e} <= {threshold:.3e} ({detail})",
+        {row[0] for row in rows} == {"sector-overlap", "sector-growth"}
+        and all(m <= t for _, _, m, t in rows),
+    )

@@ -458,6 +458,10 @@ def test_verify_theorem2(capsys):
     for name in ("contraction-ratio", "contraction-residual", "contraction-bound",
                  "forward-vs-picard", "forward-waves"):
         assert out.count(f"pass  {name}:") == 1
+    # the sector at 1.05, 1.4, 1.9 and 2.5 R: only 1.05 R lies inside the
+    # series' 5% radius, and one growth fit over all four
+    assert out.count("pass  sector-overlap") == 1
+    assert out.count("pass  sector-growth") == 1
     assert "FAIL" not in out
 
 
@@ -491,8 +495,9 @@ def test_verify_theorem2_on_the_zero_problem(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("pass  sum-determinism") == 5
     assert "FAIL" not in out and "nan" not in out
-    # no coupling or forcing term to gate
+    # no coupling or forcing term to gate, and no growth to fit
     assert "theorem2-term-gate" not in out
+    assert "sector-growth" not in out
 
 
 def test_verify_asymptotics_on_the_zero_problem(tmp_path, capsys):
@@ -545,6 +550,18 @@ def test_sum_deterministic(tmp_path):
     run("sum", "basic.json", "--points", str(pts), "--out", str(out1))
     run("sum", "basic.json", "--points", str(pts), "--out", str(out2))
     assert (out1 / "u_values.csv").read_bytes() == (out2 / "u_values.csv").read_bytes()
+
+
+def test_sum_without_out_writes_no_file(tmp_path, monkeypatch, capsys):
+    # like validate, verify and transform: the rows go to stdout only
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.08,0.1,0.2,0.0\n")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run("sum", "basic.json", "--points", str(pts)) == EXIT_OK
+    assert capsys.readouterr().out.startswith("0.08,0.1,0.2,0.0,")
+    assert list(cwd.iterdir()) == []
 
 
 def _sum_cells(spec, rows, out):

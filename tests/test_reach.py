@@ -5,11 +5,11 @@ collects every ``src/qsum`` function they enter and every line they run.
 The commands are ``validate``, ``solve``, ``sum`` and each ``verify`` suite
 on ``basic.json`` and ``forcing_only.json``, the three ``transform`` ops and
 a ``--p 3`` deceleration, ``validate`` and ``solve`` on ``divergent.json``,
-and the inputs the CLI accepts but no shipped fixture gives: the refused
-``violating.json``, a zero problem, a vanishing ``R_D``, a ``values``
-profile, one schema-invalid file per schema keyword, ``--format json``,
-``--beta-prime``, a commented points file, a ``QSUM_DATA_DIR`` lookup and
-an ``--eps-rel`` that takes ``_stabilise`` to its third level.  Each
+a usage error, and the inputs the CLI accepts but no shipped fixture gives:
+the refused ``violating.json``, a zero problem, a vanishing ``R_D``, a
+``values`` profile, one schema-invalid file per schema keyword, ``--format
+json``, ``--beta-prime``, a commented points file, a ``QSUM_DATA_DIR``
+lookup and an ``--eps-rel`` that takes ``_stabilise`` to its third level.  Each
 command's exit code is checked.  ``--threads`` is left out: where
 threadpoolctl is installed it would change this process's BLAS pools.
 
@@ -63,13 +63,10 @@ KEPT_KEYWORDS = {
     "checks._identity(p)": "laplace and borel never read p, and the identities suite "
                            "decelerates at p = 2",
     "qcore.QParams.__init__(k)": "every fixture has k = 1; tests set other orders",
-    "transforms.deceleration_integral(f_disc_radius)": "every transform input is an "
-                                                       "entire polynomial, with no disc",
 }
 
 KEPT = {
     "checks.borel_monomials": "acceptance c02 runs it",
-    "cli._Parser.error": "error path: a usage error",
     "fourier.KernelBand.__len__": "perfbench/tracing.py's convolve_mac hook takes len() of "
                                   "a band",
     "fourier.convolve": "perfbench/tests calls it; acceptance c11's closed form",
@@ -88,21 +85,16 @@ KEPT = {
     "solver._expq_operator_rows": "main_equation_residual's operator rows; acceptance c07",
     "solver.main_equation_residual": f"{PERFBENCH}; acceptance c07",
     "solver.pm_taylor_rows": "test_borel_plane_agreement's symbol product",
-    "transforms.ContinuedOmega.rhs_at": f"{PERFBENCH}; eaux2_sector_residual",
-    "transforms.ContinuedOmega.values": f"{PERFBENCH}; eaux2_sector_residual",
     "transforms.PolynomialOmega.polynomial": "a polynomial's closed-form Mahler rows; "
                                              "test_transforms' Mahler term",
     "transforms.SeparableOmega.__init__": "acceptance c08's evaluator",
     "transforms.SeparableOmega.ray_values": "acceptance c08's evaluator",
     "transforms.SeparableOmega.values_batch": "acceptance c08's evaluator",
-    "transforms.eaux2_sector_residual": "the sector check of ROADMAP item 4",
 }
 
 THREADS = "--threads: threadpoolctl would change this process's BLAS pools"
 PAD = "apply_H1 and main_equation_residual pad a shorter series; no command passes one"
 PIECES = "a factor past the double range, orders beyond any fixture's; test_series"
-EVALUATOR = "an evaluator other than the continuation: eaux2_sector_residual's stability " \
-            "rows (ROADMAP item 4)"
 
 KEPT_STATEMENTS = {
     "cli._apply_threads: import threadpoolctl": THREADS,
@@ -123,10 +115,6 @@ KEPT_STATEMENTS = {
     "series._scale_by_exponents: piece = step if rest > 0 else -step": PIECES,
     "series._scale_by_exponents: out[n - 1] *= q ** float(piece)": PIECES,
     "series._scale_by_exponents: rest -= piece": PIECES,
-    "transforms.ContinuedOmega._node_rows: rows = _term_rows(ev, out[0], theta, spec, term)":
-        EVALUATOR,
-    "transforms.ContinuedOmega._node_rows: out.append(INV_SQRT_2PI * convolve_values(space, "
-    "term.band, term.symbol * rows))": EVALUATOR,
     "transforms._term_sum: quad = quad.refined()": "_T2_NODE_FACTOR is 1; acceptance c09 "
                                                    "doubles the nodes",
 }
@@ -184,7 +172,8 @@ def _commands(tmp: Path) -> list:
               "--at", "0.3,0.1"], ok)]
     out += [(["validate", "divergent.json"], ok),
             (["solve", "divergent.json", "--order", "8", "--direction", "0",
-              "--out", str(tmp / "solve-divergent")], cli.EXIT_REGIME)]
+              "--out", str(tmp / "solve-divergent")], cli.EXIT_REGIME),
+            (["solve", "basic.json", "--order", "0", "--out", str(tmp / "unused")], cli.EXIT_USAGE)]
     # the options and inputs no command above gives
     out += [(["--format", "json", "sum", "forcing_only.json", "--points", str(listed),
               "--beta-prime", "0.4", "--out", str(tmp / "sum-json")], ok),

@@ -29,6 +29,8 @@ from qsum.transforms import (
     RayQuadrature,
     SeparableOmega,
     _auto_quad,
+    _deceleration_contour,
+    _deceleration_window,
     _ExpqNodes,
     _expq_row,
     _profile,
@@ -36,8 +38,6 @@ from qsum.transforms import (
     _term_sum,
     decelerated_bracket,
     deceleration_integral,
-    eaux2_sector_residual,
-    fit_log_quadratic,
     gq_sum,
     q_borel_analytic,
     q_laplace,
@@ -270,14 +270,22 @@ def test_borel_univalued_input_univalued_output():
 # deceleration
 
 
+def _decelerate_in_disc(f, p, h, P, disc):
+    """The order-``p`` deceleration of ``f`` at ``h`` with the contour radius
+    capped so that ``f`` is read within ``0.7 disc``: the path of
+    `_deceleration_rows`, on its window."""
+    log_h = [complex(math.log(h.r), h.theta)]
+    return complex(_deceleration_contour(f, p, 0, log_h, P, _deceleration_window(p, P), disc)[0])
+
+
 def test_deceleration_monomials():
     P = QParams(q=2.0, k=1)
     h = CoveringPoint(0.3, 0.0)
-    got = deceleration_integral(lambda x: x, 2, h, params=P, f_disc_radius=1.0)
+    got = _decelerate_in_disc(lambda x: x, 2, h, P, disc=1.0)
     assert abs(got - 0.15) <= 1e-6 * 0.15
     h2 = CoveringPoint(0.5, 0.2)
     want = (2.0 / 64.0) * (h2.r * np.exp(1j * h2.theta)) ** 2
-    got = deceleration_integral(lambda x: x**2, 2, h2, params=P, f_disc_radius=1.0)
+    got = _decelerate_in_disc(lambda x: x**2, 2, h2, P, disc=1.0)
     assert abs(got - want) <= 1e-6 * abs(want)
 
 
@@ -295,7 +303,7 @@ def test_deceleration_matches_formal_series():
     f = lambda x: x / (1.0 - x / 2.0)
     coeff = lambda n: 2.0 ** (-(n - 1))
     for h in (CoveringPoint(0.5, 0.2), CoveringPoint(3.0, 1.0)):
-        got = deceleration_integral(f, 2, h, params=P, f_disc_radius=1.9)
+        got = _decelerate_in_disc(f, 2, h, P, disc=1.9)
         want = _decel_formal(h.r * np.exp(1j * h.theta), P, 2, coeff)
         assert abs(got - want) <= 1e-6 * abs(want)
 
@@ -334,7 +342,7 @@ def test_deceleration_guards():
 
     for hr in (0.05, 0.3, 1.0, 3.0):
         h = CoveringPoint(hr, 0.2)
-        got = deceleration_integral(f, 2, h, params=P, f_disc_radius=0.1)
+        got = _decelerate_in_disc(f, 2, h, P, disc=0.1)
         want = P.q ** (be(1, P.k) - be(2, P.k)) * h.r * np.exp(1j * h.theta)
         assert abs(got - want) <= 1e-13 * abs(want)
     assert max(seen) < 0.1
@@ -1266,9 +1274,13 @@ def test_sector_residual_forcing_only(fx_forcing):
     spec, cfg = fx_forcing
     sol = solve_fixed_point(spec, cfg, 16)
     taus = [CoveringPoint(1.2 * cfg.R, 0.1), CoveringPoint(2.0 * cfg.R, -0.3)]
-    rep = eaux2_sector_residual(sol, spec, cfg, taus)
-    for row in rep.rows:
-        assert row["residual"] == 0.0
+    rows = checks.sector(sol, spec, cfg, taus)
+    # both samples lie beyond the series' 5% radius: the growth row alone
+    assert [row[0] for row in rows] == ["sector-growth"] and rows[0][2] <= rows[0][3]
+    # with no coupling the continued value is one right-hand side, bit for bit
+    om = ContinuedOmega(sol, spec, cfg)
+    for tau in taus:
+        assert np.array_equal(om.values(tau), om.rhs_at(np.array([tau.r]), tau.theta)[0])
 
 
 def test_sector_residual_shift_only_overlap(fx_shift):
@@ -1282,43 +1294,39 @@ def test_sector_residual_shift_only_overlap(fx_shift):
     top = float(np.max(np.abs(sol.omega.coeffs[-1])))
     taus = [CoveringPoint(1.05 * cfg.R, 0.05), CoveringPoint(1.14 * cfg.R, -0.1)]
     assert all(t.r < limit for t in taus)
-    rep = eaux2_sector_residual(sol, spec, cfg, taus)
-    for row, tau in zip(rep.rows, taus):
-        assert row["mode"] == "overlap"
+    rows = checks.sector(sol, spec, cfg, taus)
+    assert [row[0] for row in rows] == ["sector-overlap", "sector-overlap", "sector-growth"]
+    for (_, detail, residual, _), tau in zip(rows, taus):
         tail_est = top * tau.r ** sol.omega.order
-        assert row["residual"] <= 10.0 * tail_est
+        assert residual <= 10.0 * tail_est, detail
 
 
 def test_sector_residual_full_fixture(fx_full):
     spec, cfg, sol = fx_full
-    om = ContinuedOmega(sol, spec, cfg)
     taus = [
         CoveringPoint(1.05 * cfg.R, 0.03),
         CoveringPoint(1.4 * cfg.R, 0.03),
         CoveringPoint(1.9 * cfg.R, 0.03),
         CoveringPoint(2.5 * cfg.R, 0.03),
     ]
-    rep = eaux2_sector_residual(sol, spec, cfg, taus, omega=om)
-    saw_overlap = saw_stability = False
-    for row in rep.rows:
-        if row["mode"] == "overlap":
-            saw_overlap = True
-            assert row["residual"] <= 5e-2 * row["scale"]
-        else:
-            saw_stability = True
-            assert row["residual"] <= 1e-12 * row["scale"]
-    assert saw_overlap and saw_stability
-    assert math.isfinite(rep.growth_C) and rep.growth_C > 0
+    rows = checks.sector(sol, spec, cfg, taus)
+    overlap = [row for row in rows if row[0] == "sector-overlap"]
+    assert overlap
+    for _, detail, residual, threshold in overlap:
+        # the threshold is 5e-2 times the right-hand side's size
+        assert residual <= threshold, detail
+    C, _ = checks._growth_fit(ContinuedOmega(sol, spec, cfg), spec, taus)
+    assert math.isfinite(C) and C > 0
+    assert rows[-1][0] == "sector-growth" and rows[-1][2] <= rows[-1][3]
 
 
 def test_sector_growth_certificate_stable(fx_full):
     spec, cfg, sol = fx_full
 
     def cert(nsamp):
-        om = ContinuedOmega(sol, spec, cfg)
         rads = np.geomspace(1.05 * cfg.R, 3.0 * cfg.R, nsamp)
         taus = [CoveringPoint(float(r), 0.03) for r in rads]
-        return eaux2_sector_residual(sol, spec, cfg, taus, omega=om).growth_C
+        return checks._growth_fit(ContinuedOmega(sol, spec, cfg), spec, taus)[0]
 
     c1, c2 = cert(5), cert(9)
     assert math.isfinite(c1) and math.isfinite(c2)
@@ -1328,7 +1336,7 @@ def test_sector_growth_certificate_stable(fx_full):
 def test_sector_samples_must_leave_disc(fx_full):
     spec, cfg, sol = fx_full
     with pytest.raises(ValidationError):
-        eaux2_sector_residual(sol, spec, cfg, [CoveringPoint(0.5 * cfg.R, 0.0)])
+        checks.sector(sol, spec, cfg, [CoveringPoint(0.5 * cfg.R, 0.0)])
 
 
 # ---------------------------------------------------------------------------
@@ -1339,7 +1347,7 @@ def test_fit_log_quadratic_recovers_exact():
     n = np.arange(2.0, 9.0)
     c0, c1, c2 = 0.7, -1.2, 0.31
     vals = c0 + c1 * n + c2 * n**2
-    f0, f1, f2 = fit_log_quadratic(n, vals)
+    f0, f1, f2 = checks.fit_log_quadratic(n, vals)
     assert f0 == pytest.approx(c0, abs=1e-9)
     assert f1 == pytest.approx(c1, abs=1e-9)
     assert f2 == pytest.approx(c2, abs=1e-9)
